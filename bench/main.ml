@@ -607,9 +607,9 @@ let section_registry () =
      serve_warm_jobs1/4   one priming pass, then every measured pass
                           repeats it — pure cache-hit throughput
 
-   Each section is create-session + 4 passes of a 64-request batch +
-   shutdown, so pool spawn/join is amortized the way a long-running
-   daemon amortizes it.  warm vs cold isolates the cache win;
+   Each section is a one-shard Serve_shard (the daemon's default) + 4
+   passes of a 64-request batch + shutdown, so pool spawn/join is
+   amortized the way a long-running daemon amortizes it.  warm vs cold isolates the cache win;
    jobs 4 vs jobs 1 isolates the pool win (needs a multi-core
    machine — widths are clamped to the hardware recommendation). *)
 
@@ -636,13 +636,13 @@ let serve_request ~pass i =
 let serve_batch_lines pass = List.init serve_batchsize (serve_request ~pass)
 
 let run_serve ~jobs ~warm () =
-  let t = Serve.create ~jobs ~cache_capacity:(2 * serve_batchsize) () in
-  if warm then ignore (Serve.handle_batch t (serve_batch_lines 0));
+  let t = Serve_shard.create ~jobs ~cache_capacity:(2 * serve_batchsize) () in
+  if warm then ignore (Serve_shard.handle_batch t (serve_batch_lines 0));
   for p = 1 to serve_passes do
     let p = if warm then 0 else p in
-    ignore (Sys.opaque_identity (Serve.handle_batch t (serve_batch_lines p)))
+    ignore (Sys.opaque_identity (Serve_shard.handle_batch t (serve_batch_lines p)))
   done;
-  Serve.shutdown t
+  Serve_shard.shutdown t
 
 let section_serve () =
   header "SERVE  scheduling-as-a-service (pasched.serve)";
@@ -663,17 +663,17 @@ let section_serve () =
     ];
   (* cache behaviour sanity: a warm section's measured passes are all
      hits, and replies are independent of the pool width *)
-  let t1 = Serve.create ~jobs:1 ~cache_capacity:(2 * serve_batchsize) () in
-  let t4 = Serve.create ~jobs:4 ~cache_capacity:(2 * serve_batchsize) () in
-  let cold1 = Serve.handle_batch t1 (serve_batch_lines 0) in
-  let cold4 = Serve.handle_batch t4 (serve_batch_lines 0) in
-  let warm1 = Serve.handle_batch t1 (serve_batch_lines 0) in
-  let st = Serve.stats t1 in
-  Serve.shutdown t1;
-  Serve.shutdown t4;
+  let t1 = Serve_shard.create ~jobs:1 ~cache_capacity:(2 * serve_batchsize) () in
+  let t4 = Serve_shard.create ~jobs:4 ~cache_capacity:(2 * serve_batchsize) () in
+  let cold1 = Serve_shard.handle_batch t1 (serve_batch_lines 0) in
+  let cold4 = Serve_shard.handle_batch t4 (serve_batch_lines 0) in
+  let warm1 = Serve_shard.handle_batch t1 (serve_batch_lines 0) in
+  let st = Serve_shard.stats t1 in
+  Serve_shard.shutdown t1;
+  Serve_shard.shutdown t4;
   Printf.printf "\nwarm pass served from cache: %b (hits=%d misses=%d)\n"
-    (st.Serve.cache.Serve_cache.hits = serve_batchsize)
-    st.Serve.cache.Serve_cache.hits st.Serve.cache.Serve_cache.misses;
+    (st.Serve_shard.cache.Serve_cache.hits = serve_batchsize)
+    st.Serve_shard.cache.Serve_cache.hits st.Serve_shard.cache.Serve_cache.misses;
   Printf.printf "warm replies byte-identical to cold: %b\n" (cold1 = warm1);
   Printf.printf "replies jobs=1 equal jobs=4: %b\n" (cold1 = cold4)
 

@@ -1196,10 +1196,9 @@ let serve_cmd =
           Serve_shard.create ?jobs:par_jobs ~shards ~cache_capacity:cache_capacity ~max_inflight
             ~policy ?cache_file ~fsync ~compact_every ~breaker ()
         in
-        let h = Serve_shard.handler t in
         (match socket with
-        | None -> Serve.run_pipe_handler ~max_batch h
-        | Some path -> Serve.run_socket_handler ~max_batch ~backlog ~path h);
+        | None -> Serve.run_pipe ~max_batch t
+        | Some path -> Serve.run_socket ~max_batch ~backlog ~path t);
         `Ok ()
   in
   let socket =
@@ -1306,8 +1305,52 @@ let serve_cmd =
         $ guard_term $ socket $ cache $ max_batch $ shards $ max_inflight $ cache_file $ fsync
         $ compact_every $ breaker_threshold $ breaker_cooldown $ backlog))
 
-(* one connect / send-all / read-all round over a Unix socket; raises
-   Failure on connect refusal or a mid-reply close *)
+(* the client side of a daemon connection: bytes read but not yet
+   consumed wait in [chunk] between [pos] and [len] (they may belong to
+   the next exchange), the unterminated start of the current reply in
+   [line]; every byte is scanned once *)
+type conn = {
+  fd : Unix.file_descr;
+  chunk : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+  line : Buffer.t;
+}
+
+let conn fd = { fd; chunk = Bytes.create 65536; pos = 0; len = 0; line = Buffer.create 256 }
+
+let rec read_reply c =
+  let nl = ref c.pos in
+  while !nl < c.len && Bytes.get c.chunk !nl <> '\n' do
+    incr nl
+  done;
+  Buffer.add_subbytes c.line c.chunk c.pos (!nl - c.pos);
+  if !nl < c.len then begin
+    c.pos <- !nl + 1;
+    let reply = Buffer.contents c.line in
+    Buffer.clear c.line;
+    reply
+  end
+  else begin
+    let got = Unix.read c.fd c.chunk 0 (Bytes.length c.chunk) in
+    if got = 0 then failwith "server closed the connection mid-reply";
+    c.pos <- 0;
+    c.len <- got;
+    read_reply c
+  end
+
+(* send [lines], then read one reply line per request line, in order *)
+let round_trip c lines =
+  let payload = String.concat "\n" lines ^ "\n" in
+  let len = String.length payload in
+  let sent = ref 0 in
+  while !sent < len do
+    sent := !sent + Unix.write_substring c.fd payload !sent (len - !sent)
+  done;
+  List.rev (List.fold_left (fun acc _ -> read_reply c :: acc) [] lines)
+
+(* one connect / exchange round over a Unix socket; raises Failure on
+   connect refusal or a mid-reply close *)
 let socket_exchange ~socket lines =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -1316,23 +1359,7 @@ let socket_exchange ~socket lines =
       (try Unix.connect fd (Unix.ADDR_UNIX socket)
        with Unix.Unix_error (err, _, _) ->
          failwith (Printf.sprintf "cannot connect to %s: %s" socket (Unix.error_message err)));
-      let payload = String.concat "\n" lines ^ "\n" in
-      let len = String.length payload in
-      let sent = ref 0 in
-      while !sent < len do
-        sent := !sent + Unix.write_substring fd payload !sent (len - !sent)
-      done;
-      (* one reply line per request line, in order *)
-      let want = List.length lines in
-      let buf = Buffer.create 4096 in
-      let chunk = Bytes.create 65536 in
-      let count s = String.fold_left (fun k c -> if c = '\n' then k + 1 else k) 0 s in
-      while count (Buffer.contents buf) < want do
-        let got = Unix.read fd chunk 0 (Bytes.length chunk) in
-        if got = 0 then failwith "server closed the connection mid-reply";
-        Buffer.add_subbytes buf chunk 0 got
-      done;
-      List.filteri (fun i _ -> i < want) (String.split_on_char '\n' (Buffer.contents buf)))
+      round_trip (conn fd) lines)
 
 (* merge a retry round's replies back over the transient slots they
    were resent for *)
@@ -1543,59 +1570,31 @@ let soak_cmd =
           (* one persistent pipelined connection, re-established by the
              retry loop whenever the daemon goes away under us *)
           let sched = Serve_retry.create ~base_ms:backoff_ms ~seed:(Unix.getpid ()) () in
-          let conn : Unix.file_descr option ref = ref None in
-          let buf = Buffer.create 65536 in
-          let chunk = Bytes.create 65536 in
+          let live : conn option ref = ref None in
           let close_conn () =
-            match !conn with
-            | Some fd ->
-              (try Unix.close fd with Unix.Unix_error _ -> ());
-              conn := None
+            match !live with
+            | Some c ->
+              (try Unix.close c.fd with Unix.Unix_error _ -> ());
+              live := None
             | None -> ()
           in
           let get_conn () =
-            match !conn with
-            | Some fd -> fd
+            match !live with
+            | Some c -> c
             | None ->
               let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
               (match Unix.connect fd (Unix.ADDR_UNIX path) with
               | () ->
-                Buffer.clear buf;
-                conn := Some fd;
-                fd
+                let c = conn fd in
+                live := Some c;
+                c
               | exception e ->
                 (try Unix.close fd with Unix.Unix_error _ -> ());
                 raise e)
           in
           let send_recv w =
-            match
-              let fd = get_conn () in
-              let payload = String.concat "\n" w ^ "\n" in
-              let len = String.length payload in
-              let sent = ref 0 in
-              while !sent < len do
-                sent := !sent + Unix.write_substring fd payload !sent (len - !sent)
-              done;
-              let want = List.length w in
-              let replies = ref [] in
-              let got = ref 0 in
-              while !got < want do
-                (match String.index_opt (Buffer.contents buf) '\n' with
-                | Some nl ->
-                  let s = Buffer.contents buf in
-                  replies := String.sub s 0 nl :: !replies;
-                  incr got;
-                  Buffer.clear buf;
-                  Buffer.add_substring buf s (nl + 1) (String.length s - nl - 1)
-                | None ->
-                  let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-                  if n = 0 then failwith "server closed the connection mid-soak";
-                  Buffer.add_subbytes buf chunk 0 n)
-              done;
-              List.rev !replies
-            with
-            | replies -> replies
-            | exception e ->
+            try round_trip (get_conn ()) w
+            with e ->
               (* a half-read window is garbage: drop the connection so
                  the retry resends the whole window on a fresh one
                  (idempotent by canonical key) *)

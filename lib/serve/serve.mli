@@ -1,75 +1,25 @@
-(** The long-running solve service: admission, batching and transport.
+(** The daemon's transports: newline-delimited requests in, one reply
+    line per request out, over stdin/stdout or a Unix domain socket.
 
-    A {!t} owns the resident {!Par.Pool} (created once, at
-    {!create} — never per request), the {!Serve_cache} and the base
-    {!Guard.policy}.  {!handle_batch} is the whole request path —
-    decode, validate, cache, dispatch, encode — as a pure-ish function
-    from request lines to reply lines, which is what the tests and the
-    benchmark harness drive directly; {!run_pipe} and {!run_socket}
-    are thin transports around it.
+    Both run a {!Serve_shard.t} — the whole request path (decode,
+    route, admit, cache, dispatch, encode, journal) is
+    {!Serve_shard.handle_batch}; the transports only frame lines into
+    batches and write the replies back.  Each loop ends once
+    {!Serve_shard.stopping} reports a ["shutdown"] op (the stdin loop
+    also at EOF), and then calls {!Serve_shard.shutdown}.  The daemon
+    never dies on request content: malformed lines, solver faults and
+    deadline expiries all become typed error replies (see
+    {!Serve_protocol}). *)
 
-    The daemon never dies on request content: malformed lines, solver
-    faults and deadline expiries all become typed error replies (see
-    {!Serve_protocol}), and only a ["shutdown"] op (or transport EOF)
-    ends a loop. *)
-
-type t
-
-type stats = { cache : Serve_cache.stats; jobs : int; requests : int; batches : int }
-
-val create :
-  ?jobs:int ->
-  ?cache_capacity:int ->
-  ?policy:Guard.policy ->
-  ?breaker:Guard_breaker.config option ->
-  unit ->
-  t
-(** [jobs] sizes the resident pool (default {!Par.default_jobs},
-    clamped per the [Par] contract); [cache_capacity] bounds the LRU
-    (default 256); [policy] supervises every solve (default
-    {!Guard.default} — no deadline unless a request carries one);
-    [breaker] configures the per-solver circuit breakers (default
-    {!Guard_breaker.default_config}; [None] disables).
-    @raise Invalid_argument when [jobs < 1] or [cache_capacity < 1]. *)
-
-val handle_batch : t -> string list -> string list
-(** One reply line per request line, in order.  Requests in the batch
-    are deduplicated and dispatched together (see {!Serve_batch}); a
-    ["stats"]/["ping"]/["shutdown"] op is answered inline.  Never
-    raises on request content. *)
-
-val handle_line : t -> string -> string
-(** [handle_batch] of a singleton. *)
-
-val stats : t -> stats
-
-val stopping : t -> bool
-(** Set by a ["shutdown"] request; the transports exit their loop once
-    the reply is flushed. *)
-
-val shutdown : t -> unit
-(** Stop the resident pool workers.  Idempotent; the transports call it
-    on exit. *)
-
-type handler = {
-  h_batch : string list -> string list;  (** one reply line per request line *)
-  h_stopping : unit -> bool;  (** transports exit their loop when true *)
-  h_close : unit -> unit;  (** called once by the transport on exit *)
-}
-(** What a transport needs from a request processor.  {!handler_of}
-    packages a {!t}; {!Serve_shard.handler} packages a sharded front
-    end — the transports below are generic over either. *)
-
-val handler_of : t -> handler
-
-val run_pipe_handler : ?max_batch:int -> handler -> unit
+val run_pipe : ?max_batch:int -> Serve_shard.t -> unit
 (** Serve newline-delimited requests from stdin to stdout until EOF or
-    the handler reports stopping.  Reads are drained greedily, so lines
-    already buffered by the kernel form one batch (up to [max_batch],
-    default 32) — a client that writes [k] requests at once gets them
-    deduplicated and pool-dispatched together. *)
+    a ["shutdown"] op.  Reads are drained greedily, so lines already
+    buffered by the kernel form one batch (up to [max_batch], default
+    32) — a client that writes [k] requests at once gets them
+    deduplicated and pool-dispatched together.  An unterminated final
+    line is still served. *)
 
-val run_socket_handler : ?max_batch:int -> ?backlog:int -> path:string -> handler -> unit
+val run_socket : ?max_batch:int -> ?backlog:int -> path:string -> Serve_shard.t -> unit
 (** Serve over a Unix domain socket at [path] (created at start,
     unlinked on exit; an existing stale socket file is replaced;
     [backlog], default 16, is the [listen] queue depth).  Multiplexes
@@ -84,9 +34,3 @@ val run_socket_handler : ?max_batch:int -> ?backlog:int -> path:string -> handle
     client holding more than 64 MiB of undrained replies is dropped.
     A ["shutdown"] from any client stops the daemon; its pending
     replies get a bounded best-effort flush before the fds close. *)
-
-val run_pipe : ?max_batch:int -> t -> unit
-(** [run_pipe_handler] of {!handler_of}. *)
-
-val run_socket : ?max_batch:int -> ?backlog:int -> path:string -> t -> unit
-(** [run_socket_handler] of {!handler_of}. *)

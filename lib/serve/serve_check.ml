@@ -94,17 +94,17 @@ let transparency c =
   match Engine.supporting p c.Oracle.inst with
   | [] -> Oracle.Skip "no supporting solver"
   | _ :: _ -> (
-    let t = Serve.create ~jobs:1 ~cache_capacity:8 ~policy:Guard.off () in
+    let t = Serve_shard.create ~jobs:1 ~cache_capacity:8 ~policy:Guard.off () in
     let line = Obs_json.to_string (request_json c) in
-    let cold = Serve.handle_line t line in
-    let warm = Serve.handle_line t line in
-    let st = Serve.stats t in
-    Serve.shutdown t;
+    let cold = Serve_shard.handle_line t line in
+    let warm = Serve_shard.handle_line t line in
+    let st = Serve_shard.stats t in
+    Serve_shard.shutdown t;
     if not (String.equal cold warm) then Oracle.Fail "warm reply differs from cold reply"
     else
       match status_of cold with
       | None -> Oracle.Fail "reply is not a JSON object with a status"
-      | Some "ok" when st.Serve.cache.Serve_cache.hits < 1 ->
+      | Some "ok" when st.Serve_shard.cache.Serve_cache.hits < 1 ->
         Oracle.Fail "repeat of an ok reply recorded no cache hit"
       | Some _ -> (
         match Obs_json.of_string cold with

@@ -24,8 +24,6 @@ type stats = {
   max_inflight : int;
 }
 
-(* same names as the unsharded daemon: the observability pipeline sees
-   one service either way *)
 let c_requests = Obs.counter "serve.requests"
 let c_batches = Obs.counter "serve.batches"
 let c_shed = Obs.counter "serve.shed"
@@ -50,8 +48,6 @@ let route ~hash ~shards =
     j := int_of_float (float_of_int (!b + 1) *. (two31 /. denom))
   done;
   !b
-
-let shard_of (t : t) ~hash = route ~hash ~shards:(Array.length t.shards)
 
 (* every live entry, shard order then LRU→MRU within a shard, so a
    checkpoint replays recency faithfully *)
@@ -134,19 +130,16 @@ let journal_stats (t : t) = Option.map Serve_journal.stats t.journal
 
 let stopping (t : t) = t.stop
 
-let save_caches (t : t) =
-  match t.journal with
-  | None -> ()
-  | Some j -> ( try Serve_journal.compact j ~entries:(entries t) with Sys_error _ -> ())
-
-let shutdown (t : t) =
-  save_caches t;
-  (match t.journal with None -> () | Some j -> Serve_journal.close j);
-  Array.iter (fun (sh : shard) -> Par.Pool.shutdown sh.pool) t.shards
-
 let abort (t : t) =
   (match t.journal with None -> () | Some j -> Serve_journal.close j);
   Array.iter (fun (sh : shard) -> Par.Pool.shutdown sh.pool) t.shards
+
+(* fold every live entry into the checkpoint before closing *)
+let shutdown (t : t) =
+  (match t.journal with
+  | None -> ()
+  | Some j -> ( try Serve_journal.compact j ~entries:(entries t) with Sys_error _ -> ()));
+  abort t
 
 let stats_payload t =
   let s = stats t in
@@ -326,10 +319,3 @@ let handle_batch (t : t) lines =
        ids)
 
 let handle_line t line = match handle_batch t [ line ] with [ r ] -> r | _ -> assert false
-
-let handler t =
-  {
-    Serve.h_batch = handle_batch t;
-    h_stopping = (fun () -> t.stop);
-    h_close = (fun () -> shutdown t);
-  }

@@ -79,9 +79,6 @@ val route : hash:int64 -> shards:int -> int
     the new shard.  In [\[0, shards)].
     @raise Invalid_argument when [shards < 1]. *)
 
-val shard_of : t -> hash:int64 -> int
-(** [route] at this daemon's shard count. *)
-
 val handle_batch : t -> string list -> string list
 (** One reply line per request line, in order: decode, route, admit or
     shed, per-shard batch dispatch, journal flush, ops answered after
@@ -96,21 +93,16 @@ val journal_stats : t -> Serve_journal.stats option
 (** Durability counters ([None] without [cache_file]). *)
 
 val stopping : t -> bool
-(** Set by a ["shutdown"] request. *)
-
-val save_caches : t -> unit
-(** Compact now: fold all live entries into the checkpoint (atomic
-    rename + fsync) and truncate the journal.  No-op without
-    [cache_file]. *)
+(** Set by a ["shutdown"] request; the {!Serve} transports exit their
+    loop once the reply is flushed. *)
 
 val shutdown : t -> unit
-(** [save_caches], close the journal, then stop every shard's pool
-    workers.  Idempotent; the transports call it on exit. *)
+(** Compact (fold all live entries into the checkpoint by atomic
+    rename + fsync, and truncate the journal; nothing without
+    [cache_file]), close the journal, then stop every shard's pool
+    workers.  Idempotent; the {!Serve} transports call it on exit. *)
 
 val abort : t -> unit
 (** Stop the pools {e without} compacting — on-disk state is left
     exactly as the last batch flushed it, as a SIGKILL would.  For
     crash-recovery tests and benchmarks. *)
-
-val handler : t -> Serve.handler
-(** Package for {!Serve.run_pipe_handler} / {!Serve.run_socket_handler}. *)

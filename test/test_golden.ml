@@ -10,18 +10,7 @@
    a prefix, and the campaign golden is reproduced by naming the 12
    golden properties explicitly with --prop. *)
 
-let exe =
-  (* under `dune runtest` the cwd is _build/default/test (the CLI is a
-     declared dep); under `dune exec` it is the project root *)
-  let candidates =
-    [
-      Filename.concat Filename.parent_dir_name "bin/pasched.exe";
-      Filename.concat "_build/default/bin" "pasched.exe";
-    ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> Alcotest.fail "pasched.exe not found next to the test"
+let exe = Pasched_exe.path ()
 
 let golden name =
   let candidates = [ Filename.concat "golden" name; Filename.concat "test/golden" name ] in
@@ -199,6 +188,55 @@ let guard_off_variants =
     ("server.txt", "server --deadline 3600");
   ]
 
+(* `pasched serve` without --socket: the stdin/stdout transport behind
+   `pasched sim --emit-requests 5 | pasched serve` *)
+let test_serve_stdin () =
+  let requests =
+    [
+      {|{"id":1,"objective":"makespan","budget":20,"jobs":[[0,1],[0.5,2],[1,1]]}|};
+      {|{"id":2,"objective":"makespan","budget":20,"jobs":[[1,1],[0,1],[0.5,2]]}|};
+      {|{"id":3,"objective":"nope","budget":1,"jobs":[[0,1]]}|};
+      {|{"id":4,"op":"ping"}|};
+    ]
+  in
+  let input = Filename.temp_file "pasched_serve" ".ndjson" in
+  Fun.protect ~finally:(fun () -> try Sys.remove input with Sys_error _ -> ()) @@ fun () ->
+  (* the final request has no trailing newline *)
+  let oc = open_out_bin input in
+  output_string oc (String.concat "\n" requests);
+  close_out oc;
+  let code, out, err = run_cli ("serve --jobs 1 < " ^ Filename.quote input) in
+  Alcotest.(check int) (Printf.sprintf "serve on stdin exits 0 (stderr: %s)" err) 0 code;
+  let replies = List.filter (fun l -> l <> "") (lines out) in
+  Alcotest.(check int) "one reply per request line" (List.length requests) (List.length replies);
+  let field k r =
+    match Obs_json.of_string r with
+    | Ok doc -> Obs_json.member k doc
+    | Error m -> Alcotest.failf "reply is not JSON (%s): %s" m r
+  in
+  List.iteri
+    (fun i r ->
+      Alcotest.(check bool)
+        (Printf.sprintf "reply %d carries id %d" (i + 1) (i + 1))
+        true
+        (field "id" r = Some (Obs_json.Int (i + 1))))
+    replies;
+  (* every reply opens with its id: {"id":N,... *)
+  let after_id r =
+    let comma = String.index r ',' in
+    String.sub r comma (String.length r - comma)
+  in
+  match replies with
+  | [ solve; dup; bad; ping ] ->
+    Alcotest.(check bool) "the solve is ok" true (field "status" solve = Some (Obs_json.String "ok"));
+    Alcotest.(check string) "the reordered duplicate is byte-identical apart from id"
+      (after_id solve) (after_id dup);
+    Alcotest.(check bool) "the malformed line is invalid-input" true
+      (field "class" bad = Some (Obs_json.String "invalid-input"));
+    Alcotest.(check bool) "the unterminated last line gets a pong" true
+      (field "pong" ping = Some (Obs_json.Bool true))
+  | _ -> Alcotest.fail "unreachable: reply count checked above"
+
 let () =
   Alcotest.run "golden"
     [
@@ -233,4 +271,5 @@ let () =
         List.map
           (fun (file, args) -> Alcotest.test_case args `Quick (check_golden (file, args)))
           guard_off_variants );
+      ("serve", [ Alcotest.test_case "stdin transport" `Quick test_serve_stdin ]);
     ]

@@ -48,9 +48,9 @@ let class_of reply =
   | Ok doc -> Option.bind (Obs_json.member "class" doc) Obs_json.to_string_val
   | Error m -> Alcotest.failf "reply is not JSON (%s): %s" m reply
 
-let with_session ?(jobs = 1) ?(cache_capacity = 32) ?(policy = Guard.default) f =
-  let t = Serve.create ~jobs ~cache_capacity ~policy () in
-  Fun.protect ~finally:(fun () -> Serve.shutdown t) (fun () -> f t)
+let with_shards ?(jobs = 1) ?(shards = 1) ?(cache_capacity = 32) ?max_inflight ?cache_file f =
+  let t = Serve_shard.create ~jobs ~shards ~cache_capacity ?max_inflight ?cache_file () in
+  Fun.protect ~finally:(fun () -> Serve_shard.shutdown t) (fun () -> f t)
 
 (* ---------------- protocol ---------------- *)
 
@@ -192,34 +192,34 @@ let test_collision_safety () =
 (* ---------------- serve sessions ---------------- *)
 
 let test_warm_cache_no_solver () =
-  with_session @@ fun t ->
+  with_shards @@ fun t ->
   Obs.set_enabled true;
   Obs.reset ();
   Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
   let c_root = Obs.counter "rootfind.calls" in
   let c_hit = Obs.counter "serve.cache.hit" in
-  let cold = Serve.handle_line t (req ~budget:10.0 jobs3) in
+  let cold = Serve_shard.handle_line t (req ~budget:10.0 jobs3) in
   let roots_cold = Obs_metrics.value c_root in
   let hits_cold = Obs_metrics.value c_hit in
   check_bool "cold solve is ok" true (status_of cold = Some "ok");
-  let warm = Serve.handle_line t (req ~budget:10.0 jobs3) in
+  let warm = Serve_shard.handle_line t (req ~budget:10.0 jobs3) in
   check_string "warm reply byte-identical to cold" cold warm;
   check_int "no solver re-entry on the warm path" roots_cold (Obs_metrics.value c_root);
   check_int "exactly one cache hit recorded" (hits_cold + 1) (Obs_metrics.value c_hit);
-  check_int "session stats agree" 1 (Serve.stats t).Serve.cache.Serve_cache.hits
+  check_int "session stats agree" 1 (Serve_shard.stats t).Serve_shard.cache.Serve_cache.hits
 
 let test_warm_cache_reordered () =
-  with_session @@ fun t ->
-  let cold = Serve.handle_line t (req ~budget:10.0 jobs3) in
-  let warm = Serve.handle_line t (req ~budget:10.0 jobs3_rev) in
+  with_shards @@ fun t ->
+  let cold = Serve_shard.handle_line t (req ~budget:10.0 jobs3) in
+  let warm = Serve_shard.handle_line t (req ~budget:10.0 jobs3_rev) in
   check_string "reordered repeat served from cache, byte-identical" cold warm;
   check_int "hit recorded for the reordered repeat" 1
-    (Serve.stats t).Serve.cache.Serve_cache.hits
+    (Serve_shard.stats t).Serve_shard.cache.Serve_cache.hits
 
 let test_batch_dedupe () =
-  with_session @@ fun t ->
+  with_shards @@ fun t ->
   let line i = req ~id:i ~budget:10.0 jobs3 in
-  match Serve.handle_batch t [ line 1; line 2; line 3 ] with
+  match Serve_shard.handle_batch t [ line 1; line 2; line 3 ] with
   | [ r1; r2; r3 ] ->
     let strip r =
       match Obs_json.of_string r with
@@ -238,15 +238,15 @@ let flow12_deadline0 =
     (List.init 12 (fun i -> (0.1 *. float_of_int i, 1.0)))
 
 let test_deadline_reply () =
-  with_session @@ fun t ->
-  let r = Serve.handle_line t flow12_deadline0 in
+  with_shards @@ fun t ->
+  let r = Serve_shard.handle_line t flow12_deadline0 in
   check_bool "zero deadline returns an error reply" true (status_of r = Some "error");
   check_bool "classified as deadline" true (class_of r = Some "deadline");
   (* the daemon must keep serving after a deadline expiry *)
-  let after = Serve.handle_line t (req ~budget:10.0 jobs3) in
+  let after = Serve_shard.handle_line t (req ~budget:10.0 jobs3) in
   check_bool "daemon keeps serving after a deadline reply" true (status_of after = Some "ok");
   check_bool "deadline replies are not cached" true
-    ((Serve.stats t).Serve.cache.Serve_cache.size = 1)
+    ((Serve_shard.stats t).Serve_shard.cache.Serve_cache.size = 1)
 
 let test_jobs_invariance () =
   let batch =
@@ -258,16 +258,16 @@ let test_jobs_invariance () =
       flow12_deadline0;
     ]
   in
-  let run jobs = with_session ~jobs (fun t -> Serve.handle_batch t batch) in
+  let run jobs = with_shards ~jobs (fun t -> Serve_shard.handle_batch t batch) in
   List.iter2
     (fun a b -> check_string "replies independent of pool width" a b)
     (run 1) (run 4)
 
 let test_ops () =
-  with_session @@ fun t ->
-  let ping = Serve.handle_line t {|{"id":1,"op":"ping"}|} in
+  with_shards @@ fun t ->
+  let ping = Serve_shard.handle_line t {|{"id":1,"op":"ping"}|} in
   check_bool "ping pongs" true (status_of ping = Some "ok");
-  let stats = Serve.handle_line t {|{"id":2,"op":"stats"}|} in
+  let stats = Serve_shard.handle_line t {|{"id":2,"op":"stats"}|} in
   (match Obs_json.of_string stats with
   | Ok doc -> (
     match Obs_json.member "stats" doc with
@@ -277,22 +277,22 @@ let test_ops () =
         [ "hits"; "misses"; "evictions"; "size"; "capacity"; "jobs"; "requests"; "batches" ]
     | None -> Alcotest.fail "stats reply carries no stats object")
   | Error m -> Alcotest.failf "stats reply unparseable: %s" m);
-  check_bool "not stopping before shutdown" false (Serve.stopping t);
-  let bye = Serve.handle_line t {|{"id":3,"op":"shutdown"}|} in
+  check_bool "not stopping before shutdown" false (Serve_shard.stopping t);
+  let bye = Serve_shard.handle_line t {|{"id":3,"op":"shutdown"}|} in
   check_bool "shutdown acknowledged" true (status_of bye = Some "ok");
-  check_bool "stopping after shutdown" true (Serve.stopping t)
+  check_bool "stopping after shutdown" true (Serve_shard.stopping t)
 
 let test_unknown_solver_reply () =
-  with_session @@ fun t ->
-  let r = Serve.handle_line t (req ~budget:10.0 ~solver:"nope" jobs3) in
+  with_shards @@ fun t ->
+  let r = Serve_shard.handle_line t (req ~budget:10.0 ~solver:"nope" jobs3) in
   check_bool "unknown solver is an error reply" true (status_of r = Some "error");
   check_bool "classified invalid-input" true (class_of r = Some "invalid-input");
-  let r2 = Serve.handle_line t (req ~budget:10.0 jobs3) in
+  let r2 = Serve_shard.handle_line t (req ~budget:10.0 jobs3) in
   check_bool "daemon keeps serving" true (status_of r2 = Some "ok")
 
 let test_pareto_reply () =
-  with_session @@ fun t ->
-  let r = Serve.handle_line t (req ~pareto:true ~points:5 jobs3) in
+  with_shards @@ fun t ->
+  let r = Serve_shard.handle_line t (req ~pareto:true ~points:5 jobs3) in
   check_bool "pareto solve is ok" true (status_of r = Some "ok");
   match Obs_json.of_string r with
   | Ok doc ->
@@ -376,10 +376,6 @@ let test_pool_shutdown_degrades () =
     (Par.Pool.init pool 8 (fun i -> i + 1) = Array.init 8 (fun i -> i + 1))
 
 (* ---------------- sharded front end ---------------- *)
-
-let with_shards ?(jobs = 1) ?(shards = 1) ?(cache_capacity = 32) ?max_inflight ?cache_file f =
-  let t = Serve_shard.create ~jobs ~shards ~cache_capacity ?max_inflight ?cache_file () in
-  Fun.protect ~finally:(fun () -> Serve_shard.shutdown t) (fun () -> f t)
 
 let test_route_determinism () =
   let hashes =
@@ -1006,34 +1002,48 @@ let test_disconnect_mid_reply () =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let path = sock_path () in
   (try Sys.remove path with Sys_error _ -> ());
-  match Unix.fork () with
-  | 0 ->
-    (* the daemon process: must outlive a client that hangs up rudely *)
-    (try
-       let t = Serve.create ~jobs:1 ~cache_capacity:8 () in
-       Serve.run_socket ~path t;
-       Unix._exit 0
-     with _ -> Unix._exit 1)
-  | pid ->
-    Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    @@ fun () ->
-    wait_ready path 200;
-    (* rude client: submit real work, vanish before the reply *)
-    let rude = connect path in
-    send_line rude (req ~budget:10.0 jobs3);
-    Unix.close rude;
-    (* polite client: the daemon must still answer, then stop cleanly *)
-    let fd = connect path in
-    send_line fd {|{"id":1,"op":"ping"}|};
-    check_bool "daemon survives the disconnect and still answers" true
-      (status_of (recv_line fd) = Some "ok");
-    send_line fd {|{"id":2,"op":"shutdown"}|};
-    check_bool "shutdown acknowledged" true (status_of (recv_line fd) = Some "ok");
-    Unix.close fd;
-    (match Unix.waitpid [] pid with
-    | _, Unix.WEXITED 0 -> ()
-    | _, Unix.WEXITED n -> Alcotest.failf "daemon exited with %d" n
-    | _, (Unix.WSIGNALED s | Unix.WSTOPPED s) -> Alcotest.failf "daemon killed by signal %d" s)
+  (* the daemon is its own process, started the way `pasched soak
+     --chaos` starts one: a process that has spawned domains (earlier
+     tests here run pools) cannot fork under OCaml 5 *)
+  let exe = Pasched_exe.path () in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close devnull)
+      (fun () ->
+        Unix.create_process exe
+          [| exe; "serve"; "--socket"; path; "--jobs"; "1"; "--cache"; "8" |]
+          devnull devnull Unix.stderr)
+  in
+  let reaped = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      (* a failed assertion must not leave a daemon behind *)
+      if not !reaped then begin
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+      end;
+      try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  wait_ready path 200;
+  (* rude client: submit real work, vanish before the reply *)
+  let rude = connect path in
+  send_line rude (req ~budget:10.0 jobs3);
+  Unix.close rude;
+  (* polite client: the daemon must still answer, then stop cleanly *)
+  let fd = connect path in
+  send_line fd {|{"id":1,"op":"ping"}|};
+  check_bool "daemon survives the disconnect and still answers" true
+    (status_of (recv_line fd) = Some "ok");
+  send_line fd {|{"id":2,"op":"shutdown"}|};
+  check_bool "shutdown acknowledged" true (status_of (recv_line fd) = Some "ok");
+  Unix.close fd;
+  let _, status = Unix.waitpid [] pid in
+  reaped := true;
+  match status with
+  | Unix.WEXITED 0 -> ()
+  | Unix.WEXITED n -> Alcotest.failf "daemon exited with %d" n
+  | Unix.WSIGNALED s | Unix.WSTOPPED s -> Alcotest.failf "daemon killed by signal %d" s
 
 let () =
   Alcotest.run "serve"
