@@ -14,9 +14,10 @@
    Brent for every pinned window, per-job evaluation everywhere, full
    materialization inside the outer root find — so the
    [kernel_flow_legacy] bench section measures the old cost on the
-   same machine (the before/after ratio in BENCH_PR7.baseline.json is
-   self-contained) and a tolerance property checks the new root
-   against the old one.
+   same machine (the [kernel] section fails unless the new solver runs
+   at least 3x faster, and test_kernel requires it to allocate under a
+   third of the old words per solve) and a tolerance property checks
+   the new root against the old one.
 
    Deliberately uninstrumented (no Obs counters, no Fault sites of
    their own — Rootfind's are shared): the references must cost

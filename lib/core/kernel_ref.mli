@@ -11,8 +11,9 @@
 
     {!Legacy} freezes the pre-scratch PR6-era flow solver, so the
     [kernel_flow_legacy] bench section measures the old cost on the
-    same machine as the new (the speedup ratio in
-    [BENCH_PR7.baseline.json] is self-contained) and a tolerance
+    same machine as the new (the [kernel] section requires a 3x
+    speedup, and [test_kernel] requires the warm path to allocate
+    under a third of the old words per solve) and a tolerance
     property pins the new algorithm's roots to the old one's.
 
     Uninstrumented by design: no [Obs] counters and no [Fault] sites

@@ -1,4 +1,4 @@
-(** Machine-readable benchmark artifacts ([BENCH_*.json]).
+(** Machine-readable benchmark artifacts ([BENCH.json]).
 
     Wraps a benchmark section in wall-clock ({!Obs_clock}) and
     allocation ([Gc.quick_stat]) measurement plus a counter-delta
@@ -12,9 +12,9 @@
                  "counters": { "incmerge.merge_rounds": 42, ... } } ] }
     v}
 
-    so successive CI runs are diffable by any JSON tool.  The perf
-    trajectory of the repo is tracked by committing/uploading one such
-    file per PR (this PR's is [BENCH_PR2.json]). *)
+    so successive CI runs are diffable by any JSON tool.  CI uploads
+    one such file per run, and [scripts/bench_diff.py] gates its
+    [wall_s] values against the floors in [bench/baseline.json]. *)
 
 type result = {
   name : string;  (** section name, e.g. ["perf"] or ["fig1"] *)

@@ -21,9 +21,8 @@
    domain count above the core count makes every minor GC wait for
    descheduled domains to reach their safepoints — on a single-core
    machine a [jobs:4] fuzz campaign measured ~4-6x *slower* than
-   sequential before the clamp (the BENCH_PR4 par_fuzz_jobs4
-   regression).  Results are unaffected: [jobs] is a performance knob
-   only, never a semantic one. *)
+   sequential before the clamp.  Results are unaffected: [jobs] is a
+   performance knob only, never a semantic one. *)
 
 let backend = "domains"
 let recommended () = Domain.recommended_domain_count ()

@@ -248,6 +248,19 @@ let test_guard_off_transparent () =
         check_bool "diagnostics untouched" true (r0.diagnostics = r1.diagnostics))
     (List.filter (fun s -> Engine.name_of s <> "test-slow") (Engine.supporting problem inst3))
 
+(* the guard bench cases: a 48-job equal-work instance at budget 1.5 n,
+   once per objective — the supervised path must answer them cleanly *)
+let test_default_policy_clean () =
+  let inst = Workload.equal_work ~seed:23 ~n:48 ~work:1.0 (Workload.Poisson 1.0) in
+  let energy = 1.5 *. float_of_int (Instance.n inst) in
+  List.iter
+    (fun (name, objective) ->
+      let problem = Problem.make ~objective ~mode:(Problem.Budget energy) ~alpha:3.0 () in
+      match Guard.solve ~policy:Guard.default name problem inst with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s under the default policy: %s" name (Guard_error.to_string e))
+    [ ("incmerge", Problem.Makespan); ("flow", Problem.Total_flow) ]
+
 (* ---------------- containment: Par and the fuzz runner ------------- *)
 
 exception Boom of int
@@ -307,7 +320,10 @@ let () =
       ( "injection",
         [ Alcotest.test_case "same seed, same faults" `Quick test_injection_deterministic ] );
       ( "transparency",
-        [ Alcotest.test_case "guard-off equals raw engine" `Quick test_guard_off_transparent ] );
+        [
+          Alcotest.test_case "guard-off equals raw engine" `Quick test_guard_off_transparent;
+          Alcotest.test_case "default policy clean on bench cases" `Quick test_default_policy_clean;
+        ] );
       ( "containment",
         [
           Alcotest.test_case "Par.try_init isolates a faulted item" `Quick test_par_try_init_contains;

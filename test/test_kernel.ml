@@ -4,9 +4,10 @@
      bitwise equal to the boxed Kernel_ref mirrors, and results are
      invariant under the Par jobs width (scratch arenas are per-domain
      but values never depend on which domain computed them);
-   - economy: a warm Flow.solve_budget allocates a bounded number of
-     words, independent of how many solves came before it (the arena
-     and the cached (h, hp, pw) tables absorb the per-call storage).
+   - economy: a warm Flow.solve_budget allocates under a third of the
+     words the frozen PR6-era solver does on the kernel bench workload
+     (the arena and the cached (h, hp, pw) tables absorb the per-call
+     storage).
 
    Plus the semantic anchor: the current solver agrees with the frozen
    PR6-era one (Kernel_ref.Legacy) to root-finder precision. *)
@@ -127,33 +128,47 @@ let test_flow_tables_recurrence () =
 
 (* ---------- allocation bound on the warm path ---------- *)
 
-let words_per_solve () =
-  let i = inst 64 in
-  let budget k = 50.0 +. (2.5 *. float_of_int k) in
-  (* prime the arena, the tables and the warm chain *)
+(* the kernel bench workload: 192 budgets over one n=64 instance *)
+let kernel_inst = lazy (Workload.equal_work ~seed:7 ~n:64 ~work:1.0 (Workload.Poisson 1.0))
+let kernel_budgets = 192
+let kernel_budget k = 50.0 +. (2.5 *. float_of_int k)
+
+(* warm-chained in 16-point chunks, the Flow_frontier.curve discipline *)
+let run_warm () =
+  let i = Lazy.force kernel_inst in
   let warm = ref None in
-  for k = 0 to 15 do
-    let s = Flow.solve_budget ?warm:!warm ~alpha:3.0 ~energy:(budget k) i in
+  for k = 0 to kernel_budgets - 1 do
+    if k mod 16 = 0 then warm := None;
+    let s = Flow.solve_budget ?warm:!warm ~alpha:3.0 ~energy:(kernel_budget k) i in
     warm := Some s.Flow.last_speed
-  done;
+  done
+
+let run_legacy () =
+  let i = Lazy.force kernel_inst in
+  for k = 0 to kernel_budgets - 1 do
+    ignore (Kernel_ref.Legacy.solve_budget ~alpha:3.0 ~energy:(kernel_budget k) i)
+  done
+
+let words_per_solve run =
   let live () =
     let s = Gc.quick_stat () in
     s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
   in
-  let reps = 64 in
   let before = live () in
-  for k = 0 to reps - 1 do
-    let s = Flow.solve_budget ?warm:!warm ~alpha:3.0 ~energy:(budget (16 + k)) i in
-    warm := Some s.Flow.last_speed
-  done;
-  (live () -. before) /. float_of_int reps
+  run ();
+  (live () -. before) /. float_of_int kernel_budgets
 
 let test_warm_alloc_bound () =
-  let words = words_per_solve () in
-  (* measured ~16.4k words/solve at n=64 on 5.1; 80k leaves ~4x slack
-     for runtime/version variance while still catching any return to
-     per-evaluation run-stack allocation (PR6 cost: ~118k words) *)
-  check_bool (Printf.sprintf "%.0f words/solve <= 80000" words) true (words <= 80_000.0)
+  (* prime the arena and the cached tables so growth lands nowhere *)
+  run_warm ();
+  let warm = words_per_solve run_warm in
+  let legacy = words_per_solve run_legacy in
+  (* the warm path answers from the scratch arena: a return to
+     per-evaluation run-stack allocation costs legacy-scale words *)
+  check_bool
+    (Printf.sprintf "warm %.0f words/solve < legacy %.0f / 3" warm legacy)
+    true
+    (warm < legacy /. 3.0)
 
 (* ---------- agreement with the frozen PR6-era solver ---------- *)
 

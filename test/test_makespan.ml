@@ -431,6 +431,33 @@ let test_incmerge_large_scale () =
   in
   check_bool "monotone speeds at scale" true (mono bs)
 
+(* the linear-time claim (§3.1, Lemmas 2-7) as work counters: every
+   job is pushed once and every merge round pops one cell, so the
+   rounds never outnumber the jobs; the jobs that do not open an
+   emitted block were absorbed by splits.  Budget 4n leaves several
+   blocks at every size (budget n merges everything into one). *)
+let test_incmerge_linear_counters () =
+  let count name = Obs_metrics.value (Obs.counter name) in
+  List.iter
+    (fun n ->
+      let inst = Workload.uniform_work ~seed:1 ~n ~lo:0.5 ~hi:2.0 (Workload.Poisson 1.0) in
+      Obs.set_enabled true;
+      Obs.reset ();
+      let bs =
+        Fun.protect
+          ~finally:(fun () -> Obs.set_enabled false)
+          (fun () -> Incmerge.blocks cube ~energy:(4.0 *. float_of_int n) inst)
+      in
+      let jobs = count "incmerge.jobs_processed" and blocks = count "incmerge.blocks_emitted" in
+      let tag what = Printf.sprintf "%s (n=%d)" what n in
+      check_int (tag "jobs_processed") n jobs;
+      check_int (tag "blocks_emitted") (List.length bs) blocks;
+      check_bool (tag "several blocks") true (blocks > 1);
+      check_bool (tag "merge_rounds <= jobs_processed") true (count "incmerge.merge_rounds" <= jobs);
+      check_int (tag "block_splits = jobs_processed - blocks_emitted") (jobs - blocks)
+        (count "incmerge.block_splits"))
+    [ 100; 1_000; 10_000; 100_000 ]
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -446,6 +473,7 @@ let () =
           Alcotest.test_case "degenerate cases" `Quick test_incmerge_degenerate;
           Alcotest.test_case "equal releases" `Quick test_incmerge_equal_releases;
           Alcotest.test_case "100k-job stress" `Slow test_incmerge_large_scale;
+          Alcotest.test_case "linear-time counters" `Quick test_incmerge_linear_counters;
         ] );
       ( "incmerge-properties",
         [

@@ -52,6 +52,37 @@ let with_shards ?(jobs = 1) ?(shards = 1) ?(cache_capacity = 32) ?max_inflight ?
   let t = Serve_shard.create ~jobs ~shards ~cache_capacity ?max_inflight ?cache_file () in
   Fun.protect ~finally:(fun () -> Serve_shard.shutdown t) (fun () -> f t)
 
+(* bench/main.ml's serve workload, byte for byte: 64 flow-under-budget
+   requests on one 64-job equal-work instance, the budget varied per
+   request and per pass so that distinct passes never share a key *)
+let bench_jobs =
+  lazy
+    (let inst = Workload.equal_work ~seed:29 ~n:64 ~work:1.0 (Workload.Poisson 1.0) in
+     let pair (j : Job.t) = Printf.sprintf "[%.17g,%.17g]" j.Job.release j.Job.work in
+     "[" ^ String.concat "," (Array.to_list (Array.map pair (Instance.jobs inst))) ^ "]")
+
+let bench_batch pass =
+  List.init 64 (fun i ->
+      Printf.sprintf {|{"id":%d,"objective":"flow","budget":%.17g,"jobs":%s}|} i
+        (40.0 +. (0.25 *. float_of_int i) +. (100.0 *. float_of_int pass))
+        (Lazy.force bench_jobs))
+
+(* the bench's cold passes: four batches of fresh budgets *)
+let bench_cold_passes t =
+  List.concat_map (fun p -> Serve_shard.handle_batch t (bench_batch p)) [ 1; 2; 3; 4 ]
+
+(* [counter_deltas f] runs [f ()] with instrumentation on and returns
+   each counter's change across it, looked up by name *)
+let counter_deltas f =
+  let read () = (Obs.snapshot ()).Obs_metrics.counters in
+  Obs.set_enabled true;
+  let before = read () in
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) f;
+  let after = read () in
+  fun name ->
+    let v l = Option.value ~default:0 (List.assoc_opt name l) in
+    v after - v before
+
 (* ---------------- protocol ---------------- *)
 
 let test_roundtrip () =
@@ -191,22 +222,32 @@ let test_collision_safety () =
 
 (* ---------------- serve sessions ---------------- *)
 
+(* prime a session with one pass of [batch], then repeat it [passes]
+   times: every repeat must come from the cache, with no solver entry *)
+let check_warm_repeats ~jobs ~passes batch =
+  with_shards ~jobs ~cache_capacity:128 @@ fun t ->
+  let n = List.length batch in
+  let tag what = Printf.sprintf "%s (%d requests, jobs %d)" what n jobs in
+  let cold = ref [] in
+  let prime = counter_deltas (fun () -> cold := Serve_shard.handle_batch t batch) in
+  check_int (tag "priming pass solves every request") n (prime "engine.solves");
+  let warm =
+    counter_deltas (fun () ->
+        for _ = 1 to passes do
+          check_bool (tag "warm replies byte-identical to cold") true
+            (Serve_shard.handle_batch t batch = !cold)
+        done)
+  in
+  check_int (tag "no solve on the warm passes") 0 (warm "engine.solves");
+  check_int (tag "no root find on the warm passes") 0 (warm "rootfind.calls");
+  check_int (tag "every warm request hits") (passes * n) (warm "serve.cache.hit");
+  check_int (tag "session stats agree") (passes * n)
+    (Serve_shard.stats t).Serve_shard.cache.Serve_cache.hits
+
 let test_warm_cache_no_solver () =
-  with_shards @@ fun t ->
-  Obs.set_enabled true;
-  Obs.reset ();
-  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
-  let c_root = Obs.counter "rootfind.calls" in
-  let c_hit = Obs.counter "serve.cache.hit" in
-  let cold = Serve_shard.handle_line t (req ~budget:10.0 jobs3) in
-  let roots_cold = Obs_metrics.value c_root in
-  let hits_cold = Obs_metrics.value c_hit in
-  check_bool "cold solve is ok" true (status_of cold = Some "ok");
-  let warm = Serve_shard.handle_line t (req ~budget:10.0 jobs3) in
-  check_string "warm reply byte-identical to cold" cold warm;
-  check_int "no solver re-entry on the warm path" roots_cold (Obs_metrics.value c_root);
-  check_int "exactly one cache hit recorded" (hits_cold + 1) (Obs_metrics.value c_hit);
-  check_int "session stats agree" 1 (Serve_shard.stats t).Serve_shard.cache.Serve_cache.hits
+  check_warm_repeats ~jobs:1 ~passes:1 [ req ~budget:10.0 jobs3 ];
+  (* the serve bench's warm rows *)
+  List.iter (fun jobs -> check_warm_repeats ~jobs ~passes:4 (bench_batch 0)) [ 1; 4 ]
 
 let test_warm_cache_reordered () =
   with_shards @@ fun t ->
@@ -261,7 +302,16 @@ let test_jobs_invariance () =
   let run jobs = with_shards ~jobs (fun t -> Serve_shard.handle_batch t batch) in
   List.iter2
     (fun a b -> check_string "replies independent of pool width" a b)
-    (run 1) (run 4)
+    (run 1) (run 4);
+  (* the serve bench's cold rows: every request is solved *)
+  let cold jobs =
+    with_shards ~jobs ~cache_capacity:128 @@ fun t ->
+    let replies = ref [] in
+    let d = counter_deltas (fun () -> replies := bench_cold_passes t) in
+    check_int (Printf.sprintf "every cold request solved at jobs %d" jobs) 256 (d "engine.solves");
+    !replies
+  in
+  check_bool "cold bench replies independent of pool width" true (cold 1 = cold 4)
 
 let test_ops () =
   with_shards @@ fun t ->
@@ -429,7 +479,24 @@ let test_shard_transparency () =
   check_bool "3 shards spread the working set" true
     (Array.exists (fun (s : Serve_cache.stats) -> s.Serve_cache.size > 0)
        st3.Serve_shard.per_shard
-    && Array.length st3.Serve_shard.per_shard = 3)
+    && Array.length st3.Serve_shard.per_shard = 3);
+  (* the serve_shard bench workload: 4 cold passes, then one warm
+     repeat that each shard count answers from its caches *)
+  let bench shards =
+    with_shards ~shards ~cache_capacity:128 @@ fun t ->
+    let cold = bench_cold_passes t in
+    let d = counter_deltas (fun () -> ignore (Serve_shard.handle_batch t (bench_batch 4))) in
+    check_int (Printf.sprintf "bench repeat all hits at %d shards" shards) 64 (d "serve.cache.hit");
+    cold
+  in
+  let bench1 = bench 1 in
+  List.iter
+    (fun shards ->
+      check_bool
+        (Printf.sprintf "bench replies byte-identical 1 vs %d shards" shards)
+        true
+        (bench shards = bench1))
+    [ 2; 4 ]
 
 let test_busy_shed () =
   with_shards ~shards:1 ~max_inflight:1 @@ fun t ->
@@ -450,7 +517,13 @@ let test_busy_shed () =
   check_int "admission bound reported" 1 st.Serve_shard.max_inflight;
   (* the daemon never dies: the shed key solves fine on retry *)
   check_bool "retry of a shed request succeeds" true
-    (status_of (Serve_shard.handle_line t (List.nth lines 1)) = Some "ok")
+    (status_of (Serve_shard.handle_line t (List.nth lines 1)) = Some "ok");
+  (* the serve bench's overload setup: 2 shards admit 8 requests each
+     per batch, so 4 passes of 64 shed 48 apiece *)
+  with_shards ~shards:2 ~max_inflight:8 ~cache_capacity:128 @@ fun t ->
+  let d = counter_deltas (fun () -> ignore (bench_cold_passes t)) in
+  check_int "bench overload sheds 192" 192 (d "serve.shed");
+  check_int "bench overload shed in stats" 192 (Serve_shard.stats t).Serve_shard.shed
 
 let snapshot_file = Filename.temp_file "pasched_serve" ".cache"
 
@@ -906,6 +979,19 @@ let test_crash_warm_recovery () =
   check_int "every post-crash request was a cache hit" 3
     (Serve_shard.stats t2).Serve_shard.cache.Serve_cache.hits
 
+(* the serve_recovery_cold bench workload: a journaled 2-shard daemon
+   serves 4 cold passes and dies without compaction *)
+let test_journal_per_miss () =
+  with_store @@ fun path ->
+  let d =
+    counter_deltas (fun () ->
+        let t = Serve_shard.create ~jobs:1 ~shards:2 ~cache_capacity:128 ~cache_file:path () in
+        ignore (bench_cold_passes t);
+        Serve_shard.abort t)
+  in
+  check_int "every request missed" 256 (d "serve.cache.miss");
+  check_int "every miss journaled once" 256 (d "serve.journal.appends")
+
 let test_shutdown_then_journal_replays () =
   with_store @@ fun path ->
   let line = req ~budget:10.0 jobs3 in
@@ -1112,6 +1198,7 @@ let () =
         [
           Alcotest.test_case "health-op" `Quick test_health_op;
           Alcotest.test_case "crash-warm-recovery" `Quick test_crash_warm_recovery;
+          Alcotest.test_case "journal-per-miss" `Quick test_journal_per_miss;
           Alcotest.test_case "shutdown-checkpoint" `Quick test_shutdown_then_journal_replays;
           Alcotest.test_case "retry-bounds" `Quick test_retry_bounds;
           Alcotest.test_case "retry-transient" `Quick test_retry_transient_classifier;

@@ -396,6 +396,27 @@ let test_run_stream_jobs_invariant () =
   let parallel = Par.list_map ~jobs:4 run_one seeds in
   check_bool "jobs-invariant" true (sequential = parallel)
 
+let test_run_stream_bench_trace () =
+  (* the trace bench workload: 10^5 diurnal jobs with Pareto(2.2, 0.5)
+     sizes at constant speed 2.0 — every job is exactly one arrival
+     and one completion event *)
+  let s =
+    Workload.Stream.make ~seed:42 ~limit:100_000
+      ~size:(Workload.Stream.Pareto { shape = 2.2; scale = 0.5 })
+      (Workload.Stream.Diurnal { base = 1.0; amplitude = 0.8; period = 1000.0 })
+  in
+  let events = Obs.counter "sim.events_dispatched" in
+  Obs.set_enabled true;
+  let before = Obs_metrics.value events in
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_enabled false)
+      (fun () ->
+        Sim.run_stream Power_model.cube (Sim.constant_policy 2.0) (Workload.Stream.pull_fn s))
+  in
+  check_int "all jobs complete" 100_000 r.Sim.metrics.Streaming_metrics.jobs;
+  check_int "two events per job" 200_000 (Obs_metrics.value events - before)
+
 let test_avr_policy () =
   (* the floor: an idle-ish backlog never drops the speed below base *)
   let p = Sim.avr_policy ~base:1.5 ~window:10.0 in
@@ -477,6 +498,7 @@ let () =
           Alcotest.test_case "levels, switches, thermal" `Quick test_run_stream_levels_and_switches;
           Alcotest.test_case "watermarks" `Quick test_run_stream_watermarks;
           Alcotest.test_case "seed fan-out jobs-invariant" `Quick test_run_stream_jobs_invariant;
+          Alcotest.test_case "bench trace event count" `Quick test_run_stream_bench_trace;
           Alcotest.test_case "avr policy" `Quick test_avr_policy;
           Alcotest.test_case "compete measure_stream" `Quick test_compete_measure_stream;
         ] );
