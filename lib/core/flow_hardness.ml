@@ -69,13 +69,13 @@ let proportional p q =
     && Qpoly.equal (Qpoly.scale (Qpoly.leading q) p) (Qpoly.scale (Qpoly.leading p) q)
 
 let boundary_roots ~energy =
-  let p = derived_polynomial ~energy:(Rat.of_float_dyadic energy) in
-  Sturm.isolate_roots p
+  let ch = Sturm.chain (derived_polynomial ~energy:(Rat.of_float_dyadic energy)) in
+  Sturm.isolate ch
   |> List.filter_map (fun (lo, hi) ->
          (* keep roots inside the feasible interval (1, 2) *)
          if Rat.compare hi (Rat.of_int 1) <= 0 || Rat.compare lo (Rat.of_int 2) >= 0 then None
          else begin
-           let lo, hi = Sturm.refine_root p ~lo ~hi ~eps:(Rat.of_ints 1 1_000_000_000) in
+           let lo, hi = Sturm.refine ch ~lo ~hi ~eps:(Rat.of_ints 1 1_000_000_000) in
            let mid = (Rat.to_float lo +. Rat.to_float hi) /. 2.0 in
            if mid > 1.0 && mid < 2.0 then Some mid else None
          end)

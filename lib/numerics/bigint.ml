@@ -297,6 +297,10 @@ let to_int_opt x =
 let to_int_exn x =
   match to_int_opt x with Some i -> i | None -> failwith "Bigint.to_int_exn: out of range"
 
+let numbits x =
+  let n = Array.length x.mag in
+  if n = 0 then 0 else ((n - 1) * base_bits) + high_bit x.mag.(n - 1) + 1
+
 let to_float x =
   let n = Array.length x.mag in
   if n = 0 then 0.0

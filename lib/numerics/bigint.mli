@@ -33,6 +33,9 @@ val to_string : t -> string
 val to_float : t -> float
 (** Nearest float; large values lose precision but keep sign and scale. *)
 
+val numbits : t -> int
+(** Bit length of [|x|]: the least [k] with [|x| < 2^k]; [0] for zero. *)
+
 val sign : t -> int
 (** [-1], [0] or [1]. *)
 

@@ -51,7 +51,33 @@ let equal a b = compare a b = 0
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
 let mediant a b = normalize (Bigint.add a.num b.num) (Bigint.add a.den b.den)
-let to_float x = Bigint.to_float x.num /. Bigint.to_float x.den
+(* Small operands keep the plain quotient of the two conversions, so no
+   value computed from them moves.  Larger ones would overflow to
+   inf/inf or underflow through an infinite denominator: take the
+   integer quotient q = |num| 2^s / den with 55-56 bits, round it to the
+   53 bits (fewer for a subnormal result) that the float keeps, half to
+   even with the remainder as sticky bit, and scale it exactly. *)
+let to_float x =
+  let nb = Bigint.numbits x.num and db = Bigint.numbits x.den in
+  if nb <= 1000 && db <= 1000 then Bigint.to_float x.num /. Bigint.to_float x.den
+  else begin
+    let s = 55 - nb + db in
+    let q, r =
+      if s >= 0 then Bigint.divmod (Bigint.shift_left (Bigint.abs x.num) s) x.den
+      else Bigint.divmod (Bigint.abs x.num) (Bigint.shift_left x.den (-s))
+    in
+    (* bits dropped: down to 53 significant bits, or to the 2^-1074 grid *)
+    let k = Stdlib.max (Bigint.numbits q - 53) (s - 1074) in
+    let q = Bigint.to_int_exn q in
+    let m =
+      if k > 57 then 0
+      else begin
+        let m = q asr k and low = q land ((1 lsl k) - 1) and half = 1 lsl (k - 1) in
+        if low > half || (low = half && ((not (Bigint.is_zero r)) || m land 1 = 1)) then m + 1 else m
+      end
+    in
+    Float.of_int (Bigint.sign x.num) *. Float.ldexp (Float.of_int m) (k - s)
+  end
 
 let of_float_dyadic f =
   if not (Float.is_finite f) then invalid_arg "Rat.of_float_dyadic: not finite"

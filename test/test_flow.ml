@@ -255,18 +255,58 @@ let test_sturm_certificate_on_paper_polynomial () =
   check_bool "total real roots certified" true (Sturm.count_all_roots ch >= 2)
 
 let test_polynomial_root_matches_solver_inside_window () =
-  (* inside the measured window the optimum is the boundary configuration,
-     so sigma2 from the solver must be a root of the derived polynomial *)
+  (* inside the window the optimum is the boundary configuration, so at
+     every budget there must be exactly one certified root in (1, 2) and
+     it must be the solver's sigma2: 32 budgets with 8 fractional bits,
+     spread evenly over the closed-form window, plus three by hand *)
+  let lo, hi = Flow_hardness.analytic_window () in
+  let grid =
+    List.init 32 (fun k ->
+        Float.round (256.0 *. (lo +. ((hi -. lo) *. (float_of_int k +. 0.5) /. 32.0))) /. 256.0)
+  in
   List.iter
     (fun e ->
       let sigma2 = Flow_hardness.sigma2_numeric ~energy:e in
       match Flow_hardness.boundary_roots ~energy:e with
-      | [ root ] -> checkf3 "solver sigma2 = certified root" root sigma2
-      | roots ->
-        (* multiple feasible roots: the solver's value must match one *)
-        check_bool "solver sigma2 among certified roots" true
-          (List.exists (fun r -> Float.abs (r -. sigma2) < 1e-3) roots))
-    [ 10.5; 11.0; 11.3 ]
+      | [ root ] ->
+        check_bool (Printf.sprintf "E=%g: |root - sigma2| = %.2e <= 1e-9" e (Float.abs (root -. sigma2)))
+          true
+          (Float.abs (root -. sigma2) <= 1e-9)
+      | roots -> Alcotest.failf "E=%g: %d certified roots in (1,2), expected one" e (List.length roots))
+    (grid @ [ 10.5; 11.0; 11.3 ])
+
+let test_certified_roots_pinned () =
+  (* the exact float each budget certifies, bit for bit (%h) *)
+  List.iter
+    (fun (e, root) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "E=%g" e) [ root ]
+        (List.map (Printf.sprintf "%h") (Flow_hardness.boundary_roots ~energy:e)))
+    [
+      (9.0, "0x1.f5b8381d204p+0");
+      (10.5, "0x1.dc8914bc40e4p+0");
+      (11.0, "0x1.d40253d85e4p+0");
+      (11.125, "0x1.d1ee115517882p+0");
+      (11.3, "0x1.cf0ff414e554cp+0");
+      (11.4, "0x1.cd72a140a5e7cp+0");
+    ]
+
+let test_sturm_work_counters () =
+  (* one chain per certificate, and sign-only refinement: the counts
+     are exact.  At E = 11 the chain has 13 elements and isolation
+     evaluates all of them at 17 points (221); refining the two
+     intervals that meet (1, 2) to 1e-9 costs 32 + 31 signs of the head
+     alone.  A second chain build or a return to whole-chain evaluation
+     while refining changes them. *)
+  let count name = Obs_metrics.value (Obs.counter name) in
+  Obs.set_enabled true;
+  Obs.reset ();
+  let roots =
+    Fun.protect ~finally:(fun () -> Obs.set_enabled false) (fun () -> Flow_hardness.boundary_roots ~energy:11.0)
+  in
+  check_int "one certified root" 1 (List.length roots);
+  check_int "sturm.chain_builds" 1 (count "sturm.chain_builds");
+  check_int "sturm.sign_evals" 284 (count "sturm.sign_evals")
 
 let test_measured_window () =
   let lo, hi = Flow_hardness.measured_window () in
@@ -341,6 +381,8 @@ let () =
           Alcotest.test_case "paper root verified" `Quick test_paper_polynomial_root;
           Alcotest.test_case "sturm certificate" `Quick test_sturm_certificate_on_paper_polynomial;
           Alcotest.test_case "root = solver inside window" `Quick test_polynomial_root_matches_solver_inside_window;
+          Alcotest.test_case "certified roots pinned" `Quick test_certified_roots_pinned;
+          Alcotest.test_case "sturm work counters" `Quick test_sturm_work_counters;
           Alcotest.test_case "configuration window" `Quick test_measured_window;
           Alcotest.test_case "general-energy elimination" `Quick test_derived_polynomial_general_energy;
           Alcotest.test_case "resultant derivation agrees" `Quick test_resultant_derivation_agrees;

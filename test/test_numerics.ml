@@ -63,7 +63,17 @@ let test_bigint_gcd () =
 let test_bigint_shift () =
   check_str "1 << 100" Bigint.(to_string (pow (of_int 2) 100)) Bigint.(to_string (shift_left one 100));
   check_int "x >> 3" (12345 lsr 3) Bigint.(to_int_exn (shift_right (bi 12345) 3));
-  check_int "x >> big" 0 Bigint.(to_int_exn (shift_right (bi 12345) 100))
+  check_int "x >> big" 0 Bigint.(to_int_exn (shift_right (bi 12345) 100));
+  List.iter
+    (fun (name, x, bits) -> check_int ("numbits " ^ name) bits (Bigint.numbits x))
+    Bigint.
+      [
+        ("0", zero, 0);
+        ("1", one, 1);
+        ("-12345", bi (-12345), 14);
+        ("2^90", shift_left one 90, 91);
+        ("2^100 - 1", pred (shift_left one 100), 100);
+      ]
 
 let test_bigint_to_float () =
   checkf "to_float small" 12345.0 (Bigint.to_float (bi 12345));
@@ -146,6 +156,37 @@ let test_rat_of_float_dyadic () =
   check_bool "0.5" true (Rat.equal (Rat.of_float_dyadic 0.5) (q 1 2));
   check_bool "-0.375" true (Rat.equal (Rat.of_float_dyadic (-0.375)) (q (-3) 8));
   checkf "roundtrip pi" Float.pi (Rat.to_float (Rat.of_float_dyadic Float.pi))
+
+let test_rat_to_float_extremes () =
+  let checkx = Alcotest.(check (float 0.0)) and pow2 = Bigint.shift_left Bigint.one in
+  (* both halves overflowed to infinity: inf /. inf was nan *)
+  checkx "(2^1100 + 1) / 2^1100" 1.0 (Rat.to_float (Rat.make (Bigint.succ (pow2 1100)) (pow2 1100)));
+  (* the denominator overflowed to infinity: the quotient was 0 *)
+  checkx "3 / 2^1074" (3.0 *. 0x1p-1074) (Rat.to_float (Rat.make (Bigint.of_int 3) (pow2 1074)));
+  checkx "smallest subnormal round trip" 4.9e-324 (Rat.to_float (Rat.of_float_dyadic 4.9e-324));
+  (* 2^1053 + 2^1000 is halfway between two floats: ties go to even,
+     anything above goes up *)
+  let above k = Rat.make (Bigint.add (pow2 1053) k) Bigint.one in
+  checkx "halfway rounds to even" 0x1p1053 (Rat.to_float (above (pow2 1000)));
+  checkx "just above halfway rounds up" (Float.succ 0x1p1053) (Rat.to_float (above (Bigint.succ (pow2 1000))));
+  (* 2^-1075 is halfway between 0 and the least subnormal; 2^-1075 (1 +
+     2^-59) is just above it, and rounding to 53 bits before the
+     subnormal grid would make it a tie first *)
+  checkx "subnormal halfway rounds to even" 0.0 (Rat.to_float (Rat.make Bigint.one (pow2 1075)));
+  checkx "subnormal rounds once" 0x1p-1074 (Rat.to_float (Rat.make (Bigint.succ (pow2 59)) (pow2 1134)))
+
+let prop_rat_float_roundtrip =
+  (* uniform bit patterns reach every exponent; the second generator
+     clears the exponent field so subnormals are drawn just as often *)
+  let gen =
+    QCheck.Gen.(
+      map Int64.float_of_bits (oneof [ int64; map (Int64.logand 0x800F_FFFF_FFFF_FFFFL) int64 ]))
+  in
+  QCheck.Test.make ~count:1000 ~name:"to_float (of_float_dyadic f) = f on finite floats"
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      Float.equal (Rat.to_float (Rat.of_float_dyadic f)) f)
 
 let prop_rat_field_laws =
   let arb = QCheck.(pair (int_range (-1000) 1000) (int_range 1 1000)) in
@@ -283,6 +324,108 @@ let prop_sturm_counts_match_roots =
       let distinct = List.sort_uniq compare roots in
       let p = List.fold_left (fun acc r -> Qpoly.mul acc (p_of [ -r; 1 ])) Qpoly.one roots in
       Sturm.count_all_roots (Sturm.chain p) = List.length distinct)
+
+(* The textbook algorithm over Rat that the integer chain replaced:
+   squarefree part by a Rat gcd, remainders over Rat, signs by exact
+   Rat evaluation, and refinement on root counts.  Sturm must give the
+   same counts and the same exact intervals. *)
+module Rat_sturm = struct
+  (* the squarefree part and its chain *)
+  let chain p =
+    let p = Qpoly.squarefree p in
+    let rec build acc a b = if Qpoly.is_zero b then List.rev acc else build (b :: acc) b (Qpoly.neg (Qpoly.rem a b)) in
+    if Qpoly.degree p = 0 then (p, [ p ]) else (p, build [ p ] p (Qpoly.derivative p))
+
+  let variations ch v =
+    let signs = List.filter (( <> ) 0) (List.map (fun p -> Rat.sign (Qpoly.eval p v)) ch) in
+    fst (List.fold_left (fun (n, last) s -> ((if last <> 0 && s <> last then n + 1 else n), s)) (0, 0) signs)
+
+  let count ch lo hi = variations ch lo - variations ch hi
+  let mid lo hi = Rat.div (Rat.add lo hi) (Rat.of_int 2)
+
+  let isolate (sf, ch) =
+    let bound = List.fold_left (fun m c -> Rat.max m (Rat.abs c)) Rat.zero (Qpoly.coeffs sf) in
+    let b = Rat.add Rat.one (Rat.div bound (Rat.abs (Qpoly.leading sf))) in
+    let rec split lo hi acc =
+      match count ch lo hi with 0 -> acc | 1 -> (lo, hi) :: acc | _ -> split lo (mid lo hi) (split (mid lo hi) hi acc)
+    in
+    if Qpoly.degree sf < 1 then [] else split (Rat.neg b) b []
+
+  let refine (sf, ch) ~lo ~hi ~eps =
+    let rec go lo hi =
+      if Rat.compare (Rat.sub hi lo) eps <= 0 then (lo, hi)
+      else begin
+        let m = mid lo hi in
+        if Rat.is_zero (Qpoly.eval sf m) then (m, m) else if count ch lo m = 1 then go lo m else go m hi
+      end
+    in
+    go lo hi
+end
+
+(* c * f1^e1 * f2^e2 ... of degree <= 8: factors of degree 1-2 with
+   rational coefficients, exponents up to 3, c of either sign; one in
+   four is such a product of degree <= 4 in x^2, whose remainders drop
+   two degrees at a time *)
+let gen_sturm_poly =
+  let open QCheck.Gen in
+  let rat = map2 Rat.of_ints (int_range (-6) 6) (int_range 1 4) in
+  let nonzero = map2 Rat.of_ints (oneofl [ -3; -2; -1; 1; 2; 3 ]) (int_range 1 3) in
+  let factor =
+    map3 (fun cs lc e -> Qpoly.pow (Qpoly.of_list (cs @ [ lc ])) e) (list_size (int_range 1 2) rat) nonzero
+      (frequency [ (3, return 1); (2, return 2); (1, return 3) ])
+  in
+  let product max_degree =
+    map2
+      (fun c fs ->
+        List.fold_left
+          (fun acc f -> if Qpoly.degree acc + Qpoly.degree f <= max_degree then Qpoly.mul acc f else acc)
+          (Qpoly.const c) fs)
+      nonzero (list_size (int_range 1 5) factor)
+  in
+  frequency [ (3, product 8); (1, map (fun p -> Qpoly.compose p (Qpoly.pow Qpoly.x 2)) (product 4)) ]
+
+let arb_sturm_poly = QCheck.make ~print:(fun p -> Qpoly.to_string p) gen_sturm_poly
+let show_intervals l = String.concat " " (List.map (fun (a, b) -> Rat.to_string a ^ ".." ^ Rat.to_string b) l)
+
+let prop_sturm_counts_match_rat_reference =
+  let point = QCheck.Gen.map2 Rat.of_ints (QCheck.Gen.int_range (-40) 40) (QCheck.Gen.int_range 1 8) in
+  let arb =
+    QCheck.make
+      ~print:(fun (p, (a, b)) ->
+        Printf.sprintf "%s on (%s, %s]" (Qpoly.to_string p) (Rat.to_string a) (Rat.to_string b))
+      QCheck.Gen.(pair gen_sturm_poly (pair point point))
+  in
+  QCheck.Test.make ~count:300 ~name:"sturm count_roots = Rat reference" arb (fun (p, (a, b)) ->
+      let lo = Rat.min a b and hi = Rat.max a b in
+      Sturm.count_roots (Sturm.chain p) ~lo ~hi = Rat_sturm.count (snd (Rat_sturm.chain p)) lo hi)
+
+let prop_sturm_intervals_match_rat_reference =
+  QCheck.Test.make ~count:100 ~name:"sturm isolate/refine = Rat reference intervals" arb_sturm_poly (fun p ->
+      let refined refine = List.map (fun (lo, hi) -> refine ~lo ~hi ~eps:(Rat.of_ints 1 1024)) in
+      let ch = Sturm.chain p and ref_ch = Rat_sturm.chain p in
+      let ivs = Sturm.isolate ch and ref_ivs = Rat_sturm.isolate ref_ch in
+      let same a b = List.equal (fun (a, b) (c, d) -> Rat.equal a c && Rat.equal b d) a b in
+      if not (same ivs ref_ivs) then
+        QCheck.Test.fail_reportf "isolate: %s, reference %s" (show_intervals ivs) (show_intervals ref_ivs);
+      let r = refined (Sturm.refine ch) ivs and ref_r = refined (Rat_sturm.refine ref_ch) ivs in
+      if not (same r ref_r) then
+        QCheck.Test.fail_reportf "refine: %s, reference %s" (show_intervals r) (show_intervals ref_r);
+      true)
+
+let test_sturm_refine_edges () =
+  (* the pairs the count-based bisection returned: a root at hi, a root
+     exactly at a midpoint, and a root at the excluded lo with another
+     inside *)
+  let check name p eps (lo, hi) =
+    let a, b = Sturm.refine_root (p_of p) ~lo:Rat.zero ~hi:Rat.one ~eps in
+    check_str name (lo ^ " " ^ hi) (Rat.to_string a ^ " " ^ Rat.to_string b)
+  in
+  let milli = Rat.of_ints 1 1000 and nano = Rat.of_ints 1 1_000_000_000 in
+  check "x(x-1), 1e-3" [ 0; -1; 1 ] milli ("1023/1024", "1");
+  check "x(x-1), 1e-9" [ 0; -1; 1 ] nano ("1073741823/1073741824", "1");
+  check "2x-1" [ -1; 2 ] milli ("1/2", "1/2");
+  check "x(3x-1), 1e-3" [ 0; -1; 3 ] milli ("341/1024", "171/512");
+  check "x(3x-1), 1e-9" [ 0; -1; 3 ] nano ("357913941/1073741824", "178956971/536870912")
 
 (* ---------- Rootfind ---------- *)
 
@@ -488,6 +631,8 @@ let () =
           Alcotest.test_case "arithmetic" `Quick test_rat_arith;
           Alcotest.test_case "of_string" `Quick test_rat_of_string;
           Alcotest.test_case "of_float_dyadic" `Quick test_rat_of_float_dyadic;
+          Alcotest.test_case "to_float overflow and underflow" `Quick test_rat_to_float_extremes;
+          qt prop_rat_float_roundtrip;
           qt prop_rat_field_laws;
           qt prop_rat_compare_matches_float;
         ] );
@@ -510,7 +655,10 @@ let () =
           Alcotest.test_case "multiple roots" `Quick test_sturm_multiple_roots;
           Alcotest.test_case "isolate cubic" `Quick test_sturm_isolate_cubic;
           Alcotest.test_case "packed roots" `Quick test_sturm_wilkinson_ish;
+          Alcotest.test_case "refinement edge cases" `Quick test_sturm_refine_edges;
           qt prop_sturm_counts_match_roots;
+          qt prop_sturm_counts_match_rat_reference;
+          qt prop_sturm_intervals_match_rat_reference;
         ] );
       ( "rootfind",
         [
