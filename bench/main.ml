@@ -711,85 +711,39 @@ let run_serve_shard ~shards () =
   ignore (Sys.opaque_identity (Serve_shard.handle_batch t (serve_batch_lines serve_passes)));
   Serve_shard.shutdown t
 
-(* the serve-daemon soak input, generated exactly the way
-   `pasched sim --emit-requests 5` does: window-relative releases,
-   budget = 2x the window's work *)
+(* the serve-daemon soak input: `pasched sim --count 500000
+   --emit-requests 5` *)
 let soak_request_lines =
   lazy
-    (let s =
-       Workload.Stream.make ~seed:42 ~limit:500_000
-         ~size:(Workload.Stream.Pareto { shape = 2.2; scale = 0.5 })
-         (Workload.Stream.Diurnal { base = 1.0; amplitude = 0.8; period = 1000.0 })
-     in
-     let pair (j : Job.t) r0 =
-       Printf.sprintf "[%.17g,%.17g]" (j.Job.release -. r0) j.Job.work
-     in
-     let rec go acc i =
-       match Workload.Stream.take s 5 with
-       | [] -> List.rev acc
-       | jobs ->
-         let r0 = (List.hd jobs).Job.release in
-         let total = List.fold_left (fun a (j : Job.t) -> a +. j.Job.work) 0.0 jobs in
-         let line =
-           Printf.sprintf {|{"id":%d,"objective":"makespan","budget":%.17g,"jobs":[%s]}|} i
-             (2.0 *. total)
-             (String.concat "," (List.map (fun j -> pair j r0) jobs))
-         in
-         go (line :: acc) (i + 1)
-     in
-     go [] 0)
+    (List.of_seq
+       (Serve_client.trace_requests ~alpha:3.0 ~batch:5
+          (Workload.Stream.make ~seed:42 ~limit:500_000
+             ~size:(Workload.Stream.Pareto { shape = 2.2; scale = 0.5 })
+             (Workload.Stream.Diurnal { base = 1.0; amplitude = 0.8; period = 1000.0 }))))
 
 let run_serve_soak_100k () =
   let lines = Lazy.force soak_request_lines in
   let n = List.length lines in
   if n < 100_000 then failwith "serve_soak: trace emitted fewer than 10^5 requests";
   let t = Serve_shard.create ~jobs:1 ~shards:2 ~max_inflight:24 ~cache_capacity:1024 () in
-  let metrics = Streaming_metrics.create () in
-  let ok = ref 0 and busy = ref 0 and err = ref 0 in
-  let status_of reply =
-    match Obs_json.of_string reply with
-    | Ok doc -> Option.bind (Obs_json.member "status" doc) Obs_json.to_string_val
-    | Error _ -> None
+  let { Serve_client.ok; busy; errors = err; latency = s; wall_s = wall; _ } =
+    Serve_client.soak ~window:64 ~exchange:(Serve_shard.handle_batch t) lines
   in
-  let t0 = Unix.gettimeofday () in
-  let window = 64 in
-  let rec drive = function
-    | [] -> ()
-    | rest ->
-      let rec split k acc = function
-        | l :: tl when k < window -> split (k + 1) (l :: acc) tl
-        | tl -> (List.rev acc, tl)
-      in
-      let w, rest = split 0 [] rest in
-      let sent_at = Unix.gettimeofday () in
-      let replies = Serve_shard.handle_batch t w in
-      let now = Unix.gettimeofday () in
-      List.iter
-        (fun r ->
-          (match status_of r with
-          | Some "ok" -> incr ok
-          | Some "busy" -> incr busy
-          | _ -> incr err);
-          Streaming_metrics.observe metrics ~release:(sent_at -. t0) ~completion:(now -. t0))
-        replies;
-      drive rest
+  let alive =
+    Serve_protocol.reply_status (Serve_shard.handle_line t {|{"op":"ping"}|}) = Some "ok"
   in
-  drive lines;
-  let wall = Unix.gettimeofday () -. t0 in
-  let alive = status_of (Serve_shard.handle_line t {|{"op":"ping"}|}) = Some "ok" in
   let st = Serve_shard.stats t in
   Serve_shard.shutdown t;
-  let s = Streaming_metrics.snapshot metrics in
-  Printf.printf "soak: requests %d ok %d busy %d error %d shed %d\n" n !ok !busy !err
+  Printf.printf "soak: requests %d ok %d busy %d error %d shed %d\n" n ok busy err
     st.Serve_shard.shed;
   Printf.printf "soak: latency_s p50 %.6g p95 %.6g p99 %.6g max %.6g mean %.6g\n"
     s.Streaming_metrics.flow_p50 s.Streaming_metrics.flow_p95 s.Streaming_metrics.flow_p99
     s.Streaming_metrics.flow_max s.Streaming_metrics.flow_mean;
   Printf.printf "soak: wall_s %.3f throughput_rps %.1f\n" wall (float_of_int n /. wall);
-  if !ok + !busy + !err <> n then failwith "serve_soak: requests went unanswered";
-  if !err > 0 then failwith "serve_soak: error replies under clean load";
-  if !busy = 0 then failwith "serve_soak: admission control never shed at max_inflight 24";
-  if !ok = 0 then failwith "serve_soak: nothing was admitted";
+  if ok + busy + err <> n then failwith "serve_soak: requests went unanswered";
+  if err > 0 then failwith "serve_soak: error replies under clean load";
+  if busy = 0 then failwith "serve_soak: admission control never shed at max_inflight 24";
+  if ok = 0 then failwith "serve_soak: nothing was admitted";
   if not (Float.is_finite s.Streaming_metrics.flow_p99) then
     failwith "serve_soak: p99 latency is not finite";
   if not alive then failwith "serve_soak: daemon dead after the soak"

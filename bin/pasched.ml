@@ -786,7 +786,7 @@ let sim_cmd =
       s.Streaming_metrics.flow_p95 s.Streaming_metrics.flow_p99 s.Streaming_metrics.flow_max
       s.Streaming_metrics.makespan s.Streaming_metrics.energy s.Streaming_metrics.released_work
   in
-  let run obs pjobs _stream kind n seed size_spec rate amplitude period rate_on rate_off mean_on
+  let run obs pjobs kind n seed size_spec rate amplitude period rate_on rate_off mean_on
       mean_off step procs levels_spec switch_time switch_energy thermal_spec policy_spec watermark
       format seeds ratios alpha window windows emit =
     wrap_errors @@ fun () ->
@@ -822,41 +822,9 @@ let sim_cmd =
     else
       match emit with
       | Some batch ->
-        (* NDJSON solve requests off the trace: the serve-daemon soak.
-           Releases are window-relative so each batch is a well-formed
-           instance on its own clock. *)
+        (* NDJSON solve requests off the trace: the serve-daemon soak *)
         if batch <= 0 then failwith "--emit-requests must be positive";
-        let stream = stream_of seed in
-        let finished = ref false in
-        let req = ref 0 in
-        while not !finished do
-          let jobs = Workload.Stream.take stream batch in
-          if jobs = [] then finished := true
-          else begin
-            let r0 = (List.hd jobs).Job.release in
-            let total = List.fold_left (fun acc (j : Job.t) -> acc +. j.Job.work) 0.0 jobs in
-            let json =
-              Obs_json.Obj
-                [
-                  ("id", Obs_json.Int !req);
-                  ("op", Obs_json.String "solve");
-                  ("objective", Obs_json.String "makespan");
-                  ("alpha", Obs_json.Float alpha);
-                  ("budget", Obs_json.Float (2.0 *. total));
-                  ( "jobs",
-                    Obs_json.List
-                      (List.map
-                         (fun (j : Job.t) ->
-                           Obs_json.List
-                             [ Obs_json.Float (j.Job.release -. r0); Obs_json.Float j.Job.work ])
-                         jobs) );
-                ]
-            in
-            print_endline (Obs_json.to_string json);
-            incr req;
-            if List.length jobs < batch then finished := true
-          end
-        done;
+        Seq.iter print_endline (Serve_client.trace_requests ~alpha ~batch (stream_of seed));
         `Ok ()
       | None ->
         let model = model_of_alpha alpha in
@@ -933,9 +901,6 @@ let sim_cmd =
         let st = Gc.quick_stat () in
         Printf.eprintf "heap: top_heap_words %d\n%!" st.Gc.top_heap_words;
         `Ok ()
-  in
-  let stream_flag =
-    Arg.(value & flag & info [ "stream" ] ~doc:"Streaming trace mode (the default and only mode).")
   in
   let kind =
     Arg.(
@@ -1050,7 +1015,7 @@ let sim_cmd =
           empirical competitive ratios, serve-daemon soak streams.")
     Term.(
       ret
-        (const run $ obs_term $ par_jobs_term [ "j"; "par-jobs" ] $ stream_flag $ kind $ n $ seed
+        (const run $ obs_term $ par_jobs_term [ "j"; "par-jobs" ] $ kind $ n $ seed
         $ size $ rate $ amplitude $ period $ rate_on $ rate_off $ mean_on $ mean_off $ step $ procs
         $ levels $ switch_time $ switch_energy $ thermal $ policy $ watermark $ format $ seeds
         $ ratios $ alpha_term $ window $ windows $ emit))
@@ -1305,96 +1270,18 @@ let serve_cmd =
         $ guard_term $ socket $ cache $ max_batch $ shards $ max_inflight $ cache_file $ fsync
         $ compact_every $ breaker_threshold $ breaker_cooldown $ backlog))
 
-(* the client side of a daemon connection: bytes read but not yet
-   consumed wait in [chunk] between [pos] and [len] (they may belong to
-   the next exchange), the unterminated start of the current reply in
-   [line]; every byte is scanned once *)
-type conn = {
-  fd : Unix.file_descr;
-  chunk : Bytes.t;
-  mutable pos : int;
-  mutable len : int;
-  line : Buffer.t;
-}
-
-let conn fd = { fd; chunk = Bytes.create 65536; pos = 0; len = 0; line = Buffer.create 256 }
-
-let rec read_reply c =
-  let nl = ref c.pos in
-  while !nl < c.len && Bytes.get c.chunk !nl <> '\n' do
-    incr nl
-  done;
-  Buffer.add_subbytes c.line c.chunk c.pos (!nl - c.pos);
-  if !nl < c.len then begin
-    c.pos <- !nl + 1;
-    let reply = Buffer.contents c.line in
-    Buffer.clear c.line;
-    reply
-  end
-  else begin
-    let got = Unix.read c.fd c.chunk 0 (Bytes.length c.chunk) in
-    if got = 0 then failwith "server closed the connection mid-reply";
-    c.pos <- 0;
-    c.len <- got;
-    read_reply c
-  end
-
-(* send [lines], then read one reply line per request line, in order *)
-let round_trip c lines =
-  let payload = String.concat "\n" lines ^ "\n" in
-  let len = String.length payload in
-  let sent = ref 0 in
-  while !sent < len do
-    sent := !sent + Unix.write_substring c.fd payload !sent (len - !sent)
-  done;
-  List.rev (List.fold_left (fun acc _ -> read_reply c :: acc) [] lines)
-
-(* one connect / exchange round over a Unix socket; raises Failure on
-   connect refusal or a mid-reply close *)
-let socket_exchange ~socket lines =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      (try Unix.connect fd (Unix.ADDR_UNIX socket)
-       with Unix.Unix_error (err, _, _) ->
-         failwith (Printf.sprintf "cannot connect to %s: %s" socket (Unix.error_message err)));
-      round_trip (conn fd) lines)
-
-(* merge a retry round's replies back over the transient slots they
-   were resent for *)
-let merge_retries replies retried transient_idx =
-  let slot = Hashtbl.create 8 in
-  List.iter2 (fun i r -> Hashtbl.replace slot i r) transient_idx retried;
-  List.mapi (fun i r -> match Hashtbl.find_opt slot i with Some r' -> r' | None -> r) replies
-
-(* retry loop shared by client and soak: transport failures retry the
-   whole set, transient replies (busy/degraded — conditions that clear
-   on their own) retry just those lines; solve requests are idempotent
-   by canonical key, so resending is always safe *)
-let exchange_with_retry ~exchange ~sched ~retries lines =
-  let rec go lines budget =
-    match exchange lines with
-    | exception ((Failure _ | Unix.Unix_error _) as e) ->
-      if budget > 0 then begin
-        Unix.sleepf (Serve_retry.next_ms sched /. 1000.0);
-        go lines (budget - 1)
-      end
-      else raise e
-    | replies ->
-      let transient_idx =
-        List.concat
-          (List.mapi (fun i r -> if Serve_retry.is_transient_reply r then [ i ] else []) replies)
-      in
-      if transient_idx = [] || budget <= 0 then replies
-      else begin
-        Unix.sleepf (Serve_retry.next_ms sched /. 1000.0);
-        let resend = List.map (List.nth lines) transient_idx in
-        let retried = go resend (budget - 1) in
-        merge_retries replies retried transient_idx
-      end
+(* request lines: the positional ones, else those of [file] ('-' or
+   none = stdin); blank lines are dropped *)
+let request_lines file reqs =
+  let lines =
+    match (reqs, file) with
+    | [], (None | Some "-") -> String.split_on_char '\n' (In_channel.input_all stdin)
+    | [], Some path ->
+      String.split_on_char '\n' (In_channel.with_open_text path In_channel.input_all)
+    | rs, None -> rs
+    | _ :: _, Some _ -> failwith "give positional requests or --file, not both"
   in
-  go lines retries
+  List.filter (fun l -> String.trim l <> "") lines
 
 let client_cmd =
   let run socket file reqs retries backoff_ms =
@@ -1402,54 +1289,19 @@ let client_cmd =
     else if backoff_ms <= 0.0 then `Error (false, "--backoff-ms must be > 0")
     else
       wrap_errors @@ fun () ->
-      (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-      let read_lines ic =
-        let rec go acc = match input_line ic with
-          | line -> go (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        go []
-      in
-      let lines =
-        match (reqs, file) with
-        | [], None -> read_lines stdin
-        | [], Some "-" -> read_lines stdin
-        | [], Some path ->
-          let ic = open_in path in
-          Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> read_lines ic)
-        | rs, None -> rs
-        | _ :: _, Some _ -> failwith "give positional requests or --file, not both"
-      in
-      let lines = List.filter (fun l -> String.trim l <> "") lines in
-      if lines = [] then `Ok ()
-      else begin
-        let sched = Serve_retry.create ~base_ms:backoff_ms ~seed:(Unix.getpid ()) () in
+      match request_lines file reqs with
+      | [] -> `Ok ()
+      | lines -> (
+        let backoff = Serve_client.backoff ~base_ms:backoff_ms ~seed:(Unix.getpid ()) () in
         let replies =
-          exchange_with_retry ~exchange:(socket_exchange ~socket) ~sched ~retries lines
+          Serve_client.with_retry backoff ~retries (Serve_client.exchange ~socket) lines
         in
         List.iter print_endline replies;
         (* exit-code contract: first error reply's class decides, same
            codes as the one-shot subcommands *)
-        let code_of reply =
-          match Obs_json.of_string reply with
-          | Ok doc -> (
-            match Option.bind (Obs_json.member "status" doc) Obs_json.to_string_val with
-            | Some "ok" -> 0
-            | Some "busy" | Some "degraded" -> 7
-            | _ -> (
-              match Option.bind (Obs_json.member "class" doc) Obs_json.to_string_val with
-              | Some "invalid-input" -> 2
-              | Some "infeasible" -> 3
-              | Some "no-convergence" -> 4
-              | Some "deadline" -> 5
-              | Some "busy" | Some "breaker-open" -> 7
-              | _ -> 6))
-          | Error _ -> 6
-        in
-        match List.find_opt (fun r -> code_of r <> 0) replies with
+        match List.find_opt (fun r -> Serve_client.exit_code r <> 0) replies with
         | None -> `Ok ()
-        | Some bad -> Stdlib.exit (code_of bad)
-      end
+        | Some bad -> Stdlib.exit (Serve_client.exit_code bad))
   in
   let socket =
     Arg.(
@@ -1510,244 +1362,48 @@ let soak_cmd =
       else
         wrap_errors @@ fun () ->
         with_obs obs "soak" @@ fun () ->
-        let read_lines ic =
-          let rec go acc =
-            match input_line ic with
-            | line -> go (line :: acc)
-            | exception End_of_file -> List.rev acc
-          in
-          go []
-        in
-        let lines =
-          match file with
-          | None | Some "-" -> read_lines stdin
-          | Some path ->
-            let ic = open_in path in
-            Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> read_lines ic)
-        in
-        let lines = List.filter (fun l -> String.trim l <> "") lines in
+        let lines = request_lines file [] in
         if lines = [] then failwith "no requests to soak with (pipe pasched sim --emit-requests)";
-        let windows =
-          let rec chunk acc cur k = function
-            | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-            | l :: rest ->
-              if k = window then chunk (List.rev cur :: acc) [ l ] 1 rest
-              else chunk acc (l :: cur) (k + 1) rest
-          in
-          chunk [] [] 0 lines
-        in
-        let metrics = Streaming_metrics.create () in
-        let ok = ref 0 and busy = ref 0 and err = ref 0 in
-        let t0 = Unix.gettimeofday () in
-        let classify reply =
-          match Obs_json.of_string reply with
-          | Ok doc -> (
-            match Option.bind (Obs_json.member "status" doc) Obs_json.to_string_val with
-            | Some "ok" -> incr ok
-            | Some "busy" | Some "degraded" -> incr busy
-            | _ -> incr err)
-          | Error _ -> incr err
-        in
-        let status_ok reply =
-          match Obs_json.of_string reply with
-          | Ok doc ->
-            Option.bind (Obs_json.member "status" doc) Obs_json.to_string_val = Some "ok"
-          | Error _ -> false
-        in
-        (* window-granular latency: every request in a pipelined window
-           shares the window's send -> last-reply round trip *)
-        let observe sent_at replies =
-          let now = Unix.gettimeofday () in
-          List.iter
-            (fun r ->
-              classify r;
-              Streaming_metrics.observe metrics ~release:(sent_at -. t0) ~completion:(now -. t0))
-            replies
-        in
-        (match socket with
-        | Some path ->
-          (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-          (* one persistent pipelined connection, re-established by the
-             retry loop whenever the daemon goes away under us *)
-          let sched = Serve_retry.create ~base_ms:backoff_ms ~seed:(Unix.getpid ()) () in
-          let live : conn option ref = ref None in
-          let close_conn () =
-            match !live with
-            | Some c ->
-              (try Unix.close c.fd with Unix.Unix_error _ -> ());
-              live := None
-            | None -> ()
-          in
-          let get_conn () =
-            match !live with
-            | Some c -> c
-            | None ->
-              let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-              (match Unix.connect fd (Unix.ADDR_UNIX path) with
-              | () ->
-                let c = conn fd in
-                live := Some c;
-                c
-              | exception e ->
-                (try Unix.close fd with Unix.Unix_error _ -> ());
-                raise e)
-          in
-          let send_recv w =
-            try round_trip (get_conn ()) w
-            with e ->
-              (* a half-read window is garbage: drop the connection so
-                 the retry resends the whole window on a fresh one
-                 (idempotent by canonical key) *)
-              close_conn ();
-              raise e
-          in
-          let exchange_window w = exchange_with_retry ~exchange:send_recv ~sched ~retries w in
-          (* ---- chaos drill: the soak owns the daemon's lifecycle ---- *)
-          let daemon_pid = ref None in
-          let spawn_daemon () =
-            let cf = Option.get cache_file in
-            let args =
-              [ Sys.executable_name; "serve"; "--socket"; path; "--cache-file"; cf;
-                "--shards"; string_of_int shards; "--cache"; string_of_int cache_capacity ]
-              @ (if max_inflight > 0 then [ "--max-inflight"; string_of_int max_inflight ]
-                 else [])
+        let backoff () = Serve_client.backoff ~base_ms:backoff_ms ~seed:(Unix.getpid ()) () in
+        let { Serve_client.ok; busy; errors; latency = s; wall_s = wall } =
+          match (socket, cache_file) with
+          | Some socket, Some cache_file when chaos ->
+            let { Serve_client.killed_window; pre_cache; post_cache; replayed; skipped_corrupt;
+                  warm_fraction = warm; rechecked; mismatches; soak } =
+              Serve_client.chaos ~exe:Sys.executable_name ~socket ~cache_file ~shards
+                ~cache_capacity ~max_inflight ~window ~retries ~backoff:(backoff ()) ~kill_at lines
             in
-            let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-            let pid =
-              Unix.create_process Sys.executable_name (Array.of_list args) devnull devnull
-                Unix.stderr
-            in
-            Unix.close devnull;
-            daemon_pid := Some pid
-          in
-          let wait_ready () =
-            let rec go k =
-              if k = 0 then failwith (Printf.sprintf "daemon never answered on %s" path)
-              else
-                match socket_exchange ~socket:path [ {|{"op":"ping"}|} ] with
-                | _ -> ()
-                | exception (Failure _ | Unix.Unix_error _) ->
-                  Unix.sleepf 0.05;
-                  go (k - 1)
-            in
-            go 200
-          in
-          (* (cache size, journal replayed, journal skipped_corrupt)
-             off a fresh health connection *)
-          let health () =
-            match socket_exchange ~socket:path [ {|{"op":"health"}|} ] with
-            | [ reply ] -> (
-              match Obs_json.of_string reply with
-              | Error _ -> failwith "unparseable health reply"
-              | Ok doc ->
-                let h = Obs_json.member "health" doc in
-                let get path =
-                  List.fold_left (fun acc k -> Option.bind acc (Obs_json.member k)) h path
-                in
-                let int_at path = Option.value ~default:0 (Option.bind (get path) Obs_json.to_int) in
-                ( int_at [ "cache"; "size" ],
-                  int_at [ "journal"; "replayed" ],
-                  int_at [ "journal"; "skipped_corrupt" ] ))
-            | _ -> failwith "health: expected one reply"
-          in
-          if chaos then begin
-            spawn_daemon ();
-            wait_ready ()
-          end;
-          let windows = Array.of_list windows in
-          let nwin = Array.length windows in
-          let kill_idx =
-            if chaos then Int.max 0 (Int.min (nwin - 1) (int_of_float (kill_at *. float_of_int nwin)))
-            else -1
-          in
-          (* first ok reply per pre-crash request line: the byte-identity
-             oracle for post-recovery answers *)
-          let first_ok : (string, string) Hashtbl.t = Hashtbl.create 4096 in
-          let pre = ref (0, 0, 0) and post = ref (0, 0, 0) in
-          let killed = ref false in
-          Array.iteri
-            (fun wi w ->
-              if chaos && wi = kill_idx then begin
-                pre := health ();
-                (match !daemon_pid with
-                | Some pid ->
-                  Unix.kill pid Sys.sigkill;
-                  ignore (Unix.waitpid [] pid);
-                  daemon_pid := None
-                | None -> ());
-                (* the soak's own connection is now dead — deliberately
-                   left open so the next window exercises the retry
-                   path, exactly like a production client *)
-                spawn_daemon ();
-                wait_ready ();
-                post := health ();
-                killed := true
-              end;
-              let sent_at = Unix.gettimeofday () in
-              let replies = exchange_window w in
-              if chaos && not !killed then
-                List.iter2
-                  (fun line reply ->
-                    if status_ok reply && not (Hashtbl.mem first_ok line) then
-                      Hashtbl.replace first_ok line reply)
-                  w replies;
-              observe sent_at replies)
-            windows;
-          if chaos then begin
-            let pre_size, _, _ = !pre in
-            let post_size, replayed, skipped = !post in
-            let warm =
-              if pre_size = 0 then 1.0 else float_of_int post_size /. float_of_int pre_size
-            in
-            (* resend a sample of pre-crash requests: recovered answers
-               must be byte-identical to the ones the dead daemon gave *)
-            let sample =
-              let all = Hashtbl.fold (fun l r acc -> (l, r) :: acc) first_ok [] in
-              List.filteri (fun i _ -> i < 512) all
-            in
-            let mismatches = ref 0 in
-            List.iter
-              (fun (line, expect) ->
-                match exchange_window [ line ] with
-                | [ got ] -> if got <> expect then incr mismatches
-                | _ -> incr mismatches)
-              sample;
             Printf.printf
               "chaos: killed_window %d pre_cache %d post_cache %d replayed %d skipped_corrupt %d \
                warm_fraction %.3f\n"
-              kill_idx pre_size post_size replayed skipped warm;
-            Printf.printf "chaos: recheck %d mismatches %d\n" (List.length sample) !mismatches;
-            (try ignore (socket_exchange ~socket:path [ {|{"op":"shutdown"}|} ])
-             with Failure _ | Unix.Unix_error _ -> ());
-            (match !daemon_pid with
-            | Some pid -> ( try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-            | None -> ());
+              killed_window pre_cache post_cache replayed skipped_corrupt warm;
+            Printf.printf "chaos: recheck %d mismatches %d\n" rechecked mismatches;
             if warm < 0.9 then
               failwith (Printf.sprintf "chaos: warm recovery %.3f below the 0.9 threshold" warm);
-            if !mismatches > 0 then
+            if mismatches > 0 then
               failwith
                 (Printf.sprintf "chaos: %d post-crash replies diverged from pre-crash answers"
-                   !mismatches)
-          end;
-          close_conn ()
-        | None ->
-          (* in-process mode: the same sharded front end the daemon
-             runs, driven directly — no transport in the numbers *)
-          let t =
-            Serve_shard.create ?jobs:par_jobs ~shards ~cache_capacity ~max_inflight ?cache_file ()
-          in
-          Fun.protect
-            ~finally:(fun () -> Serve_shard.shutdown t)
-            (fun () ->
-              List.iter
-                (fun w ->
-                  let sent_at = Unix.gettimeofday () in
-                  observe sent_at (Serve_shard.handle_batch t w))
-                windows));
-        let wall = Unix.gettimeofday () -. t0 in
-        let s = Streaming_metrics.snapshot metrics in
+                   mismatches);
+            soak
+          | Some socket, _ ->
+            (* one persistent pipelined connection, re-established by the
+               retry loop whenever the daemon goes away under us *)
+            Serve_client.with_connection ~socket (fun exchange ->
+                Serve_client.soak ~window
+                  ~exchange:(Serve_client.with_retry (backoff ()) ~retries exchange)
+                  lines)
+          | None, _ ->
+            (* in-process mode: the same sharded front end the daemon
+               runs, driven directly — no transport in the numbers *)
+            let t =
+              Serve_shard.create ?jobs:par_jobs ~shards ~cache_capacity ~max_inflight ?cache_file ()
+            in
+            Fun.protect
+              ~finally:(fun () -> Serve_shard.shutdown t)
+              (fun () -> Serve_client.soak ~window ~exchange:(Serve_shard.handle_batch t) lines)
+        in
         let n = List.length lines in
-        Printf.printf "soak: requests %d ok %d busy %d error %d\n" n !ok !busy !err;
+        Printf.printf "soak: requests %d ok %d busy %d error %d\n" n ok busy errors;
         Printf.printf "soak: latency_s p50 %.6g p95 %.6g p99 %.6g max %.6g mean %.6g\n"
           s.Streaming_metrics.flow_p50 s.Streaming_metrics.flow_p95 s.Streaming_metrics.flow_p99
           s.Streaming_metrics.flow_max s.Streaming_metrics.flow_mean;

@@ -6,9 +6,8 @@
     - [sim:metrics-exact] — {!Streaming_metrics} count/total/mean/max
       agree with a direct fold over the same observations to [1e-9];
     - [sim:stream-vs-driver] — a constant-speed {!Sim.run_stream}
-      agrees with {!Online_driver.run} and
-      {!Online_driver.run_stream} on the same jobs (one FIFO server,
-      identical completions);
+      agrees with {!Online_driver.run} on the same jobs (one FIFO
+      server, identical completions);
     - [sim:stream-replay] — a {!Workload.Stream} pulled job-by-job
       equals its own materialization for the same seed. *)
 

@@ -36,6 +36,16 @@ let exit_code = function
   | Deadline_exceeded _ -> 5
   | Solver_fault _ -> 6
 
+(* the same codes keyed by class string, for serve replies that carry
+   only the string *)
+let class_exit_code = function
+  | "invalid-input" -> 2
+  | "infeasible" -> 3
+  | "no-convergence" -> 4
+  | "deadline" -> 5
+  | "busy" | "breaker-open" -> 7
+  | _ -> 6
+
 let to_string = function
   | Invalid_input msg -> "invalid input: " ^ msg
   | Infeasible msg -> "infeasible: " ^ msg

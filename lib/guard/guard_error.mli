@@ -46,5 +46,10 @@ val exit_code : t -> int
 (** 2, 3, 4, 5 or 6 respectively (0/1 are success/fuzz-counterexample,
     124/125 remain cmdliner's usage/internal codes). *)
 
+val class_exit_code : string -> int
+(** [class_exit_code (class_string e) = exit_code e]; 7 for the serve
+    daemon's transient classes ["busy"] and ["breaker-open"]; 6 for any
+    other string. *)
+
 val to_string : t -> string
 (** One-line human-readable message (no backtrace). *)

@@ -74,7 +74,6 @@ val add_energy : t -> float -> unit
 val add_released_work : t -> float -> unit
 
 val jobs : t -> int
-val total_flow : t -> float
 val makespan : t -> float
 val energy : t -> float
 

@@ -64,7 +64,7 @@ let run_pipe ?(max_batch = 32) (t : Serve_shard.t) =
          List.iter
            (fun reply ->
              print_string reply;
-             print_newline ())
+             print_char '\n')
            (Serve_shard.handle_batch t batch);
          flush stdout
      done

@@ -80,11 +80,6 @@ let malformed (c : Oracle.case) =
   | Ok _ -> Oracle.Fail ("corrupted request was accepted: " ^ corrupt)
   | exception e -> Oracle.Fail ("decode raised: " ^ Printexc.to_string e)
 
-let status_of reply =
-  match Obs_json.of_string reply with
-  | Ok doc -> Option.bind (Obs_json.member "status" doc) Obs_json.to_string_val
-  | Error _ -> None
-
 let transparency c =
   let c = prepare c in
   let p =
@@ -102,7 +97,7 @@ let transparency c =
     Serve_shard.shutdown t;
     if not (String.equal cold warm) then Oracle.Fail "warm reply differs from cold reply"
     else
-      match status_of cold with
+      match Serve_protocol.reply_status cold with
       | None -> Oracle.Fail "reply is not a JSON object with a status"
       | Some "ok" when st.Serve_shard.cache.Serve_cache.hits < 1 ->
         Oracle.Fail "repeat of an ok reply recorded no cache hit"
@@ -155,7 +150,7 @@ let shard_transparency c =
     else if not (List.equal String.equal one one_rep) then
       Oracle.Fail "repeated batch not answered byte-identically"
     else if
-      List.exists (fun r -> status_of r = Some "ok") one
+      List.exists (fun r -> Serve_protocol.reply_status r = Some "ok") one
       && (st1.Serve_shard.cache.Serve_cache.hits < 1
          || st3.Serve_shard.cache.Serve_cache.hits < 1)
     then Oracle.Fail "repeated batch recorded no cache hit at some shard count"

@@ -282,9 +282,9 @@ let error_payload e =
 
 (* admission-control shed: its own status (never "ok", so it can never
    be cached; never "error", so callers can tell overload from request
-   faults) and a fixed message — the reply must not depend on which
-   shard shed it, or shard-count transparency would leak through the
-   overload path *)
+   faults), the index of the shard that shed it (operator-facing: which
+   shard is saturated) and a fixed message.  Busy replies are therefore
+   not shard-count transparent; only ok and error replies are *)
 let busy_payload ~shard =
   let open Obs_json in
   [
@@ -297,8 +297,8 @@ let busy_payload ~shard =
 (* circuit-breaker refusal: the named solver's breaker is open and no
    healthy registered solver accepts the instance.  Its own status —
    like "busy" it is transient (the cooldown will elapse) and must
-   never be cached, and like "busy" the reply text is independent of
-   serving topology *)
+   never be cached; unlike "busy" its text names only the solver, never
+   the serving topology *)
 let degraded_payload ~solver =
   let open Obs_json in
   [
@@ -309,3 +309,11 @@ let degraded_payload ~solver =
   ]
 
 let reply_string ~id payload = Obs_json.to_string (Obs_json.Obj (("id", id) :: payload))
+
+let reply_field reply field =
+  match Obs_json.of_string reply with
+  | Ok doc -> Option.bind (field doc) Obs_json.to_string_val
+  | Error _ -> None
+
+let reply_status reply = reply_field reply (Obs_json.member "status")
+let reply_class reply = reply_field reply (Obs_json.member "class")

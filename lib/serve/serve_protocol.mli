@@ -93,3 +93,10 @@ val degraded_payload : solver:string -> (string * Obs_json.t) list
 val reply_string : id:Obs_json.t -> (string * Obs_json.t) list -> string
 (** One reply line: the payload with ["id"] prepended, serialized
     compactly (no newline). *)
+
+val reply_status : string -> string option
+(** The ["status"] of a reply line — ["ok"], ["error"], ["busy"] or
+    ["degraded"] — or [None] when the line carries none. *)
+
+val reply_class : string -> string option
+(** The ["class"] of a reply line, or [None] when it carries none. *)

@@ -80,77 +80,6 @@ let run model inst policy =
     profile = Speed_profile.of_segments (List.rev !segments);
   }
 
-type stream_outcome = {
-  jobs : int;
-  makespan : float;
-  total_flow : float;
-  energy : float;
-  snapshot : Streaming_metrics.snapshot;
-}
-
-(* Same event logic as [run] — identical float operations in identical
-   order, so on a materialized instance the two agree bitwise — but
-   consuming a pull source and streaming the metrics: no completion
-   list, no segment list, no profile.  Live memory is bounded by the
-   pending queue (a property of the load), not the trace length. *)
-let run_stream model pull policy =
-  let metrics = Streaming_metrics.create () in
-  let energy = ref 0.0 in
-  let released_work = ref 0.0 in
-  let stash = ref (pull ()) in
-  let take_stash () =
-    let j = !stash in
-    stash := pull ();
-    j
-  in
-  let rec step now queue =
-    match (queue, !stash) with
-    | [], None -> now
-    | [], Some j ->
-      ignore (take_stash ());
-      released_work := !released_work +. j.Job.work;
-      step (Float.max now j.Job.release) [ { job = j; remaining = j.Job.work } ]
-    | head :: rest, upcoming ->
-      let view = { now; queue; energy_spent = !energy; released_work = !released_work } in
-      let speed = policy.speed view in
-      if speed <= 0.0 || not (Float.is_finite speed) then
-        invalid_arg
-          (Printf.sprintf "Online_driver.run_stream: policy %s returned speed %g with pending work"
-             policy.policy_name speed);
-      let finish_at = now +. (head.remaining /. speed) in
-      let next_arrival =
-        match upcoming with Some (j : Job.t) -> j.Job.release | None -> Float.infinity
-      in
-      if finish_at <= next_arrival +. 1e-15 then begin
-        let dur = head.remaining /. speed in
-        if dur > 0.0 then energy := !energy +. (dur *. Power_model.power model speed);
-        Streaming_metrics.observe metrics ~release:head.job.Job.release ~completion:finish_at;
-        step finish_at rest
-      end
-      else begin
-        let j = match take_stash () with Some j -> j | None -> assert false in
-        let dur = next_arrival -. now in
-        let done_work = dur *. speed in
-        if dur > 0.0 then energy := !energy +. (dur *. Power_model.power model speed);
-        released_work := !released_work +. j.Job.work;
-        let queue' =
-          { head with remaining = head.remaining -. done_work } :: rest
-          @ [ { job = j; remaining = j.Job.work } ]
-        in
-        step next_arrival queue'
-      end
-  in
-  let makespan = step 0.0 [] in
-  Streaming_metrics.add_energy metrics !energy;
-  Streaming_metrics.add_released_work metrics !released_work;
-  {
-    jobs = Streaming_metrics.jobs metrics;
-    makespan;
-    total_flow = Streaming_metrics.total_flow metrics;
-    energy = !energy;
-    snapshot = Streaming_metrics.snapshot metrics;
-  }
-
 let constant_speed s =
   if s <= 0.0 then invalid_arg "Online_driver.constant_speed: s <= 0";
   { policy_name = Printf.sprintf "constant-%g" s; speed = (fun _ -> s) }

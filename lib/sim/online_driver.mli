@@ -37,21 +37,5 @@ val run : Power_model.t -> Instance.t -> policy -> outcome
 (** @raise Invalid_argument if the policy returns a non-positive or
     non-finite speed while jobs are pending. *)
 
-type stream_outcome = {
-  jobs : int;
-  makespan : float;
-  total_flow : float;
-  energy : float;
-  snapshot : Streaming_metrics.snapshot;  (** full flow statistics *)
-}
-
-val run_stream : Power_model.t -> (unit -> Job.t option) -> policy -> stream_outcome
-(** Constant-memory variant of {!run} for trace-scale sources: the same
-    event logic (on a materialized instance the two agree exactly), but
-    completions feed {!Streaming_metrics} instead of being retained and
-    no speed profile is built.  Jobs must arrive in nondecreasing
-    release order.
-    @raise Invalid_argument as {!run}. *)
-
 val constant_speed : float -> policy
 (** Run-at-σ baseline ("race" when σ is high). *)

@@ -52,8 +52,9 @@ fi
 "$pasched" serve --socket "$sock" --shards "$shards" \
   --max-inflight "$max_inflight" --cache-file "$cache" &
 daemon_pid=$!
-for _ in $(seq 50); do [ -S "$sock" ] && break; sleep 0.1; done
-[ -S "$sock" ] || { echo "daemon never bound $sock"; exit 1; }
+# ready once a ping is answered (the socket file alone exists before
+# listen)
+"$pasched" client --socket "$sock" --retries 10 --backoff-ms 50 '{"op":"ping"}' > /dev/null
 
 # 3. the measured soak: windowed pipelining, p50/p95/p99 via the
 #    streaming quantile estimator

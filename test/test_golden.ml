@@ -228,11 +228,11 @@ let test_serve_stdin () =
   in
   match replies with
   | [ solve; dup; bad; ping ] ->
-    Alcotest.(check bool) "the solve is ok" true (field "status" solve = Some (Obs_json.String "ok"));
+    Alcotest.(check bool) "the solve is ok" true (Serve_protocol.reply_status solve = Some "ok");
     Alcotest.(check string) "the reordered duplicate is byte-identical apart from id"
       (after_id solve) (after_id dup);
     Alcotest.(check bool) "the malformed line is invalid-input" true
-      (field "class" bad = Some (Obs_json.String "invalid-input"));
+      (Serve_protocol.reply_class bad = Some "invalid-input");
     Alcotest.(check bool) "the unterminated last line gets a pong" true
       (field "pong" ping = Some (Obs_json.Bool true))
   | _ -> Alcotest.fail "unreachable: reply count checked above"

@@ -60,8 +60,13 @@ let test_error_classes () =
   List.iter
     (fun (e, cls, code) ->
       check_string "class" cls (class_string e);
-      check_int "exit code" code (exit_code e))
-    cases
+      check_int "exit code" code (exit_code e);
+      check_int "exit code by class string" code (class_exit_code cls))
+    cases;
+  (* the serve daemon's transient classes, and anything unknown *)
+  check_int "busy" 7 (class_exit_code "busy");
+  check_int "breaker-open" 7 (class_exit_code "breaker-open");
+  check_int "unknown class" 6 (class_exit_code "nope")
 
 (* injected non-convergence at the dp site, no recovery allowed:
    classified as the typed No_convergence, not a fault *)

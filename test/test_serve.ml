@@ -38,15 +38,8 @@ let decode_error line =
   | Error (_, e) -> e
   | Ok _ -> Alcotest.failf "expected a decode error for %s" line
 
-let status_of reply =
-  match Obs_json.of_string reply with
-  | Ok doc -> Option.bind (Obs_json.member "status" doc) Obs_json.to_string_val
-  | Error m -> Alcotest.failf "reply is not JSON (%s): %s" m reply
-
-let class_of reply =
-  match Obs_json.of_string reply with
-  | Ok doc -> Option.bind (Obs_json.member "class" doc) Obs_json.to_string_val
-  | Error m -> Alcotest.failf "reply is not JSON (%s): %s" m reply
+let status_of = Serve_protocol.reply_status
+let class_of = Serve_protocol.reply_class
 
 let with_shards ?(jobs = 1) ?(shards = 1) ?(cache_capacity = 32) ?max_inflight ?cache_file f =
   let t = Serve_shard.create ~jobs ~shards ~cache_capacity ?max_inflight ?cache_file () in
@@ -283,6 +276,7 @@ let test_deadline_reply () =
   let r = Serve_shard.handle_line t flow12_deadline0 in
   check_bool "zero deadline returns an error reply" true (status_of r = Some "error");
   check_bool "classified as deadline" true (class_of r = Some "deadline");
+  check_int "client exit code" 5 (Serve_client.exit_code r);
   (* the daemon must keep serving after a deadline expiry *)
   let after = Serve_shard.handle_line t (req ~budget:10.0 jobs3) in
   check_bool "daemon keeps serving after a deadline reply" true (status_of after = Some "ok");
@@ -337,8 +331,10 @@ let test_unknown_solver_reply () =
   let r = Serve_shard.handle_line t (req ~budget:10.0 ~solver:"nope" jobs3) in
   check_bool "unknown solver is an error reply" true (status_of r = Some "error");
   check_bool "classified invalid-input" true (class_of r = Some "invalid-input");
+  check_int "client exit code" 2 (Serve_client.exit_code r);
   let r2 = Serve_shard.handle_line t (req ~budget:10.0 jobs3) in
-  check_bool "daemon keeps serving" true (status_of r2 = Some "ok")
+  check_bool "daemon keeps serving" true (status_of r2 = Some "ok");
+  check_int "ok exits 0" 0 (Serve_client.exit_code r2)
 
 let test_pareto_reply () =
   with_shards @@ fun t ->
@@ -507,6 +503,7 @@ let test_busy_shed () =
     check_bool "second shed busy" true (status_of r2 = Some "busy");
     check_bool "third shed busy" true (status_of r3 = Some "busy");
     check_bool "busy reply carries the busy class" true (class_of r2 = Some "busy");
+    check_int "busy exits 7" 7 (Serve_client.exit_code r2);
     check_bool "busy reply echoes its id" true
       (match Obs_json.of_string r2 with
       | Ok doc -> Obs_json.member "id" doc = Some (Obs_json.Int 1)
@@ -914,11 +911,12 @@ let test_breaker_reject_when_no_fallback () =
   let sr = decode_solve (req ~budget:10.0 jobs3) in
   match Serve_batch.run ~pool ~cache ~policy:Guard.default ~state [| sr |] with
   | [| payload |] ->
-    let doc = Obs_json.Obj payload in
     check_bool "refusal is the typed degraded reply" true
-      (Obs_json.member "status" doc = Some (Obs_json.String "degraded"));
+      (List.assoc_opt "status" payload = Some (Obs_json.String "degraded"));
     check_bool "classified breaker-open" true
-      (Obs_json.member "class" doc = Some (Obs_json.String "breaker-open"));
+      (List.assoc_opt "class" payload = Some (Obs_json.String "breaker-open"));
+    check_int "degraded exits 7" 7
+      (Serve_client.exit_code (Serve_protocol.reply_string ~id:Obs_json.Null payload));
     check_int "nothing cached" 0 (Serve_cache.stats cache).Serve_cache.size
   | _ -> Alcotest.fail "expected exactly one payload"
 
@@ -1010,126 +1008,216 @@ let test_shutdown_then_journal_replays () =
 (* ---------------- client retry schedule ---------------- *)
 
 let test_retry_bounds () =
-  let sched = Serve_retry.create ~base_ms:50.0 ~cap_ms:400.0 ~seed:7 () in
-  let first = Serve_retry.next_ms sched in
+  let sched = Serve_client.backoff ~base_ms:50.0 ~cap_ms:400.0 ~seed:7 () in
+  let first = Serve_client.next_ms sched in
   check_bool "first sleep within [base, 3*base]" true (first >= 50.0 && first <= 150.0);
   for _ = 1 to 100 do
-    let s = Serve_retry.next_ms sched in
+    let s = Serve_client.next_ms sched in
     check_bool "every sleep within [base, cap]" true (s >= 50.0 && s <= 400.0)
   done;
-  Serve_retry.reset sched;
-  let after_reset = Serve_retry.next_ms sched in
-  check_bool "reset restarts the schedule at base scale" true
-    (after_reset >= 50.0 && after_reset <= 150.0);
   (* same seed, same schedule: reproducible for tests *)
-  let a = Serve_retry.create ~base_ms:50.0 ~cap_ms:400.0 ~seed:11 () in
-  let b = Serve_retry.create ~base_ms:50.0 ~cap_ms:400.0 ~seed:11 () in
+  let a = Serve_client.backoff ~base_ms:50.0 ~cap_ms:400.0 ~seed:11 () in
+  let b = Serve_client.backoff ~base_ms:50.0 ~cap_ms:400.0 ~seed:11 () in
   for _ = 1 to 20 do
-    check_bool "deterministic per seed" true (Serve_retry.next_ms a = Serve_retry.next_ms b)
+    check_bool "deterministic per seed" true (Serve_client.next_ms a = Serve_client.next_ms b)
   done;
   check_bool "invalid base rejected" true
-    (match Serve_retry.create ~base_ms:0.0 () with
+    (match Serve_client.backoff ~base_ms:0.0 () with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
 let test_retry_transient_classifier () =
   check_bool "busy retries" true
-    (Serve_retry.is_transient_reply {|{"id":1,"status":"busy","class":"busy"}|});
+    (Serve_client.is_transient {|{"id":1,"status":"busy","class":"busy"}|});
   check_bool "degraded retries" true
-    (Serve_retry.is_transient_reply {|{"id":1,"status":"degraded","class":"breaker-open"}|});
-  check_bool "ok does not retry" false (Serve_retry.is_transient_reply {|{"status":"ok"}|});
+    (Serve_client.is_transient {|{"id":1,"status":"degraded","class":"breaker-open"}|});
+  check_bool "ok does not retry" false (Serve_client.is_transient {|{"status":"ok"}|});
   check_bool "hard errors do not retry" false
-    (Serve_retry.is_transient_reply {|{"status":"error","class":"infeasible"}|});
-  check_bool "garbage does not retry" false (Serve_retry.is_transient_reply "not json")
+    (Serve_client.is_transient {|{"status":"error","class":"infeasible"}|});
+  check_bool "garbage does not retry" false (Serve_client.is_transient "not json");
+  check_int "garbage exits as a solver fault" 6 (Serve_client.exit_code "not json")
 
 (* ---------------- socket hardening: client death mid-reply ---------------- *)
 
-let sock_path () =
+let sock_path tag =
   Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "pasched_test_%d.sock" (Unix.getpid ()))
-
-let connect path =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  match Unix.connect fd (Unix.ADDR_UNIX path) with
-  | () -> fd
-  | exception e ->
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    raise e
-
-let rec wait_ready path k =
-  if k = 0 then Alcotest.fail "daemon socket never came up"
-  else
-    match connect path with
-    | fd -> Unix.close fd
-    | exception Unix.Unix_error _ ->
-      Unix.sleepf 0.05;
-      wait_ready path (k - 1)
-
-let send_line fd line =
-  let payload = line ^ "\n" in
-  let len = String.length payload in
-  let sent = ref 0 in
-  while !sent < len do
-    sent := !sent + Unix.write_substring fd payload !sent (len - !sent)
-  done
-
-let recv_line fd =
-  let buf = Buffer.create 256 in
-  let b = Bytes.create 1 in
-  let fin = ref false in
-  while not !fin do
-    match Unix.read fd b 0 1 with
-    | 0 -> Alcotest.fail "daemon closed the connection mid-reply"
-    | _ -> if Bytes.get b 0 = '\n' then fin := true else Buffer.add_bytes buf b
-  done;
-  Buffer.contents buf
+    (Printf.sprintf "pasched_%s_%d.sock" tag (Unix.getpid ()))
 
 let test_disconnect_mid_reply () =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let path = sock_path () in
-  (try Sys.remove path with Sys_error _ -> ());
-  (* the daemon is its own process, started the way `pasched soak
-     --chaos` starts one: a process that has spawned domains (earlier
-     tests here run pools) cannot fork under OCaml 5 *)
-  let exe = Pasched_exe.path () in
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-  let pid =
-    Fun.protect
-      ~finally:(fun () -> Unix.close devnull)
-      (fun () ->
-        Unix.create_process exe
-          [| exe; "serve"; "--socket"; path; "--jobs"; "1"; "--cache"; "8" |]
-          devnull devnull Unix.stderr)
+  let path = sock_path "test" in
+  (* the daemon is its own process: a process that has spawned domains
+     (earlier tests here run pools) cannot fork under OCaml 5 *)
+  let d =
+    Serve_client.start ~exe:(Pasched_exe.path ()) ~socket:path [ "--jobs"; "1"; "--cache"; "8" ]
   in
-  let reaped = ref false in
   Fun.protect
     ~finally:(fun () ->
-      (* a failed assertion must not leave a daemon behind *)
-      if not !reaped then begin
-        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-        try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
-      end;
-      try Sys.remove path with Sys_error _ -> ())
+      ignore (Serve_client.stop ~kill:true d);
+      rm_f path)
   @@ fun () ->
-  wait_ready path 200;
   (* rude client: submit real work, vanish before the reply *)
-  let rude = connect path in
-  send_line rude (req ~budget:10.0 jobs3);
-  Unix.close rude;
+  let rude = Serve_client.connect path in
+  Serve_client.send rude [ req ~budget:10.0 jobs3 ];
+  Serve_client.close rude;
   (* polite client: the daemon must still answer, then stop cleanly *)
-  let fd = connect path in
-  send_line fd {|{"id":1,"op":"ping"}|};
-  check_bool "daemon survives the disconnect and still answers" true
-    (status_of (recv_line fd) = Some "ok");
-  send_line fd {|{"id":2,"op":"shutdown"}|};
-  check_bool "shutdown acknowledged" true (status_of (recv_line fd) = Some "ok");
-  Unix.close fd;
-  let _, status = Unix.waitpid [] pid in
-  reaped := true;
-  match status with
-  | Unix.WEXITED 0 -> ()
-  | Unix.WEXITED n -> Alcotest.failf "daemon exited with %d" n
-  | Unix.WSIGNALED s | Unix.WSTOPPED s -> Alcotest.failf "daemon killed by signal %d" s
+  let polite = Serve_client.connect path in
+  let ask op = List.map status_of (Serve_client.round_trip polite [ {|{"op":"|} ^ op ^ {|"}|} ]) in
+  check_bool "daemon survives the disconnect and still answers" true (ask "ping" = [ Some "ok" ]);
+  check_bool "shutdown acknowledged" true (ask "shutdown" = [ Some "ok" ]);
+  Serve_client.close polite;
+  match Serve_client.stop d with
+  | Some (Unix.WEXITED 0) -> ()
+  | Some (Unix.WEXITED n) -> Alcotest.failf "daemon exited with %d" n
+  | Some (Unix.WSIGNALED s | Unix.WSTOPPED s) -> Alcotest.failf "daemon killed by signal %d" s
+  | None -> Alcotest.fail "daemon already reaped"
+
+(* ---------------- client: reply reader ---------------- *)
+
+let check_lines = Alcotest.(check (list string))
+
+let write_all fd s =
+  let sent = ref 0 in
+  while !sent < String.length s do
+    sent := !sent + Unix.write_substring fd s !sent (String.length s - !sent)
+  done
+
+let test_reader () =
+  let r1 = {|{"id":1,"status":"ok","value":2.5}|} in
+  let r2 = {|{"id":2,"status":"busy","class":"busy","shard":0}|} in
+  (* a client connection whose daemon end is [peer] *)
+  let ours, peer = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let c = Serve_client.of_fd ours in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve_client.close c;
+      Unix.close peer)
+  @@ fun () ->
+  (* two replies in one read, then [r2] cut at every byte offset: the
+     bytes before the cut wait in the buffer for the next exchange *)
+  for k = 0 to String.length r2 do
+    write_all peer (r1 ^ "\n" ^ r1 ^ "\n" ^ String.sub r2 0 k);
+    check_lines "replies before the cut" [ r1; r1 ] (Serve_client.round_trip c [ "a"; "b" ]);
+    write_all peer (String.sub r2 k (String.length r2 - k) ^ "\n");
+    check_lines (Printf.sprintf "reply cut at byte %d" k) [ r2 ] (Serve_client.round_trip c [ "c" ])
+  done;
+  let sent = Bytes.create 6 in
+  check_int "requests sent newline-terminated" 6 (Unix.read peer sent 0 6);
+  check_string "in order" "a\nb\nc\n" (Bytes.to_string sent);
+  write_all peer (String.sub r1 0 12);
+  Unix.shutdown peer Unix.SHUTDOWN_SEND;
+  match Serve_client.read_reply c with
+  | exception Failure _ -> ()
+  | r -> Alcotest.failf "a reply cut by a close was returned: %S" r
+
+(* ---------------- client: retry loop ---------------- *)
+
+(* a scripted daemon: line [l]'s reply is [reply (answer l k) l k] on
+   its [k]-th send; returns the exchange and the log of sends *)
+let scripted answer =
+  let sends = ref [] and tries = Hashtbl.create 8 in
+  let reply l =
+    let k = 1 + Option.value ~default:0 (Hashtbl.find_opt tries l) in
+    Hashtbl.replace tries l k;
+    Printf.sprintf {|{"id":"%s","status":"%s","try":%d}|} l (answer l k) k
+  in
+  let exchange lines =
+    sends := String.concat "," lines :: !sends;
+    List.map reply lines
+  in
+  (exchange, fun () -> List.rev !sends)
+
+(* with microsecond sleeps *)
+let retry ~retries exchange lines =
+  let b = Serve_client.backoff ~base_ms:0.001 ~cap_ms:0.01 () in
+  Serve_client.with_retry b ~retries exchange lines
+
+let test_retry_loop () =
+  (* b shed once, d degraded once, e an error: only b and d are resent *)
+  let exchange, sends =
+    scripted (fun l k ->
+        match (l.[0], k) with
+        | 'b', 1 -> "busy"
+        | 'd', 1 -> "degraded"
+        | 'e', _ -> "error"
+        | _ -> "ok")
+  in
+  let replies = retry ~retries:3 exchange [ "o1"; "b2"; "e3"; "d4"; "b5" ] in
+  check_lines "only transient slots resent" [ "o1,b2,e3,d4,b5"; "b2,d4,b5" ] (sends ());
+  check_lines "answers merged back in order"
+    [
+      {|{"id":"o1","status":"ok","try":1}|};
+      {|{"id":"b2","status":"ok","try":2}|};
+      {|{"id":"e3","status":"error","try":1}|};
+      {|{"id":"d4","status":"ok","try":2}|};
+      {|{"id":"b5","status":"ok","try":2}|};
+    ]
+    replies;
+  (* a transport failure resends the whole set *)
+  let down = ref [ Failure "mid-reply"; Unix.Unix_error (Unix.ECONNREFUSED, "connect", "") ] in
+  let exchange, sends = scripted (fun _ _ -> "ok") in
+  let flaky lines =
+    match !down with
+    | e :: rest ->
+      down := rest;
+      ignore (exchange lines);
+      raise e
+    | [] -> exchange lines
+  in
+  ignore (retry ~retries:2 flaky [ "a"; "b" ]);
+  check_lines "whole set resent after each failure" [ "a,b"; "a,b"; "a,b" ] (sends ());
+  (* an exhausted budget returns the last replies ... *)
+  let exchange, sends = scripted (fun l _ -> if l = "b" then "busy" else "ok") in
+  check_lines "last replies returned"
+    [ {|{"id":"a","status":"ok","try":1}|}; {|{"id":"b","status":"busy","try":3}|} ]
+    (retry ~retries:2 exchange [ "a"; "b" ]);
+  check_int "budget spent" 3 (List.length (sends ()));
+  (* ... or re-raises the last transport failure *)
+  match retry ~retries:1 (fun _ -> failwith "down") [ "a" ] with
+  | exception Failure msg -> check_string "last failure re-raised" "down" msg
+  | _ -> Alcotest.fail "a dead transport must raise once the budget is spent"
+
+(* ---------------- client: kill-chaos drill ---------------- *)
+
+(* `pasched sim --count 1280 --emit-requests 5`, through a 2-shard
+   daemon killed halfway; the [retries] budget masks the outage *)
+let run_chaos ~retries =
+  let socket = sock_path "chaos" and cache_file = Filename.temp_file "pasched_chaos" ".cache" in
+  Sys.remove cache_file;
+  Fun.protect ~finally:(fun () -> List.iter rm_f [ socket; cache_file; cache_file ^ ".journal" ])
+  @@ fun () ->
+  Serve_client.chaos ~exe:(Pasched_exe.path ()) ~socket ~cache_file ~shards:2
+    ~cache_capacity:4096 ~max_inflight:0 ~window:64 ~retries
+    ~backoff:(Serve_client.backoff ~base_ms:10.0 ())
+    ~kill_at:0.5
+    (List.of_seq
+       (Serve_client.trace_requests ~alpha:3.0 ~batch:5
+          (Workload.Stream.make ~seed:42 ~limit:1280
+             ~size:(Workload.Stream.Pareto { shape = 2.2; scale = 0.5 })
+             (Workload.Stream.Diurnal { base = 1.0; amplitude = 0.8; period = 1000.0 }))))
+
+(* no child of this process is left running or unreaped *)
+let check_no_children () =
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  | 0, _ -> Alcotest.fail "a daemon is still running"
+  | pid, _ -> Alcotest.failf "daemon %d was never reaped" pid
+
+let test_chaos_drill () =
+  let c = run_chaos ~retries:8 in
+  let s = c.Serve_client.soak in
+  check_int "every request answered ok" 256 s.Serve_client.ok;
+  check_int "killed halfway" 2 c.Serve_client.killed_window;
+  check_bool "warm recovery" true (c.Serve_client.warm_fraction >= 0.9);
+  check_int "nothing corrupt in the journal" 0 c.Serve_client.skipped_corrupt;
+  check_bool "pre-kill answers rechecked" true (c.Serve_client.rechecked > 0);
+  check_int "rechecks byte-identical" 0 c.Serve_client.mismatches;
+  check_no_children ();
+  (* without retries the first window after the kill fails on the dead
+     connection: the drill raises with its restarted daemon running *)
+  (match run_chaos ~retries:0 with
+  | exception (Failure _ | Unix.Unix_error _) -> ()
+  | _ -> Alcotest.fail "an unmasked outage must raise");
+  check_no_children ()
 
 let () =
   Alcotest.run "serve"
@@ -1203,6 +1291,12 @@ let () =
           Alcotest.test_case "retry-bounds" `Quick test_retry_bounds;
           Alcotest.test_case "retry-transient" `Quick test_retry_transient_classifier;
           Alcotest.test_case "disconnect-mid-reply" `Quick test_disconnect_mid_reply;
+        ] );
+      ( "client",
+        [
+          Alcotest.test_case "reader" `Quick test_reader;
+          Alcotest.test_case "retry-loop" `Quick test_retry_loop;
+          Alcotest.test_case "chaos-drill" `Quick test_chaos_drill;
         ] );
       ( "engine-pool",
         [
