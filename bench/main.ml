@@ -563,21 +563,17 @@ let section_registry () =
       Problem.make ~procs ?speed_cap ?levels ?weights ?deadlines
         ~objective:cap.Capability.objective ~mode ~alpha ()
     in
-    (* the sweep runs through the batched entry point: one capability
-       check and one counter update for the four solves, per-solve time
-       reported.  (solve_many without a pool evaluates sequentially —
-       correct here, since the rows themselves may be computed on Par
-       workers.) *)
-    let batch = Array.make 4 (problem, inst) in
+    (* per-solve time of the one solve entry point, best of 3 passes
+       of 4 solves *)
+    let solves = 4 in
     let t =
-      time_best ~reps:3 (fun () -> ignore (Sys.opaque_identity (Engine.solve_many solver batch)))
-      /. float_of_int (Array.length batch)
+      time_best ~reps:3 (fun () ->
+          for _ = 1 to solves do
+            ignore (Sys.opaque_identity (Engine.solve_with solver problem inst))
+          done)
+      /. float_of_int solves
     in
-    let r =
-      match (Engine.solve_many solver [| (problem, inst) |]).(0) with
-      | Ok r -> r
-      | Error e -> raise e
-    in
+    let r = Engine.solve_with solver problem inst in
     let value =
       match r.Solve_result.pareto with
       | Some p -> p.Solve_result.value_at energy

@@ -90,16 +90,18 @@ let apply_par_jobs = function None -> () | Some n -> Par.set_default_jobs n
 (* [`Ok] / [`Error] conversion for solver preconditions: the registry
    and the model constructors signal misuse with [Invalid_argument]
    (e.g. an equal-work-only solver on unequal works), which should be a
-   clean CLI error, not a crash.  Typed guard errors get a one-line
-   stderr message and their class's distinct exit code (2 usage /
-   invalid input, 3 infeasible, 4 no convergence, 5 deadline, 6 solver
-   fault); they are raised only after [with_obs] has flushed. *)
+   clean CLI error, not a crash; so is an unreadable input file
+   ([Sys_error], e.g. [client --file] on a missing path).  Typed guard
+   errors get a one-line stderr message and their class's distinct
+   exit code (2 usage / invalid input, 3 infeasible, 4 no convergence,
+   5 deadline, 6 solver fault); they are raised only after [with_obs]
+   has flushed. *)
 let wrap_errors f =
   try f () with
   | Guard_error.Error e ->
     Printf.eprintf "pasched: [%s] %s\n%!" (Guard_error.class_string e) (Guard_error.to_string e);
     Stdlib.exit (Guard_error.exit_code e)
-  | Invalid_argument msg | Failure msg -> `Error (false, msg)
+  | Invalid_argument msg | Failure msg | Sys_error msg -> `Error (false, msg)
 
 (* ---------- guard (supervision) flags ---------- *)
 

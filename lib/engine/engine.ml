@@ -29,59 +29,19 @@ let supporting problem inst =
 
 let c_solves = Obs.counter "engine.solves"
 
+(* the span name and args are built only when Obs is on, so a disabled
+   solve allocates nothing beyond the capability check and the solver *)
 let solve_with (module S : SOLVER) problem inst =
   (match Capability.accepts S.capability problem inst with
   | Ok () -> ()
-  | Error why -> invalid_arg (Printf.sprintf "Engine.solve %s: %s" S.name why));
+  | Error why -> invalid_arg (Printf.sprintf "Engine.solve_with %s: %s" S.name why));
   Obs.incr c_solves;
-  Obs.span
-    ~args:[ ("problem", Problem.to_string problem); ("n", string_of_int (Instance.n inst)) ]
-    ("engine.solve." ^ S.name)
-    (fun () -> S.solve problem inst)
-
-let c_batches = Obs.counter "engine.batches"
-
-let solve_many ?pool (module S : SOLVER) items =
-  (* validate the whole batch up front so a capability mismatch is an
-     argument error naming the offending index, not a mid-batch
-     [Error] that depends on evaluation order *)
-  Array.iteri
-    (fun i (problem, inst) ->
-      match Capability.accepts S.capability problem inst with
-      | Ok () -> ()
-      | Error why ->
-        invalid_arg (Printf.sprintf "Engine.solve_many %s: item %d: %s" S.name i why))
-    items;
-  let n = Array.length items in
-  Obs.incr c_batches;
-  Obs.add c_solves n;
-  let eval i =
-    let problem, inst = items.(i) in
-    match S.solve problem inst with v -> Ok v | exception e -> Error e
-  in
-  Obs.span
-    ~args:[ ("batch", string_of_int n) ]
-    ("engine.solve_many." ^ S.name)
-    (fun () ->
-      match pool with
-      | Some p -> Par.Pool.init p n eval
-      | None -> Array.init n eval)
-
-let solve name problem inst =
-  match find name with
-  | Some s -> solve_with s problem inst
-  | None ->
-    invalid_arg
-      (Printf.sprintf "Engine.solve: unknown solver %S (registered: %s)" name
-         (String.concat ", " (names ())))
-
-let solve_auto problem inst =
-  match supporting problem inst with
-  | s :: _ -> solve_with s problem inst
-  | [] ->
-    invalid_arg
-      (Printf.sprintf "Engine.solve_auto: no registered solver accepts %s on this instance"
-         (Problem.to_string problem))
+  if Obs.enabled () then
+    Obs.span
+      ~args:[ ("problem", Problem.to_string problem); ("n", string_of_int (Instance.n inst)) ]
+      ("engine.solve." ^ S.name)
+      (fun () -> S.solve problem inst)
+  else S.solve problem inst
 
 let settings_overlap a b =
   match (a, b) with

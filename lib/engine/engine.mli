@@ -8,9 +8,9 @@
     bench enumeration and [Obs] instrumentation pick it up
     automatically.
 
-    Every {!solve} call is wrapped in an [engine.solve.<name>] trace
-    span and bumps the [engine.solves] counter, so new solvers are
-    instrumented by construction. *)
+    Every {!solve_with} call is wrapped in an [engine.solve.<name>]
+    trace span and bumps the [engine.solves] counter, so new solvers
+    are instrumented by construction. *)
 
 module type SOLVER = sig
   val name : string
@@ -21,7 +21,7 @@ module type SOLVER = sig
 
   val solve : Problem.t -> Instance.t -> Solve_result.t
   (** Only called on [(problem, instance)] pairs the capability
-      {!Capability.accepts}; {!Engine.solve} enforces this, raising
+      {!Capability.accepts}; {!Engine.solve_with} enforces this, raising
       [Invalid_argument] on a mismatch before the solver runs. *)
 end
 
@@ -44,45 +44,15 @@ val supporting : Problem.t -> Instance.t -> solver list
 (** Registered solvers whose capability accepts the pair, registration
     order (exact solvers first). *)
 
-val solve : string -> Problem.t -> Instance.t -> Solve_result.t
-(** Look up by name, check the capability, and run under [Obs]
-    instrumentation.
-    @raise Invalid_argument on an unknown solver or a
-    capability mismatch (e.g. an equal-work-only solver on unequal
-    works). *)
-
 val solve_with : solver -> Problem.t -> Instance.t -> Solve_result.t
-(** Same checks and instrumentation, solver already in hand. *)
-
-val solve_many :
-  ?pool:Par.Pool.t ->
-  solver ->
-  (Problem.t * Instance.t) array ->
-  (Solve_result.t, exn) result array
-(** Batched {!solve_with}: one capability sweep, one [Obs] span
-    ([engine.solve_many.<name>]) and one counter update
-    ([engine.batches] +1, [engine.solves] +n) for the whole batch
-    instead of per item — the amortization the serve batcher and the
-    bench registry sweep rely on.  With [?pool] the items are evaluated
-    on the resident {!Par.Pool} workers (order-deterministic per the
-    [Par] contract); without it they run sequentially in index order.
-
-    Per-item solver failures are contained as [Error e] in the result
-    slot, so one pathological instance cannot sink its batch.
-
-    Pool workers are long-lived domains, so each worker's [Scratch]
-    arena and cached flow tables persist {e across batch items and
-    across batches}: after the first item of comparable size, every
-    kernel solve on that worker runs on the warm allocation profile
-    (see scratch.mli).  This is a performance property only — arenas
-    never affect values, so results remain jobs- and pool-invariant.
-    @raise Invalid_argument when any item fails the capability check
-    (checked before any solve runs, naming the offending index). *)
-
-val solve_auto : Problem.t -> Instance.t -> Solve_result.t
-(** Route to the first supporting solver (exact preferred).
-    @raise Invalid_argument when no registered solver accepts the
-    pair. *)
+(** The one solve entry point: check the capability, bump
+    [engine.solves], and run the solver inside an
+    [engine.solve.<name>] span whose args ([problem], [n]) are built
+    only when [Obs] is enabled.  Callers that want typed errors,
+    deadlines, retries or fallback go through [Guard.solve_with];
+    lookup by name or by capability is [find]/[supporting].
+    @raise Invalid_argument on a capability mismatch (e.g. an
+    equal-work-only solver on unequal works). *)
 
 val differential_pairs : unit -> (solver * solver) list
 (** All unordered pairs of {e exact} solvers claiming the same

@@ -202,8 +202,6 @@ let add_energy (t : t) e = t.energy <- t.energy +. e
 let add_released_work (t : t) w = t.released_work <- t.released_work +. w
 
 let jobs (t : t) = Welford.count t.flow
-let makespan (t : t) = t.makespan
-let energy (t : t) = t.energy
 
 let snapshot (t : t) : snapshot =
   {

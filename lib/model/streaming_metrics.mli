@@ -74,8 +74,6 @@ val add_energy : t -> float -> unit
 val add_released_work : t -> float -> unit
 
 val jobs : t -> int
-val makespan : t -> float
-val energy : t -> float
 
 val snapshot : t -> snapshot
 (** O(1) copy of the current state — the watermark payload. *)

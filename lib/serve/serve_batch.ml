@@ -25,14 +25,6 @@ let resolve_solver (sr : Serve_protocol.solve_request) =
            (Printf.sprintf "no registered solver accepts %s on this instance"
               (Problem.to_string sr.problem))))
 
-(* a fast-path result that Guard would have rejected (non-finite value
-   outside Pareto mode) is re-run under full supervision, so the
-   amortized path converges to the same reply the supervised path
-   would give *)
-let acceptable (sr : Serve_protocol.solve_request) (r : Solve_result.t) =
-  sr.problem.Problem.mode = Problem.Pareto
-  || (Float.is_finite r.Solve_result.value && Float.is_finite r.Solve_result.energy)
-
 (* Pareto payloads run result closures (value_at/sample); keep even
    those failures inside the taxonomy *)
 let encode (sr : Serve_protocol.solve_request) r =
@@ -134,10 +126,9 @@ let run ~pool ~cache ~policy ?(state = no_state)
       end)
     reqs;
   let uniq = Array.of_list (List.rev !uniq) in
-  (* 3. partition unique work: solver-resolution failures answer
-     immediately; supervised (deadline / iter-cap) items take the
-     per-item Guard path; the rest take the amortized solve_many path *)
-  let fast = ref [] and slow = ref [] in
+  (* 3. resolve each unique miss to a solver and ask its breaker;
+     resolution failures and breaker refusals answer immediately *)
+  let work = ref [] in
   Array.iter
     (fun i ->
       let sr = reqs.(i) in
@@ -150,77 +141,32 @@ let run ~pool ~cache ~policy ?(state = no_state)
           payloads.(i) <- Some payload
         | `Use (s, degraded) ->
           if degraded then no_cache.(i) <- true;
-          let eff = effective_policy policy sr in
-          if eff.Guard.deadline_s = None && eff.Guard.iter_cap = None then
-            fast := (i, s, degraded) :: !fast
-          else slow := (i, s, eff, degraded) :: !slow))
+          work := (i, s, degraded) :: !work))
     uniq;
-  (* 4a. fast path: group by solver, one Engine.solve_many per group *)
-  let groups = Hashtbl.create 8 in
-  List.iter
-    (fun (i, s, degraded) ->
-      let name = Engine.name_of s in
-      match Hashtbl.find_opt groups name with
-      | Some (_, r) -> r := (i, degraded) :: !r
-      | None -> Hashtbl.add groups name (s, ref [ (i, degraded) ]))
-    (List.rev !fast);
-  Hashtbl.iter
-    (fun name (s, indices) ->
-      let indices = Array.of_list (List.rev !indices) in
-      let items =
-        Array.map
-          (fun (i, _) -> (reqs.(i).Serve_protocol.problem, reqs.(i).Serve_protocol.inst))
-          indices
-      in
-      let results = Engine.solve_many ~pool s items in
-      Array.iteri
-        (fun k (i, degraded) ->
-          let sr = reqs.(i) in
-          match results.(k) with
-          | Ok r when acceptable sr r ->
-            note state name `Ok;
-            let r = if degraded then tag_degraded r else r in
-            payloads.(i) <- Some (encode sr r)
-          | Ok _ | Error _ ->
-            (* escalate to full supervision: retries, fallback chain *)
-            let result =
-              Guard.solve_with ~policy:(effective_policy policy sr) s
-                sr.Serve_protocol.problem sr.Serve_protocol.inst
-            in
-            note state name (outcome_of_result result);
-            let payload =
-              match result with
-              | Ok r -> encode sr (if degraded then tag_degraded r else r)
-              | Error e -> Serve_protocol.error_payload e
-            in
-            payloads.(i) <- Some payload)
-        indices)
-    groups;
-  (* 4b. supervised path: per-item Guard calls across the pool; breaker
-     bookkeeping happens back on the router thread, in index order *)
-  let slow = Array.of_list (List.rev !slow) in
-  if Array.length slow > 0 then begin
-    let answers =
-      Par.Pool.init pool (Array.length slow) (fun k ->
-          let i, s, eff, degraded = slow.(k) in
-          let sr = reqs.(i) in
-          let result =
-            Guard.solve_with ~policy:eff s sr.Serve_protocol.problem sr.Serve_protocol.inst
-          in
-          let payload =
-            match result with
-            | Ok r -> encode sr (if degraded then tag_degraded r else r)
-            | Error e -> Serve_protocol.error_payload e
-          in
-          (payload, outcome_of_result result))
-    in
-    Array.iteri
-      (fun k (i, s, _, _) ->
-        let payload, outcome = answers.(k) in
-        note state (Engine.name_of s) outcome;
-        payloads.(i) <- Some payload)
-      slow
-  end;
+  (* 4. one supervised Guard call per item across the pool; breaker
+     bookkeeping happens back on the router thread, in request order *)
+  let work = Array.of_list (List.rev !work) in
+  let answers =
+    Par.Pool.init pool (Array.length work) (fun k ->
+        let i, s, degraded = work.(k) in
+        let sr = reqs.(i) in
+        let result =
+          Guard.solve_with ~policy:(effective_policy policy sr) s sr.Serve_protocol.problem
+            sr.Serve_protocol.inst
+        in
+        let payload =
+          match result with
+          | Ok r -> encode sr (if degraded then tag_degraded r else r)
+          | Error e -> Serve_protocol.error_payload e
+        in
+        (payload, outcome_of_result result))
+  in
+  Array.iteri
+    (fun k (i, s, _) ->
+      let payload, outcome = answers.(k) in
+      note state (Engine.name_of s) outcome;
+      payloads.(i) <- Some payload)
+    work;
   (* 5. fill successful unique answers into the cache (journaling each
      insert through [on_insert]), then share payloads out to the
      duplicate requests *)

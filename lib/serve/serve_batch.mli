@@ -6,15 +6,16 @@
       verbatim — byte-identical to the cold solve that filled it);
     + the misses are deduplicated by canonical key, so [k] copies of the
       same problem in one batch cost one solve;
-    + unique items with no effective deadline and no iteration cap are
-      grouped by solver and run through {!Engine.solve_many} on the
-      resident {!Par.Pool} (the amortized fast path); any item that
-      fails there is re-run under full [Guard.solve_with] supervision
-      (retries, fallback), so the fast path never weakens the failure
-      semantics;
-    + items carrying a deadline or iteration cap go straight to
-      {!Guard.solve_with}, one supervised call per item, distributed
-      across the same pool;
+    + every unique miss that resolves to a solver and passes its
+      breaker is one {!Guard.solve_with} call (the daemon policy, with
+      the request's [deadline_s] if it carries one), all of them
+      distributed across the resident {!Par.Pool} in one
+      [Par.Pool.init].  Pool workers are long-lived domains, so each
+      worker's [Scratch] arena and cached flow tables persist
+      {e across items and across batches}: after the first item of
+      comparable size, every kernel solve on that worker runs on the
+      warm allocation profile (see scratch.mli).  Arenas never affect
+      values, so replies stay pool-invariant;
     + successful payloads are inserted into the cache; errors are not
       (a deadline miss must not poison the key for a patient caller).
 
@@ -33,10 +34,11 @@
     reply is tagged with a [breaker.degraded] diagnostic and {e not}
     cached — a warm reply must stay byte-identical to the healthy cold
     solve), or, with no healthy alternative, answers a typed
-    {!Serve_protocol.degraded_payload}.  After dispatch, clean answers
-    record success and [solver-fault]/[no-convergence] outcomes (or a
-    Guard fallback rescue, which means the solver itself produced
-    nothing) record failure; request-indicting classes are neutral. *)
+    {!Serve_protocol.degraded_payload}.  After dispatch, in request
+    order, clean answers record success and
+    [solver-fault]/[no-convergence] outcomes (or a Guard fallback
+    rescue, which means the solver itself produced nothing) record
+    failure; request-indicting classes are neutral. *)
 
 type state
 (** Cross-batch supervision state (currently: the circuit breakers). *)

@@ -265,10 +265,6 @@ let test_duplicate_registration () =
   expect_invalid "duplicate registration" (fun () -> Engine.register dup)
 
 let test_lookup () =
-  expect_invalid "unknown solver" (fun () ->
-      Engine.solve "no-such-solver"
-        (Problem.make ~objective:Problem.Makespan ~mode:(Problem.Budget 10.0) ~alpha ())
-        Instance.figure1);
   Alcotest.(check bool) "find incmerge" true (Engine.find "incmerge" <> None);
   Alcotest.(check bool) "find unknown" true (Engine.find "no-such-solver" = None);
   let problem = Problem.make ~objective:Problem.Makespan ~mode:(Problem.Budget 12.0) ~alpha () in
@@ -276,10 +272,57 @@ let test_lookup () =
   Alcotest.(check bool) "incmerge supports figure1 makespan" true (List.mem "incmerge" supporting);
   Alcotest.(check bool) "flow does not support a makespan problem" true
     (not (List.mem "flow" supporting));
-  let r = Engine.solve_auto problem Instance.figure1 in
-  let direct = Engine.solve "incmerge" problem Instance.figure1 in
-  Alcotest.(check (float 1e-9)) "solve_auto routes to the first exact solver"
+  let r =
+    match Guard.solve_auto ~policy:Guard.off problem Instance.figure1 with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "Guard.solve_auto failed: %s" (Guard_error.to_string e)
+  in
+  let direct = Engine.solve_with (Option.get (Engine.find "incmerge")) problem Instance.figure1 in
+  Alcotest.(check (float 1e-9)) "Guard.solve_auto routes to the first exact solver"
     direct.Solve_result.value r.Solve_result.value
+
+(* the [engine.solve.<name>] span: with Obs off its name and args are
+   never built, so the words [solve_with] allocates beyond the solver's
+   own are exactly the capability check's; with Obs on the span carries
+   the problem and the job count *)
+let test_solve_span () =
+  let s = Option.get (Engine.find "incmerge") in
+  let module S = (val s) in
+  let problem = Problem.make ~objective:Problem.Makespan ~mode:(Problem.Budget 12.0) ~alpha () in
+  let inst = Instance.figure1 in
+  (* minor words of one warm call (the first call may size arenas) *)
+  let minor_words f =
+    ignore (Sys.opaque_identity (f ()));
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
+  Obs.set_enabled false;
+  let empty = minor_words (fun () -> ()) in
+  let words f = int_of_float (minor_words f -. empty) in
+  let engine = words (fun () -> Engine.solve_with s problem inst) in
+  let solver = words (fun () -> S.solve problem inst) in
+  let accepts = words (fun () -> Capability.accepts S.capability problem inst) in
+  Alcotest.(check int)
+    (Printf.sprintf "Obs off: solve_with (%d words) - solver (%d) = capability check" engine
+       solver)
+    accepts (engine - solver);
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled false)
+    (fun () -> ignore (Engine.solve_with s problem inst));
+  match
+    List.find_opt
+      (fun (e : Obs_trace.event) -> e.Obs_trace.name = "engine.solve.incmerge")
+      (Obs.trace_events ())
+  with
+  | None -> Alcotest.fail "Obs on: no engine.solve.incmerge span recorded"
+  | Some e ->
+    let arg k = List.assoc_opt k e.Obs_trace.args in
+    Alcotest.(check (option string)) "span arg problem" (Some "makespan/1-proc/budget 12")
+      (arg "problem");
+    Alcotest.(check (option string)) "span arg n" (Some "3") (arg "n")
 
 let test_differential_pairs () =
   let pairs = Engine.differential_pairs () in
@@ -325,6 +368,7 @@ let () =
         [
           Alcotest.test_case "duplicate registration rejected" `Quick test_duplicate_registration;
           Alcotest.test_case "lookup, supporting, solve_auto" `Quick test_lookup;
+          Alcotest.test_case "solve_with span built only when Obs is on" `Quick test_solve_span;
           Alcotest.test_case "differential pairs derived" `Quick test_differential_pairs;
         ] );
     ]

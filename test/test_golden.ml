@@ -154,11 +154,19 @@ let test_equal_work_rejected =
   check_usage_error ~what:"flow on unequal works" ~needle:"equal-work" "flow"
 
 let test_bad_jobs_file_rejected () =
-  let code, _, err = run_cli "laptop --file /nonexistent/jobs.txt" in
-  Alcotest.(check int) "missing jobs file exits 2" 2 code;
-  Alcotest.(check bool)
-    (Printf.sprintf "missing jobs file reports an error (stderr: %s)" err)
-    true (String.length err > 0)
+  List.iter
+    (fun args ->
+      let code, _, err = run_cli args in
+      Alcotest.(check int) (Printf.sprintf "%s: missing file exits 2" args) 2 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: missing file is named on stderr (stderr: %s)" args err)
+        true
+        (contains ~needle:"/nonexistent/" err))
+    [
+      "laptop --file /nonexistent/jobs.txt";
+      "client --socket /nonexistent/sock --file /nonexistent/requests.ndjson";
+      "soak --file /nonexistent/requests.ndjson";
+    ]
 
 (* the typed guard exit codes, each triggered deterministically *)
 

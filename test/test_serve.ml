@@ -41,8 +41,9 @@ let decode_error line =
 let status_of = Serve_protocol.reply_status
 let class_of = Serve_protocol.reply_class
 
-let with_shards ?(jobs = 1) ?(shards = 1) ?(cache_capacity = 32) ?max_inflight ?cache_file f =
-  let t = Serve_shard.create ~jobs ~shards ~cache_capacity ?max_inflight ?cache_file () in
+let with_shards ?(jobs = 1) ?(shards = 1) ?(cache_capacity = 32) ?max_inflight ?cache_file ?breaker
+    f =
+  let t = Serve_shard.create ~jobs ~shards ~cache_capacity ?max_inflight ?cache_file ?breaker () in
   Fun.protect ~finally:(fun () -> Serve_shard.shutdown t) (fun () -> f t)
 
 (* bench/main.ml's serve workload, byte for byte: 64 flow-under-budget
@@ -348,53 +349,7 @@ let test_pareto_reply () =
     | None -> Alcotest.fail "curve missing from pareto reply")
   | Error m -> Alcotest.failf "pareto reply unparseable: %s" m
 
-(* ---------------- Engine.solve_many and the pool ---------------- *)
-
-let makespan_budget energy =
-  Problem.make ~objective:Problem.Makespan ~mode:(Problem.Budget energy) ~alpha:3.0 ()
-
-let test_solve_many_matches () =
-  let inst = Instance.of_pairs jobs3 in
-  let items = Array.init 4 (fun i -> (makespan_budget (8.0 +. float_of_int i), inst)) in
-  let s =
-    match Engine.supporting (fst items.(0)) inst with
-    | s :: _ -> s
-    | [] -> Alcotest.fail "no supporting solver"
-  in
-  let batch = Engine.solve_many s items in
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Ok (r : Solve_result.t) ->
-        let direct = Engine.solve_with s (fst items.(i)) (snd items.(i)) in
-        check_bool
-          (Printf.sprintf "batch item %d matches the direct solve" i)
-          true
-          (r.Solve_result.value = direct.Solve_result.value
-          && r.Solve_result.energy = direct.Solve_result.energy)
-      | Error e -> Alcotest.failf "batch item %d failed: %s" i (Printexc.to_string e))
-    batch
-
-let test_solve_many_capability () =
-  let inst = Instance.of_pairs jobs3 in
-  let bad =
-    Problem.make ~objective:Problem.Deadline_energy ~mode:Problem.Feasible ~alpha:3.0
-      ~deadlines:[| 10.0; 10.0; 10.0 |] ()
-  in
-  let s =
-    match Engine.supporting (makespan_budget 10.0) inst with
-    | s :: _ -> s
-    | [] -> Alcotest.fail "no supporting solver"
-  in
-  let contains ~sub s =
-    let n = String.length sub and m = String.length s in
-    let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
-  match Engine.solve_many s [| (makespan_budget 10.0, inst); (bad, inst) |] with
-  | exception Invalid_argument msg ->
-    check_bool "capability error names the offending index" true (contains ~sub:"item 1" msg)
-  | _ -> Alcotest.fail "capability mismatch in a batch must raise Invalid_argument"
+(* ---------------- the resident pool ---------------- *)
 
 let test_pool_determinism () =
   let pool = Par.Pool.create ~jobs:4 () in
@@ -920,6 +875,32 @@ let test_breaker_reject_when_no_fallback () =
     check_int "nothing cached" 0 (Serve_cache.stats cache).Serve_cache.size
   | _ -> Alcotest.fail "expected exactly one payload"
 
+(* ---------------- one supervised solve path ---------------- *)
+
+(* a plain miss, a deadline_s miss and a failing solver share one
+   batch and one path: every unique miss is one Guard.solve_with call,
+   so the flaky solver runs once before the fallback answers (plain 1
+   + deadline 1 + flaky 1 + fallback 1), and batching changes no reply *)
+let test_one_solve_path () =
+  let lines =
+    [
+      req ~id:1 ~budget:10.0 jobs3;
+      req ~id:2 ~budget:11.0 ~deadline_s:60.0 jobs3;
+      req ~id:3 ~budget:12.0 ~solver:"test-flaky" jobs3;
+    ]
+  in
+  let batched = ref [] in
+  let d =
+    counter_deltas (fun () ->
+        batched := with_shards ~breaker:None (fun t -> Serve_shard.handle_batch t lines))
+  in
+  check_int "engine.solves: one per unique miss, plus the fallback" 4 (d "engine.solves");
+  check_int "guard.solves: every miss supervised" 3 (d "guard.solves");
+  check_bool "the flaky request is answered by the fallback" true
+    (status_of (List.nth !batched 2) = Some "ok");
+  let single = with_shards ~breaker:None (fun t -> List.map (Serve_shard.handle_line t) lines) in
+  List.iter2 (check_string "batched reply byte-identical to its own batch") single !batched
+
 (* ---------------- health op ---------------- *)
 
 let test_health_op () =
@@ -1252,6 +1233,7 @@ let () =
           Alcotest.test_case "ops" `Quick test_ops;
           Alcotest.test_case "unknown-solver" `Quick test_unknown_solver_reply;
           Alcotest.test_case "pareto" `Quick test_pareto_reply;
+          Alcotest.test_case "one-solve-path" `Quick test_one_solve_path;
         ] );
       ( "shard",
         [
@@ -1300,8 +1282,6 @@ let () =
         ] );
       ( "engine-pool",
         [
-          Alcotest.test_case "solve-many-matches" `Quick test_solve_many_matches;
-          Alcotest.test_case "solve-many-capability" `Quick test_solve_many_capability;
           Alcotest.test_case "pool-determinism" `Quick test_pool_determinism;
           Alcotest.test_case "pool-exception" `Quick test_pool_exception;
           Alcotest.test_case "pool-shutdown" `Quick test_pool_shutdown_degrades;
