@@ -72,6 +72,18 @@ let admits cap (p : Problem.t) =
            (mode_kind_to_string (mode_kind p.Problem.mode))
            (String.concat ", " (List.map mode_kind_to_string cap.modes)))
   in
+  (* a constraint the solver does not declare would be silently
+     dropped, and the answer would break it *)
+  let* () =
+    if p.Problem.speed_cap <> None && not (List.mem Needs_speed_cap cap.requires) then
+      Error "does not honour a speed cap"
+    else Ok ()
+  in
+  let* () =
+    if p.Problem.levels <> None && not (List.mem Needs_levels cap.requires) then
+      Error "does not honour discrete speed levels"
+    else Ok ()
+  in
   let need what = function
     | Some _ -> Ok ()
     | None -> Error (Printf.sprintf "problem must carry %s" what)

@@ -40,7 +40,11 @@ val mode_kind : Problem.mode -> mode_kind
 
 val admits : t -> Problem.t -> (unit, string) result
 (** Problem-level match: objective, processor count, mode, and the
-    presence of any required problem parameters. *)
+    presence of any required problem parameters.  A problem carrying a
+    [speed_cap] is admitted only by solvers that require
+    {!Needs_speed_cap}, and one carrying [levels] only by solvers that
+    require {!Needs_levels}: any other solver would ignore the
+    constraint. *)
 
 val accepts : t -> Problem.t -> Instance.t -> (unit, string) result
 (** {!admits} plus the instance-side requirements (equal work, common

@@ -6,13 +6,20 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string
 
 (* ---------- printing ---------- *)
 
 let escape_to buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
+  (* copy runs of plain bytes in one blit; escape the rest *)
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !run (i - !run);
+      run := i + 1;
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
@@ -21,27 +28,82 @@ let escape_to buf s =
       | '\t' -> Buffer.add_string buf "\\t"
       | '\b' -> Buffer.add_string buf "\\b"
       | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+    end
+  done;
+  Buffer.add_substring buf s !run (n - !run);
   Buffer.add_char buf '"'
 
+external format_float : string -> float -> string = "caml_format_float"
+
+(* The shortest of %.12g and %.17g that round-trips, from one C
+   %.17g call in the common cases.  [s] = %.17g of [f] is exact to
+   half a unit of its 17th significant digit.
+   - At most 12 significant digits: %.12g prints the same digits, so it
+     round-trips; below decimal exponent 12 both formats pick the same
+     notation and the strings are equal.
+   - More than 12, [f] normal: [d] is the distance from [s] to the
+     nearest 12-digit decimal in units of the 17th digit.  Half an ulp
+     of a normal float is under 10^17 / 2^53 < 11.1 such units, so at
+     [d >= 12] no 12-digit decimal reads back as [f].
+   - Otherwise (near a 12-digit decimal, or subnormal): try %.12g. *)
 let float_to_string f =
   if Float.is_nan f then "null"
   else if f = Float.infinity then "1e999"
   else if f = Float.neg_infinity then "-1e999"
   else begin
-    (* shortest representation that round-trips *)
-    let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    let s = format_float "%.17g" f in
+    let n = String.length s in
+    (* one pass over the mantissa: [k] digits seen, [first]/[last] the
+       ordinals of the first and last nonzero digit, [point] the digits
+       before '.', [t] digits 13-17 counted from [first] *)
+    let k = ref 0 and first = ref (-1) and last = ref (-1) in
+    let point = ref (-1) and t = ref 0 and exp_form = ref false and i = ref 0 in
+    while !i < n && not !exp_form do
+      (match String.unsafe_get s !i with
+      | '0' .. '9' as c ->
+        if c <> '0' then begin
+          if !first < 0 then first := !k;
+          last := !k
+        end;
+        if !first >= 0 && !k - !first >= 12 && !k - !first < 17 then
+          t := (10 * !t) + (Char.code c - 48);
+        incr k
+      | '.' -> point := !k
+      | 'e' -> exp_form := true
+      | _ -> ());
+      incr i
+    done;
+    if !first < 0 then s
+    else if !last - !first < 12 then
+      (* %.17g prints integers of up to 17 digits in full, %.12g only
+         up to 12: past that, %.12g switches to e-notation *)
+      if (not !exp_form) && !point < 0 && !k >= 13 then format_float "%.12g" f else s
+    else begin
+      (* %g drops trailing zeros: pad [t] back to five digits *)
+      for _ = !k - !first - 12 to 4 do
+        t := 10 * !t
+      done;
+      let d = Int.min !t (100000 - !t) in
+      if d >= 12 && Float.abs f >= Float.min_float then s
+      else
+        let s12 = format_float "%.12g" f in
+        if float_of_string s12 = f then s12 else s
+    end
   end
+
+(* digit by digit: [string_of_int] is a C snprintf call *)
+let rec add_nat buf n =
+  if n >= 10 then add_nat buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> if i >= 0 then add_nat buf i else Buffer.add_string buf (string_of_int i)
   | Float f -> Buffer.add_string buf (float_to_string f)
   | String s -> escape_to buf s
+  | Raw s -> Buffer.add_string buf s
   | List xs ->
     Buffer.add_char buf '[';
     List.iteri

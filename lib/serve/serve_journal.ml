@@ -55,6 +55,8 @@ let entry_ofs = 26 (* String.length {|{"crc":"xxxxxxxx","entry":|} *)
 let entry_string ~canon payload =
   Obs_json.to_string (Obs_json.Obj [ ("canon", Obs_json.String canon); ("payload", Obs_json.Obj payload) ])
 
+(* an ok payload's members arrive pre-encoded ({!Serve_protocol.ok_payload}),
+   so the line copies their bytes: an append prints no float *)
 let encode_line ~canon payload =
   let body = entry_string ~canon payload in
   Printf.sprintf "{\"crc\":\"%08x\",\"entry\":%s}" (crc32 body) body

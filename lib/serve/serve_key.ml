@@ -17,7 +17,11 @@ let canonical_jobs rows =
   Array.stable_sort compare_row sorted;
   sorted
 
-let add_float buf x = Buffer.add_string buf (Printf.sprintf "%h" x)
+external hexstring_of_float : float -> int -> char -> string = "caml_hexstring_of_float"
+
+(* the runtime primitive behind Printf's %h: a negative precision
+   prints every hex digit the float needs, '-' signs negatives only *)
+let add_float buf x = Buffer.add_string buf (hexstring_of_float x (-1) '-')
 
 let add_opt buf = function
   | None -> Buffer.add_char buf '_'
@@ -71,11 +75,10 @@ let canon ~solver ~points (p : Problem.t) pairs =
         pairs);
   Buffer.contents buf
 
+(* a plain loop keeps [h] unboxed: no allocation per byte *)
 let hash s =
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)))) 0x100000001b3L
+  done;
   !h

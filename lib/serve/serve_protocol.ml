@@ -240,25 +240,33 @@ let schedule_json sched =
            ])
        (Schedule.entries sched))
 
+(* runs on pool workers: the buffer is per call, so they share nothing *)
 let ok_payload ~points (r : Solve_result.t) =
   let open Obs_json in
+  let buf = Buffer.create 256 in
+  let raw v =
+    Buffer.clear buf;
+    write buf v;
+    Raw (Buffer.contents buf)
+  in
+  let float x = Raw (float_to_string x) in
   [
     ("status", String "ok");
     ("solver", String r.Solve_result.solver);
-    ("value", Float r.Solve_result.value);
-    ("energy", Float r.Solve_result.energy);
+    ("value", float r.Solve_result.value);
+    ("energy", float r.Solve_result.energy);
     ( "diagnostics",
-      Obj (List.map (fun (k, v) -> (k, Float v)) r.Solve_result.diagnostics) );
+      raw (Obj (List.map (fun (k, v) -> (k, Float v)) r.Solve_result.diagnostics)) );
   ]
   @ (match r.Solve_result.schedule with
-    | Some s -> [ ("schedule", schedule_json s) ]
+    | Some s -> [ ("schedule", raw (schedule_json s)) ]
     | None -> [])
   @
   match r.Solve_result.pareto with
   | None -> []
   | Some pa ->
     let bps = pa.Solve_result.breakpoints in
-    [ ("breakpoints", List (List.map (fun b -> Float b) bps)) ]
+    [ ("breakpoints", raw (List (List.map (fun b -> Float b) bps))) ]
     @
     if points <= 0 || bps = [] then []
     else
@@ -267,10 +275,7 @@ let ok_payload ~points (r : Solve_result.t) =
         if hi > lo then pa.Solve_result.sample ~lo ~hi ~n:points
         else [ (lo, pa.Solve_result.value_at lo) ]
       in
-      [
-        ( "curve",
-          List (List.map (fun (e, v) -> List [ Float e; Float v ]) samples) );
-      ]
+      [ ("curve", raw (List (List.map (fun (e, v) -> List [ Float e; Float v ]) samples))) ]
 
 let error_payload e =
   let open Obs_json in

@@ -70,7 +70,17 @@ val solve_request_json : id:Obs_json.t -> solve_request -> Obs_json.t
 val ok_payload : points:int -> Solve_result.t -> (string * Obs_json.t) list
 (** The reply fields (sans ["id"]) of a successful solve: status,
     solver, value, energy, diagnostics, optional schedule, optional
-    Pareto breakpoints and a curve of [points] samples. *)
+    Pareto breakpoints and a curve of [points] samples.
+
+    The members are printed here, once: ["status"] and ["solver"] come
+    back as [String], every other member as pre-encoded
+    {!Obs_json.Raw} text.  {!Serve_batch} calls this on the pool worker
+    that solved the request; the reply ({!reply_string}), the cache
+    entry, the journal line and every compaction then copy those bytes
+    without printing a float.  The bytes equal those of the same
+    members built as [Float]/[Obj]/[List] trees, so a payload restored
+    from the journal as a parsed tree prints the same reply.  Uses no
+    shared mutable state: safe on any domain. *)
 
 val error_payload : Guard_error.t -> (string * Obs_json.t) list
 (** The reply fields (sans ["id"]) of a failed request: status
@@ -92,7 +102,7 @@ val degraded_payload : solver:string -> (string * Obs_json.t) list
 
 val reply_string : id:Obs_json.t -> (string * Obs_json.t) list -> string
 (** One reply line: the payload with ["id"] prepended, serialized
-    compactly (no newline). *)
+    compactly (no newline).  [Raw] members are copied verbatim. *)
 
 val reply_status : string -> string option
 (** The ["status"] of a reply line — ["ok"], ["error"], ["busy"] or

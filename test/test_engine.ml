@@ -227,6 +227,51 @@ let test_missing_param_enforced () =
       end)
     (Engine.all ())
 
+(* a speed cap or discrete levels is admitted only by a solver that
+   declares it: any other solver would ignore the constraint and answer
+   speeds that break it *)
+let test_unhonoured_constraint_refused () =
+  List.iter
+    (fun solver ->
+      let name = Engine.name_of solver in
+      let cap = Engine.capability_of solver in
+      let p, inst = case_for solver in
+      let variant ?speed_cap ?levels () =
+        let speed_cap = match speed_cap with Some _ -> speed_cap | None -> p.Problem.speed_cap in
+        let levels = match levels with Some _ -> levels | None -> p.Problem.levels in
+        Problem.make ~procs:p.Problem.procs ?speed_cap ?levels ?weights:p.Problem.weights
+          ?deadlines:p.Problem.deadlines ~objective:p.Problem.objective ~mode:p.Problem.mode
+          ~alpha:p.Problem.alpha ()
+      in
+      List.iter
+        (fun (what, needs, problem) ->
+          let admitted = Capability.accepts cap problem inst = Ok () in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s admits a problem with %s iff it requires it" name what)
+            (requires cap needs) admitted;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s is routed a problem with %s iff it requires it" name what)
+            (requires cap needs)
+            (List.mem name (List.map Engine.name_of (Engine.supporting problem inst)));
+          if not admitted then
+            expect_invalid
+              (Printf.sprintf "%s named for a problem with %s" name what)
+              (fun () -> Engine.solve_with solver problem inst))
+        [
+          ("a speed cap", Capability.Needs_speed_cap, variant ~speed_cap:1.5 ());
+          ("discrete levels", Capability.Needs_levels, variant ~levels:[ 0.5; 1.0; 2.0 ] ());
+        ])
+    (Engine.all ());
+  let makespan ?speed_cap ?levels () =
+    Problem.make ?speed_cap ?levels ~objective:Problem.Makespan ~mode:(Problem.Budget 12.0) ~alpha ()
+  in
+  let routed p = List.map Engine.name_of (Engine.supporting p Instance.figure1) in
+  Alcotest.(check (list string)) "a capped makespan routes to bounded-speed only" [ "bounded-speed" ]
+    (routed (makespan ~speed_cap:1.5 ()));
+  Alcotest.(check (list string)) "a levelled makespan routes to discrete-makespan only"
+    [ "discrete-makespan" ]
+    (routed (makespan ~levels:[ 0.5; 1.0; 2.0 ] ()))
+
 (* ---------------------------------------------------------------- *)
 (* Problem.make boundary validation (the CLI converter mirrors this) *)
 
@@ -361,6 +406,8 @@ let () =
           Alcotest.test_case "uniprocessor solvers reject procs > 1" `Quick test_uni_only_enforced;
           Alcotest.test_case "parameter-requiring solvers reject bare problems" `Quick
             test_missing_param_enforced;
+          Alcotest.test_case "a speed cap or levels only for solvers that declare them" `Quick
+            test_unhonoured_constraint_refused;
         ] );
       ( "problem",
         [ Alcotest.test_case "Problem.make boundary validation" `Quick test_problem_validation ] );

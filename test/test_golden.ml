@@ -245,6 +245,103 @@ let test_serve_stdin () =
       (field "pong" ping = Some (Obs_json.Bool true))
   | _ -> Alcotest.fail "unreachable: reply count checked above"
 
+(* ---------------------------------------------------------------- *)
+(* Serve wire bytes.  The captures were written by the daemon before
+   ok payloads were pre-encoded (all but the speed_cap and levels pairs
+   of serve_replies.txt, which record the routing that honours them),
+   so these cases pin the reply, journal and checkpoint bytes across
+   changes to the writer. *)
+
+(* a golden of interleaved lines: request, then its reply *)
+let request_reply_pairs name =
+  let rec pairs = function
+    | req :: reply :: rest -> (req, reply) :: pairs rest
+    | [ "" ] | [] -> []
+    | [ l ] -> Alcotest.failf "%s: request %S has no reply line" name l
+  in
+  pairs (lines (read_file (golden name)))
+
+let write_file path s =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
+
+let with_temp_dir f =
+  let dir = Filename.temp_file "pasched_wire" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun e -> try Sys.remove (Filename.concat dir e) with Sys_error _ -> ()) (Sys.readdir dir);
+      try Sys.rmdir dir with Sys_error _ -> ())
+    (fun () -> f dir)
+
+(* serve the requests of [pairs] on stdin; every reply must equal its
+   golden line byte for byte *)
+let check_replies ~what ?(args = "") dir pairs =
+  let input = Filename.concat dir "requests.ndjson" in
+  write_file input (String.concat "" (List.map (fun (req, _) -> req ^ "\n") pairs));
+  let code, out, err = run_cli (Printf.sprintf "serve --jobs 1 %s < %s" args (Filename.quote input)) in
+  Alcotest.(check int) (Printf.sprintf "%s: serve exits 0 (stderr: %s)" what err) 0 code;
+  let got = List.filter (fun l -> l <> "") (lines out) in
+  Alcotest.(check int) (what ^ ": one reply per request") (List.length pairs) (List.length got);
+  List.iter2
+    (fun (req, want) reply ->
+      Alcotest.(check string) (Printf.sprintf "%s: reply to %s" what req) want reply)
+    pairs got
+
+let test_serve_reply_md5 () =
+  with_temp_dir @@ fun dir ->
+  let reqs = Filename.concat dir "requests.ndjson" in
+  let code, emitted, err = run_cli "sim --count 20000 --emit-requests 5" in
+  Alcotest.(check int) (Printf.sprintf "sim --emit-requests exits 0 (stderr: %s)" err) 0 code;
+  write_file reqs emitted;
+  List.iter
+    (fun args ->
+      let code, out, err = run_cli (Printf.sprintf "serve %s < %s" args (Filename.quote reqs)) in
+      Alcotest.(check int) (Printf.sprintf "serve %s exits 0 (stderr: %s)" args err) 0 code;
+      Alcotest.(check int) (Printf.sprintf "serve %s answers 4000 lines" args) 4000
+        (List.length (List.filter (fun l -> l <> "") (lines out)));
+      Alcotest.(check string)
+        (Printf.sprintf "MD5 of serve %s replies" args)
+        "fd98ba6b204596b33497be25c9410a38"
+        (Digest.to_hex (Digest.string out)))
+    [ "--jobs 1"; "--jobs 1 --shards 2" ]
+
+let test_serve_reply_golden () =
+  with_temp_dir @@ fun dir ->
+  check_replies ~what:"serve_replies.txt" dir (request_reply_pairs "serve_replies.txt")
+
+(* a checkpoint plus journal written by an earlier daemon: replay must
+   skip nothing, every stored request must come back as a hit equal to
+   the cold reply, and the shutdown checkpoint must match the one that
+   daemon wrote over the same store *)
+let test_serve_store_fixture () =
+  with_temp_dir @@ fun dir ->
+  let store = Filename.concat dir "store" in
+  write_file store (read_file (golden "serve_store_checkpoint.txt"));
+  write_file (store ^ ".journal") (read_file (golden "serve_store_journal.txt"));
+  let pairs = request_reply_pairs "serve_store_replies.txt" in
+  check_replies ~what:"serve_store_replies.txt" ~args:("--cache-file " ^ Filename.quote store) dir pairs;
+  let reply_of id =
+    match List.find_opt (fun (req, _) -> contains ~needle:(Printf.sprintf {|"id":"%s"|} id) req) pairs with
+    | Some (_, reply) -> Obs_json.of_string reply |> Result.get_ok
+    | None -> Alcotest.failf "no %s request in the store golden" id
+  in
+  let int_at path doc =
+    List.fold_left (fun v k -> Option.bind v (Obs_json.member k)) (Some doc) path
+    |> Fun.flip Option.bind Obs_json.to_int
+  in
+  let solves = List.length pairs - 2 in
+  Alcotest.(check (option int)) "replay skips no line" (Some 0)
+    (int_at [ "health"; "journal"; "skipped_corrupt" ] (reply_of "health"));
+  Alcotest.(check (option int)) "every stored request is a hit" (Some solves)
+    (int_at [ "stats"; "hits" ] (reply_of "stats"));
+  Alcotest.(check (option int)) "and none is a miss" (Some 0) (int_at [ "stats"; "misses" ] (reply_of "stats"));
+  Alcotest.(check string) "the shutdown checkpoint is byte-identical"
+    (read_file (golden "serve_store_after.txt"))
+    (read_file store);
+  Alcotest.(check string) "shutdown folds the journal into the checkpoint" "" (read_file (store ^ ".journal"))
+
 let () =
   Alcotest.run "golden"
     [
@@ -279,5 +376,11 @@ let () =
         List.map
           (fun (file, args) -> Alcotest.test_case args `Quick (check_golden (file, args)))
           guard_off_variants );
-      ("serve", [ Alcotest.test_case "stdin transport" `Quick test_serve_stdin ]);
+      ( "serve",
+        [
+          Alcotest.test_case "stdin transport" `Quick test_serve_stdin;
+          Alcotest.test_case "reply MD5 of 4000 emitted requests" `Quick test_serve_reply_md5;
+          Alcotest.test_case "reply bytes per reply shape" `Quick test_serve_reply_golden;
+          Alcotest.test_case "store fixture replay" `Quick test_serve_store_fixture;
+        ] );
     ]

@@ -223,6 +223,24 @@ let test_json_unicode_escapes () =
     Alcotest.(check string) "BMP + surrogate pair decode to UTF-8" "a\xc3\xa9\xf0\x9f\x98\x80b"
       (jstr v)
 
+(* Raw text is printed as given and is opaque to the accessors *)
+let test_json_raw () =
+  let raw = Obs_json.Raw {|[1,{"k":0.5}]|} in
+  let doc = Obs_json.Obj [ ("a", raw); ("s", Obs_json.String "tab\there \"q\" \001") ] in
+  Alcotest.(check string) "compact copies it" {|{"a":[1,{"k":0.5}],"s":"tab\there \"q\" \u0001"}|}
+    (Obs_json.to_string doc);
+  Alcotest.(check string) "pretty copies it" "{\n  \"a\": [1,{\"k\":0.5}],\n  \"s\": \"tab\\there \\\"q\\\" \\u0001\"\n}"
+    (Obs_json.to_string ~pretty:true doc);
+  Alcotest.(check bool) "member sees nothing inside" true (Obs_json.member "k" raw = None);
+  Alcotest.(check bool) "to_list" true (Obs_json.to_list raw = None);
+  Alcotest.(check bool) "to_float" true (Obs_json.to_float (Obs_json.Raw "0.5") = None);
+  Alcotest.(check bool) "to_int" true (Obs_json.to_int (Obs_json.Raw "1") = None);
+  Alcotest.(check bool) "to_string_val" true (Obs_json.to_string_val (Obs_json.Raw {|"s"|}) = None);
+  match Obs_json.of_string (Obs_json.to_string doc) with
+  | Ok (Obs_json.Obj [ ("a", Obs_json.List [ Obs_json.Int 1; Obs_json.Obj [ ("k", Obs_json.Float 0.5) ] ]); ("s", _) ]) -> ()
+  | Ok _ -> Alcotest.fail "the parser rebuilt the Raw text as something else"
+  | Error msg -> Alcotest.fail ("Raw output does not parse: " ^ msg)
+
 (* ---------------------------------------------------------------- *)
 (* instrumented solvers feed the registry *)
 
@@ -267,6 +285,55 @@ let test_report_renders () =
   in
   Alcotest.(check bool) "report lists the counter" true (mem "test.report_counter" report);
   Alcotest.(check bool) "report lists the span" true (mem "test.report_span" report)
+
+(* ---------------------------------------------------------------- *)
+(* the float writer: byte for byte the two-Printf definition it
+   replaced, kept here as the reference *)
+
+let reference_float_to_string f =
+  if Float.is_nan f then "null"
+  else if f = Float.infinity then "1e999"
+  else if f = Float.neg_infinity then "-1e999"
+  else
+    let s = Printf.sprintf "%.12g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+let check_float_bytes f =
+  let want = reference_float_to_string f in
+  let got = Obs_json.float_to_string f in
+  if got <> want then Alcotest.failf "float_to_string %h = %s, expected %s" f got want
+
+let test_float_writer_edges () =
+  let around x = [ x; Float.succ x; Float.pred x; -.x; Float.succ (Float.succ x); Float.pred (Float.pred x) ] in
+  let scaled m = List.concat_map (fun k -> around (float_of_string (Printf.sprintf "%se%d" m k))) (List.init 41 (fun k -> (k * 15) - 300)) in
+  List.iter check_float_bytes
+    (List.concat
+       [
+         [ 0.0; -0.0; 5e-324; Int64.float_of_bits 0x000FFFFFFFFFFFFFL; Float.min_float; Float.max_float ];
+         [ 0.1; 1234567890125.0; Float.nan; Float.infinity; Float.neg_infinity ];
+         List.concat_map around [ 1e-5; 1e-4; 1e11; 1e12; 1e16; 1e17 ];
+         scaled "9.9999999999995";
+         scaled "1.0000000000005";
+       ]);
+  Alcotest.(check string) "0.1 prints short" "0.1" (Obs_json.float_to_string 0.1);
+  Alcotest.(check string) "1e15 switches notation" "1e+15" (Obs_json.float_to_string 1e15)
+
+let test_float_writer_random () =
+  let rng = Random.State.make [| 20 |] in
+  for _ = 1 to 40_000 do
+    (* any bit pattern: normals, subnormals, NaNs, infinities *)
+    check_float_bytes (Int64.float_of_bits (Random.State.bits64 rng));
+    (* a subnormal with 1 to 52 significant bits: the small ones carry
+       half an ulp far wider than the 17th digit *)
+    let bits = 1 + Random.State.int rng 52 in
+    let mantissa = Int64.shift_right_logical (Random.State.bits64 rng) (64 - bits) in
+    check_float_bytes (Int64.float_of_bits mantissa);
+    (* a short decimal scaled by up to 1e±20 *)
+    let digits = Random.State.int rng 1_000_000_000 in
+    let decimal = float_of_string (Printf.sprintf "%d.%de%d" digits (Random.State.int rng 1000) (Random.State.int rng 41 - 20)) in
+    check_float_bytes decimal;
+    check_float_bytes (Float.succ decimal)
+  done
 
 (* ---------------------------------------------------------------- *)
 (* integration: the real binary's --trace output parses *)
@@ -356,6 +423,9 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
           Alcotest.test_case "unicode escapes" `Quick test_json_unicode_escapes;
+          Alcotest.test_case "float writer edges" `Quick test_float_writer_edges;
+          Alcotest.test_case "float writer random" `Quick test_float_writer_random;
+          Alcotest.test_case "raw text" `Quick test_json_raw;
         ] );
       ( "instrumentation",
         [

@@ -168,6 +168,55 @@ let test_deadline_not_in_key () =
   check_string "deadline_s stays out of the cache key" a.Serve_protocol.canon
     b.Serve_protocol.canon
 
+(* keys route shards and address stores: the hash of a key must never
+   move.  These are the published FNV-1a-64 test vectors *)
+let test_fnv_vectors () =
+  List.iter
+    (fun (s, h) -> check_bool (Printf.sprintf "FNV-1a-64 %S" s) true (Int64.equal h (Serve_key.hash s)))
+    [ ("", 0xcbf29ce484222325L); ("a", 0xaf63dc4c8601ec8cL); ("foobar", 0x85944171f73967e8L) ];
+  let key = String.init 2000 (fun i -> Char.chr (i land 0xff)) in
+  ignore (Sys.opaque_identity (Serve_key.hash key));
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Serve_key.hash key));
+  let words = Gc.minor_words () -. w0 in
+  check_bool (Printf.sprintf "hashing 2000 bytes allocates %.0f minor words (< 64)" words) true (words < 64.0)
+
+(* the canonical string prints every float as Printf's %h would *)
+let test_canon_hex_floats () =
+  let rng = Random.State.make [| 9 |] in
+  let pos () =
+    (* a positive finite float of any magnitude, subnormals included *)
+    let x = Int64.float_of_bits (Int64.logand (Random.State.bits64 rng) 0x7FEFFFFFFFFFFFFFL) in
+    if x = 0.0 then Float.succ 0.0 else x
+  in
+  let any () =
+    match Random.State.int rng 4 with
+    | 0 -> Int64.float_of_bits (Random.State.bits64 rng)
+    | 1 -> Random.State.float rng 100.0
+    | 2 -> -.Random.State.float rng 1e-300
+    | _ -> float_of_int (Random.State.int rng 1000)
+  in
+  let h = Printf.sprintf "%h" in
+  for _ = 1 to 300 do
+    let n = 1 + Random.State.int rng 6 in
+    let pairs = Array.init n (fun _ -> (any (), any ())) in
+    let weights = Array.init n (fun _ -> pos ()) in
+    let budget = pos () and alpha = 1.0 +. Random.State.float rng 4.0 and cap = pos () in
+    let levels = [ pos (); pos () ] in
+    let p =
+      Problem.make ~speed_cap:cap ~levels ~weights ~objective:Problem.Weighted_flow
+        ~mode:(Problem.Budget budget) ~alpha ()
+    in
+    let want =
+      Printf.sprintf "solver=auto;obj=wflow;mode=budget:%s;alpha=%s;procs=1;cap=%s;levels=%s;points=0;jobs=%s;"
+        (h budget) (h alpha) (h cap)
+        (String.concat "" (List.map (fun l -> h l ^ ",") (List.sort_uniq Float.compare levels)))
+        (String.concat ""
+           (Array.to_list (Array.mapi (fun i (r, w) -> Printf.sprintf "%s:%s:%s:_," (h r) (h w) (h weights.(i))) pairs)))
+    in
+    check_string "canon matches Printf %h" want (Serve_key.canon ~solver:None ~points:0 p pairs)
+  done
+
 (* ---------------- LRU cache ---------------- *)
 
 let payload tag = [ ("status", Obs_json.String "ok"); ("tag", Obs_json.String tag) ]
@@ -348,6 +397,80 @@ let test_pareto_reply () =
     | Some samples -> check_int "curve sampled at the requested points" 5 (List.length samples)
     | None -> Alcotest.fail "curve missing from pareto reply")
   | Error m -> Alcotest.failf "pareto reply unparseable: %s" m
+
+(* a request carrying a speed cap or speed levels and no solver goes to
+   the one solver that honours the constraint; naming any other solver
+   is an invalid-input reply *)
+let test_constraint_routing () =
+  with_shards @@ fun t ->
+  let solve extra =
+    Serve_shard.handle_line t
+      (Printf.sprintf {|{"id":1,"objective":"makespan","budget":12,%s"jobs":[[0,5],[5,2],[6,1]]}|} extra)
+  in
+  let doc r = match Obs_json.of_string r with Ok d -> d | Error m -> Alcotest.failf "unparseable reply %s: %s" m r in
+  let solver r = Option.bind (Obs_json.member "solver" (doc r)) Obs_json.to_string_val in
+  let speeds r =
+    match Option.bind (Obs_json.member "schedule" (doc r)) Obs_json.to_list with
+    | Some entries ->
+      List.map (fun e -> Option.get (Option.bind (Obs_json.member "speed" e) Obs_json.to_float)) entries
+    | None -> Alcotest.failf "no schedule in %s" r
+  in
+  let capped = solve {|"speed_cap":1.5,|} in
+  Alcotest.(check (option string)) "a capped request routes to bounded-speed" (Some "bounded-speed")
+    (solver capped);
+  List.iter (fun v -> check_bool (Printf.sprintf "speed %g within the cap 1.5" v) true (v <= 1.5)) (speeds capped);
+  let levelled = solve {|"levels":[0.5,1,2],|} in
+  Alcotest.(check (option string)) "a levelled request routes to discrete-makespan"
+    (Some "discrete-makespan") (solver levelled);
+  let named = solve {|"speed_cap":1.5,"solver":"incmerge",|} in
+  Alcotest.(check (option string)) "naming a solver that ignores the cap is invalid input"
+    (Some "invalid-input") (class_of named)
+
+(* ---------------- encode once ---------------- *)
+
+(* a pool worker prints an ok payload once: status and solver stay
+   strings, every other member is Raw, and the reply and the journal
+   line copy those bytes without printing a float *)
+let test_encode_once () =
+  let sr = decode_solve (List.hd (bench_batch 1)) in
+  let r =
+    match Engine.supporting sr.Serve_protocol.problem sr.Serve_protocol.inst with
+    | s :: _ -> Engine.solve_with s sr.Serve_protocol.problem sr.Serve_protocol.inst
+    | [] -> Alcotest.fail "no solver accepts the 64-job flow request"
+  in
+  let payload = Serve_protocol.ok_payload ~points:0 r in
+  check_bool "members past status and solver are pre-encoded" true
+    (List.for_all
+       (function
+         | ("status" | "solver"), Obs_json.String _ -> true
+         | _, Obs_json.Raw _ -> true
+         | _ -> false)
+       payload);
+  let per_byte what f =
+    ignore (Sys.opaque_identity (f ()));
+    let w0 = Gc.minor_words () in
+    let s = f () in
+    let words = Gc.minor_words () -. w0 in
+    check_bool
+      (Printf.sprintf "%s: %.0f minor words for %d bytes (at most 1.5 per byte)" what words
+         (String.length s))
+      true
+      (words <= 1.5 *. float_of_int (String.length s));
+    s
+  in
+  let id = Obs_json.Int 7 in
+  let reply = per_byte "reply_string" (fun () -> Serve_protocol.reply_string ~id payload) in
+  let line =
+    per_byte "encode_line" (fun () -> Serve_journal.encode_line ~canon:sr.Serve_protocol.canon payload)
+  in
+  check_bool "the reply carries the whole schedule" true (String.length reply > 4000);
+  (* a replayed entry is a parsed tree again: it prints the same bytes *)
+  match Serve_journal.decode_line line with
+  | Some (_, restored) ->
+    check_string "a restored entry prints the cold reply" reply (Serve_protocol.reply_string ~id restored);
+    check_string "and the same journal line" line
+      (Serve_journal.encode_line ~canon:sr.Serve_protocol.canon restored)
+  | None -> Alcotest.fail "the journal line does not decode"
 
 (* ---------------- the resident pool ---------------- *)
 
@@ -1216,6 +1339,8 @@ let () =
           Alcotest.test_case "reorder-collides" `Quick test_canonical_reorder;
           Alcotest.test_case "distinguishes" `Quick test_canonical_distinguishes;
           Alcotest.test_case "deadline-excluded" `Quick test_deadline_not_in_key;
+          Alcotest.test_case "fnv-vectors" `Quick test_fnv_vectors;
+          Alcotest.test_case "hex-floats" `Quick test_canon_hex_floats;
         ] );
       ( "cache",
         [
@@ -1234,6 +1359,8 @@ let () =
           Alcotest.test_case "unknown-solver" `Quick test_unknown_solver_reply;
           Alcotest.test_case "pareto" `Quick test_pareto_reply;
           Alcotest.test_case "one-solve-path" `Quick test_one_solve_path;
+          Alcotest.test_case "constraint-routing" `Quick test_constraint_routing;
+          Alcotest.test_case "encode-once" `Quick test_encode_once;
         ] );
       ( "shard",
         [
