@@ -2,15 +2,16 @@
 
    dune exec bin/pasched.exe -- <command> [options]
 
-   Commands: solve (generic registry front end), frontier, laptop,
-   server, flow, multi, simulate, workload, deadline, maxflow, discrete,
-   precedence, thermal, fuzz.  Instances are given inline
-   ("r:w,r:w,...") or as a file of "release work" lines.
+   Commands: solve (generic registry front end); the solver
+   subcommands frontier, laptop, server, flow, multi and maxflow; the
+   standalone tools simulate, sim, workload, deadline, discrete,
+   precedence, thermal and fuzz; and the service commands serve,
+   client and soak.  Instances are given inline ("r:w,r:w,...") or as
+   a file of "release work" lines.
 
-   Solver-backed subcommands are thin lookups into the pasched.engine
-   registry: the historical commands (laptop, flow, ...) pin the solver
-   that has always answered them, while `solve` picks any registered
-   solver by name or capability. *)
+   The solver subcommands are rows of one table ([alias_rows]): each
+   pins the registry solver that has always answered it, while `solve`
+   picks any registered solver by name or capability. *)
 
 open Cmdliner
 
@@ -252,8 +253,6 @@ let alpha_conv =
 let alpha_term =
   Arg.(value & opt alpha_conv 3.0 & info [ "alpha" ] ~docv:"A" ~doc:"Power exponent: power = speed^A (must exceed 1).")
 
-let model_of_alpha a = Power_model.alpha a
-
 let energy_term =
   Arg.(value & opt float 12.0 & info [ "energy"; "e" ] ~docv:"E" ~doc:"Energy budget.")
 
@@ -270,131 +269,159 @@ let schedule_of_result (r : Solve_result.t) =
   | Some s -> s
   | None -> failwith (Printf.sprintf "solver %s returned no schedule" r.Solve_result.solver)
 
-let budget_problem ?procs ?speed_cap ?levels ?weights ~objective ~alpha energy =
-  Problem.make ?procs ?speed_cap ?levels ?weights ~objective ~mode:(Problem.Budget energy) ~alpha ()
+let budget_problem ?procs ~objective ~alpha energy =
+  Problem.make ?procs ~objective ~mode:(Problem.Budget energy) ~alpha ()
 
-(* ---------- commands ---------- *)
-
-let frontier_cmd =
-  let run obs par_jobs gp alpha inst points =
-    wrap_errors @@ fun () ->
-    apply_par_jobs par_jobs;
-    with_obs obs "frontier" @@ fun () ->
-    let r =
-      gsolve gp ~name:"frontier"
-        (Problem.make ~objective:Problem.Makespan ~mode:Problem.Pareto ~alpha ())
-        inst
-    in
-    let p = match r.Solve_result.pareto with Some p -> p | None -> assert false in
-    Printf.printf "# breakpoints: %s\n"
-      (String.concat ", " (List.map (Printf.sprintf "%g") p.Solve_result.breakpoints));
+(* the breakpoints, then the curve sampled from 3/4 of the first to
+   5/4 of the last: frontier and solve --pareto *)
+let print_pareto ~points (r : Solve_result.t) =
+  match r.Solve_result.pareto with
+  | None -> failwith (Printf.sprintf "solver %s returned no trade-off curve" r.Solve_result.solver)
+  | Some p ->
     let bps = p.Solve_result.breakpoints in
+    Printf.printf "# breakpoints: %s\n" (String.concat ", " (List.map (Printf.sprintf "%g") bps));
     let lo = match bps with b :: _ -> b *. 0.75 | [] -> 1.0 in
-    let hi = (match List.rev bps with b :: _ -> b *. 1.25 | [] -> 10.0) in
+    let hi = match List.rev bps with b :: _ -> b *. 1.25 | [] -> 10.0 in
     print_string
-      (Render.series_tsv ~header:("energy", "makespan") (p.Solve_result.sample ~lo ~hi ~n:points));
-    `Ok ()
-  in
-  let points =
-    Arg.(value & opt int 40 & info [ "points" ] ~docv:"N" ~doc:"Number of curve samples.")
-  in
-  Cmd.v
-    (Cmd.info "frontier" ~doc:"All non-dominated energy/makespan points (paper Figure 1).")
-    Term.(
-      ret
-        (const run $ obs_term
-        $ par_jobs_term [ "j"; "par-jobs" ]
-        $ guard_term $ alpha_term $ instance_term $ points))
+      (Render.series_tsv
+         ~header:("energy", Problem.objective_to_string r.Solve_result.problem.Problem.objective)
+         (p.Solve_result.sample ~lo ~hi ~n:points))
 
-let laptop_cmd =
-  let run obs gp alpha inst energy gantt =
-    wrap_errors @@ fun () ->
-    with_obs obs "laptop" @@ fun () ->
-    let r = gsolve gp ~name:"incmerge" (budget_problem ~objective:Problem.Makespan ~alpha energy) inst in
-    print_schedule (model_of_alpha alpha) ~gantt (schedule_of_result r);
-    `Ok ()
+(* an int flag below [lo] is a usage error at parse time, before the
+   command prints anything *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v >= lo -> Ok v
+    | Some v -> Error (`Msg (Printf.sprintf "must be >= %d, got %d" lo v))
+    | None -> Error (`Msg (Printf.sprintf "invalid value %S, expected an integer" s))
   in
-  Cmd.v
-    (Cmd.info "laptop" ~doc:"Minimize makespan within an energy budget (IncMerge).")
-    Term.(ret (const run $ obs_term $ guard_term $ alpha_term $ instance_term $ energy_term $ gantt_flag))
+  Arg.conv (parse, Format.pp_print_int)
 
-let server_cmd =
-  let run obs gp alpha inst makespan gantt =
-    wrap_errors @@ fun () ->
-    with_obs obs "server" @@ fun () ->
-    let r =
-      gsolve gp ~name:"server"
-        (Problem.make ~objective:Problem.Makespan ~mode:(Problem.Target makespan) ~alpha ())
-        inst
-    in
-    let e = match Solve_result.diag r "min_energy" with Some e -> e | None -> assert false in
-    Printf.printf "# minimum energy for makespan %g: %.8g\n" makespan e;
-    print_schedule (model_of_alpha alpha) ~gantt (schedule_of_result r);
-    `Ok ()
+let points_term doc = Arg.(value & opt (int_at_least 2) 40 & info [ "points" ] ~docv:"N" ~doc)
+
+(* the optimal single-processor plan that simulate and thermal replay *)
+let incmerge_plan ~alpha ~energy inst =
+  schedule_of_result
+    (gsolve guard_off ~name:"incmerge"
+       (budget_problem ~objective:Problem.Makespan ~alpha energy)
+       inst)
+
+(* ---------- the solver subcommands ---------- *)
+
+(* What a solver subcommand's flags pin: the solver that has always
+   answered the command, the problem it poses, and how the answer is
+   printed. *)
+type alias = { solver : string; problem : Problem.t; print : Solve_result.t -> unit }
+
+(* The command's historical header line ("" for none), then the
+   schedule.  Guard may answer through a fallback solver, so a header
+   reads a solver's own diagnostic only where it has a stand-in. *)
+let schedule_answer ~gantt header (r : Solve_result.t) =
+  (match header r with "" -> () | h -> print_endline h);
+  print_schedule (Problem.model r.Solve_result.problem) ~gantt (schedule_of_result r)
+
+(* One row per subcommand that is the paper's named problem: name, doc,
+   and a term over the command's own flags that yields the alias for a
+   power exponent.  [alias_cmd] adds the flags they all share. *)
+let alias_rows =
+  let procs default =
+    Arg.(value & opt int default & info [ "m"; "procs" ] ~docv:"M" ~doc:"Number of processors.")
   in
   let makespan =
     Arg.(value & opt float 8.0 & info [ "makespan"; "m" ] ~docv:"T" ~doc:"Makespan target.")
   in
-  Cmd.v
-    (Cmd.info "server" ~doc:"Minimize energy for a makespan target.")
-    Term.(ret (const run $ obs_term $ guard_term $ alpha_term $ instance_term $ makespan $ gantt_flag))
-
-let flow_cmd =
-  let run obs gp alpha inst energy gantt =
-    wrap_errors @@ fun () ->
-    with_obs obs "flow" @@ fun () ->
-    let r = gsolve gp ~name:"flow" (budget_problem ~objective:Problem.Total_flow ~alpha energy) inst in
-    let last_speed =
-      match Solve_result.diag r "last_speed" with Some s -> s | None -> assert false
-    in
-    Printf.printf "# total flow %.8g with energy %.8g (last speed %.8g)\n" r.Solve_result.value
-      r.Solve_result.energy last_speed;
-    print_schedule (model_of_alpha alpha) ~gantt (schedule_of_result r);
-    `Ok ()
+  let use_flow =
+    Arg.(value & flag & info [ "flow" ] ~doc:"Optimize total flow instead of makespan.")
   in
-  Cmd.v
-    (Cmd.info "flow" ~doc:"Minimize total flow within an energy budget (equal-work jobs).")
-    Term.(ret (const run $ obs_term $ guard_term $ alpha_term $ instance_term $ energy_term $ gantt_flag))
-
-let multi_cmd =
-  let run obs gp alpha inst energy m use_flow gantt =
-    wrap_errors @@ fun () ->
-    with_obs obs "multi" @@ fun () ->
-    let model = model_of_alpha alpha in
-    if use_flow then begin
-      let r =
-        gsolve gp ~name:"multi-flow" (budget_problem ~procs:m ~objective:Problem.Total_flow ~alpha energy) inst
-      in
-      Printf.printf "# total flow %.8g on %d processors\n" r.Solve_result.value m;
-      print_schedule model ~gantt (schedule_of_result r)
-    end
-    else begin
-      let r =
-        gsolve gp ~name:"multi-cyclic" (budget_problem ~procs:m ~objective:Problem.Makespan ~alpha energy) inst
-      in
-      Printf.printf "# makespan %.8g on %d processors\n" r.Solve_result.value m;
-      print_schedule model ~gantt (schedule_of_result r)
-    end;
-    `Ok ()
-  in
-  let m = Arg.(value & opt int 2 & info [ "m"; "procs" ] ~docv:"M" ~doc:"Number of processors.") in
-  let use_flow = Arg.(value & flag & info [ "flow" ] ~doc:"Optimize total flow instead of makespan.") in
-  Cmd.v
-    (Cmd.info "multi" ~doc:"Multiprocessor scheduling for equal-work jobs (cyclic, Theorem 10).")
+  let budget_row ~solver ~objective header =
     Term.(
-      ret
-        (const run $ obs_term $ guard_term $ alpha_term $ instance_term $ energy_term $ m $ use_flow
-        $ gantt_flag))
+      const (fun energy gantt alpha ->
+          { solver; problem = budget_problem ~objective ~alpha energy;
+            print = schedule_answer ~gantt header })
+      $ energy_term $ gantt_flag)
+  in
+  [
+    ( "frontier",
+      "All non-dominated energy/makespan points (paper Figure 1).",
+      Term.(
+        const (fun par_jobs points alpha ->
+            apply_par_jobs par_jobs;
+            { solver = "frontier";
+              problem = Problem.make ~objective:Problem.Makespan ~mode:Problem.Pareto ~alpha ();
+              print = print_pareto ~points })
+        $ par_jobs_term [ "j"; "par-jobs" ]
+        $ points_term "Number of curve samples.") );
+    ( "laptop",
+      "Minimize makespan within an energy budget (IncMerge).",
+      budget_row ~solver:"incmerge" ~objective:Problem.Makespan (fun _ -> "") );
+    ( "server",
+      "Minimize energy for a makespan target.",
+      Term.(
+        const (fun makespan gantt alpha ->
+            let mode = Problem.Target makespan in
+            { solver = "server"; problem = Problem.make ~objective:Problem.Makespan ~mode ~alpha ();
+              print =
+                schedule_answer ~gantt (fun r ->
+                    let e = Solve_result.diag r "min_energy" in
+                    Printf.sprintf "# minimum energy for makespan %g: %.8g" makespan
+                      (Option.value e ~default:r.Solve_result.energy)) })
+        $ makespan $ gantt_flag) );
+    ( "flow",
+      "Minimize total flow within an energy budget (equal-work jobs).",
+      budget_row ~solver:"flow" ~objective:Problem.Total_flow (fun r ->
+          Printf.sprintf "# total flow %.8g with energy %.8g%s" r.Solve_result.value
+            r.Solve_result.energy
+            (match Solve_result.diag r "last_speed" with
+            | Some s -> Printf.sprintf " (last speed %.8g)" s
+            | None -> "")) );
+    ( "multi",
+      "Multiprocessor scheduling for equal-work jobs (cyclic, Theorem 10).",
+      Term.(
+        const (fun energy m use_flow gantt alpha ->
+            let solver, objective, what =
+              if use_flow then ("multi-flow", Problem.Total_flow, "total flow")
+              else ("multi-cyclic", Problem.Makespan, "makespan")
+            in
+            { solver; problem = budget_problem ~procs:m ~objective ~alpha energy;
+              print =
+                schedule_answer ~gantt (fun r ->
+                    Printf.sprintf "# %s %.8g on %d processors" what r.Solve_result.value m) })
+        $ energy_term $ procs 2 $ use_flow $ gantt_flag) );
+    ( "maxflow",
+      "Minimize the worst response time within an energy budget (YDS duality).",
+      Term.(
+        const (fun energy m gantt alpha ->
+            { solver = (if m <= 1 then "max-flow" else "max-flow-cyclic");
+              problem = budget_problem ~procs:m ~objective:Problem.Max_flow ~alpha energy;
+              print =
+                schedule_answer ~gantt (fun r ->
+                    Printf.sprintf "# minimum worst-case flow: %.8g" r.Solve_result.value) })
+        $ energy_term $ procs 1 $ gantt_flag) );
+  ]
+
+(* the one run behind every row: the alias is built inside
+   [wrap_errors], so a flag the problem rejects (laptop --energy 0,
+   multi -m 0) exits 2 *)
+let alias_cmd (name, doc, flags) =
+  let run obs gp alpha inst make =
+    wrap_errors @@ fun () ->
+    let a = make alpha in
+    with_obs obs name @@ fun () ->
+    a.print (gsolve gp ~name:a.solver a.problem inst);
+    `Ok ()
+  in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(ret (const run $ obs_term $ guard_term $ alpha_term $ instance_term $ flags))
+
+(* ---------- standalone tools ---------- *)
 
 let simulate_cmd =
   let run obs alpha inst energy levels switch_time switch_energy =
     wrap_errors @@ fun () ->
     with_obs obs "simulate" @@ fun () ->
-    let model = model_of_alpha alpha in
-    let plan =
-      schedule_of_result
-        (gsolve guard_off ~name:"incmerge" (budget_problem ~objective:Problem.Makespan ~alpha energy) inst)
-    in
+    let model = Power_model.alpha alpha in
+    let plan = incmerge_plan ~alpha ~energy inst in
     let config =
       {
         Sim.levels =
@@ -496,31 +523,13 @@ let deadline_cmd =
       (Compete.oa_bound ~alpha);
     `Ok ()
   in
-  let n = Arg.(value & opt int 12 & info [ "n"; "count" ] ~docv:"N" ~doc:"Number of jobs.") in
+  let n =
+    Arg.(value & opt (int_at_least 1) 12 & info [ "n"; "count" ] ~docv:"N" ~doc:"Number of jobs.")
+  in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"PRNG seed.") in
   Cmd.v
     (Cmd.info "deadline" ~doc:"Deadline scheduling: YDS vs the online AVR / OA algorithms.")
     Term.(ret (const run $ obs_term $ alpha_term $ n $ seed))
-
-let maxflow_cmd =
-  let run obs gp alpha inst energy m gantt =
-    wrap_errors @@ fun () ->
-    with_obs obs "maxflow" @@ fun () ->
-    let solver = if m <= 1 then "max-flow" else "max-flow-cyclic" in
-    let r =
-      gsolve gp ~name:solver
-        (budget_problem ~procs:(Stdlib.max 1 m) ~objective:Problem.Max_flow ~alpha energy)
-        inst
-    in
-    Printf.printf "# minimum worst-case flow: %.8g\n" r.Solve_result.value;
-    print_schedule (model_of_alpha alpha) ~gantt (schedule_of_result r);
-    `Ok ()
-  in
-  let m = Arg.(value & opt int 1 & info [ "m"; "procs" ] ~docv:"M" ~doc:"Number of processors.") in
-  Cmd.v
-    (Cmd.info "maxflow" ~doc:"Minimize the worst response time within an energy budget (YDS duality).")
-    Term.(
-      ret (const run $ obs_term $ guard_term $ alpha_term $ instance_term $ energy_term $ m $ gantt_flag))
 
 let discrete_cmd =
   (* stays on the concrete module: the per-job two-level segment plans
@@ -529,7 +538,7 @@ let discrete_cmd =
   let run obs alpha inst energy levels =
     wrap_errors @@ fun () ->
     with_obs obs "discrete" @@ fun () ->
-    let model = model_of_alpha alpha in
+    let model = Power_model.alpha alpha in
     let levels =
       Discrete_levels.create (List.map (parse_float "level") (String.split_on_char ',' levels))
     in
@@ -573,7 +582,10 @@ let precedence_cmd =
     Printf.printf "lower bound:       %.6g\n" (Precedence.lower_bound ~alpha ~m ~energy dag);
     `Ok ()
   in
-  let m = Arg.(value & opt int 3 & info [ "m"; "procs" ] ~docv:"M" ~doc:"Number of processors.") in
+  let m =
+    Arg.(
+      value & opt (int_at_least 1) 3 & info [ "m"; "procs" ] ~docv:"M" ~doc:"Number of processors.")
+  in
   let n = Arg.(value & opt int 16 & info [ "n"; "count" ] ~docv:"N" ~doc:"Number of tasks.") in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"PRNG seed.") in
   let layers = Arg.(value & opt int 4 & info [ "layers" ] ~docv:"L" ~doc:"DAG layers.") in
@@ -586,11 +598,8 @@ let thermal_cmd =
   let run obs alpha inst energy heating cooling =
     wrap_errors @@ fun () ->
     with_obs obs "thermal" @@ fun () ->
-    let model = model_of_alpha alpha in
-    let plan =
-      schedule_of_result
-        (gsolve guard_off ~name:"incmerge" (budget_problem ~objective:Problem.Makespan ~alpha energy) inst)
-    in
+    let model = Power_model.alpha alpha in
+    let plan = incmerge_plan ~alpha ~energy inst in
     let profile = Schedule.profile_of_proc plan 0 in
     Printf.printf "# peak temperature %.6g (heating %g, cooling %g)\n"
       (Thermal.max_temperature model ~heating ~cooling profile)
@@ -649,24 +658,16 @@ let solve_cmd =
         in
         let r = gsolve gp ?name:solver problem inst in
         (match r.Solve_result.pareto with
-        | Some p ->
+        | Some _ ->
           Printf.printf "# solver %s (%s)\n" r.Solve_result.solver (Problem.to_string problem);
-          Printf.printf "# breakpoints: %s\n"
-            (String.concat ", " (List.map (Printf.sprintf "%g") p.Solve_result.breakpoints));
-          let bps = p.Solve_result.breakpoints in
-          let lo = match bps with b :: _ -> b *. 0.75 | [] -> 1.0 in
-          let hi = (match List.rev bps with b :: _ -> b *. 1.25 | [] -> 10.0) in
-          print_string
-            (Render.series_tsv
-               ~header:("energy", Problem.objective_to_string obj)
-               (p.Solve_result.sample ~lo ~hi ~n:points))
+          print_pareto ~points r
         | None ->
           Printf.printf "# %s\n" (Solve_result.summary r);
           List.iter
             (fun (k, v) -> Printf.printf "# %s = %.8g\n" k v)
             r.Solve_result.diagnostics;
           (match r.Solve_result.schedule with
-          | Some s -> print_schedule (model_of_alpha alpha) ~gantt s
+          | Some s -> print_schedule (Power_model.alpha alpha) ~gantt s
           | None -> ()));
         `Ok ()
     end
@@ -719,9 +720,6 @@ let solve_cmd =
       & opt (some string) None
       & info [ "deadlines" ] ~docv:"D1,D2,.." ~doc:"Per-job deadlines, release order (deadline).")
   in
-  let points =
-    Arg.(value & opt int 40 & info [ "points" ] ~docv:"N" ~doc:"Curve samples in --pareto mode.")
-  in
   Cmd.v
     (Cmd.info "solve"
        ~doc:"Solve any registered problem class through the pasched.engine solver registry.")
@@ -730,7 +728,9 @@ let solve_cmd =
         (const run $ obs_term
         $ par_jobs_term [ "j"; "par-jobs" ]
         $ guard_term $ list_solvers $ solver $ objective $ pareto $ target $ energy_term $ procs
-        $ alpha_term $ cap $ levels $ weights $ deadlines $ points $ gantt_flag $ instance_term))
+        $ alpha_term $ cap $ levels $ weights $ deadlines
+        $ points_term "Curve samples in --pareto mode."
+        $ gantt_flag $ instance_term))
 
 (* ---------- trace-scale streaming simulation ---------- *)
 
@@ -829,7 +829,7 @@ let sim_cmd =
         Seq.iter print_endline (Serve_client.trace_requests ~alpha ~batch (stream_of seed));
         `Ok ()
       | None ->
-        let model = model_of_alpha alpha in
+        let model = Power_model.alpha alpha in
         let policy = parse_policy policy_spec in
         let levels =
           match levels_spec with
@@ -1508,9 +1508,9 @@ let () =
   let info = Cmd.info "pasched" ~version:"1.0.0" ~doc in
   let group =
     Cmd.group info
-      [ solve_cmd; frontier_cmd; laptop_cmd; server_cmd; flow_cmd; multi_cmd; simulate_cmd;
-        sim_cmd; workload_cmd; deadline_cmd; maxflow_cmd; discrete_cmd; precedence_cmd;
-        thermal_cmd; fuzz_cmd; serve_cmd; client_cmd; soak_cmd ]
+      ((solve_cmd :: List.map alias_cmd alias_rows)
+      @ [ simulate_cmd; sim_cmd; workload_cmd; deadline_cmd; discrete_cmd; precedence_cmd;
+          thermal_cmd; fuzz_cmd; serve_cmd; client_cmd; soak_cmd ])
   in
   (* exit-code contract: 0 ok, 1 fuzz counterexample (via Stdlib.exit
      above), 2 usage / invalid input, 3 infeasible, 4 no convergence,

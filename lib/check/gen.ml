@@ -10,34 +10,20 @@ let map2 f ga gb ~size rng =
   let b = gb ~size rng in
   f a b
 
-let bind g f ~size rng =
-  let a = g ~size rng in
-  (f a) ~size rng
-
 let pair ga gb = map2 (fun a b -> (a, b)) ga gb
 
-let triple ga gb gc ~size rng =
-  let a = ga ~size rng in
-  let b = gb ~size rng in
-  let c = gc ~size rng in
-  (a, b, c)
-
 let sized body ~size rng = (body size) ~size rng
-let resize size g ~size:_ rng = g ~size rng
 
 let int_range lo hi ~size:_ rng =
   if lo > hi then invalid_arg "Gen.int_range: lo > hi";
   lo + Rng.int rng (hi - lo + 1)
 
 let float_range lo hi ~size:_ rng = lo +. Rng.float rng (hi -. lo)
-let bool ~size:_ rng = Rng.bool rng
 
 let oneof gens ~size rng =
   match gens with
   | [] -> invalid_arg "Gen.oneof: empty list"
   | _ -> (List.nth gens (Rng.int rng (List.length gens))) ~size rng
-
-let oneofl xs = oneof (List.map return xs)
 
 let frequency weighted ~size rng =
   let total = List.fold_left (fun acc (w, _) -> acc + w) 0 weighted in

@@ -15,24 +15,11 @@ val run : size:int -> seed:int -> 'a t -> 'a
 (** {2 Core combinators} *)
 
 val return : 'a -> 'a t
-val map : ('a -> 'b) -> 'a t -> 'b t
-val map2 : ('a -> 'b -> 'c) -> 'a t -> 'b t -> 'c t
-val bind : 'a t -> ('a -> 'b t) -> 'b t
-val pair : 'a t -> 'b t -> ('a * 'b) t
-val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
-
-val sized : (int -> 'a t) -> 'a t
-(** Give the size parameter to the body. *)
-
-val resize : int -> 'a t -> 'a t
 
 val int_range : int -> int -> int t
 (** Inclusive bounds. @raise Invalid_argument when [lo > hi]. *)
 
-val float_range : float -> float -> float t
-val bool : bool t
 val oneof : 'a t list -> 'a t
-val oneofl : 'a list -> 'a t
 val frequency : (int * 'a t) list -> 'a t
 val list_n : int t -> 'a t -> 'a list t
 (** Length drawn first, then that many elements. *)
@@ -43,23 +30,10 @@ val list_n : int t -> 'a t -> 'a list t
     space of the library, with parameters scaled so that solvers stay
     in numerically honest regimes ([alpha > 1], positive budgets). *)
 
-val arrival : Workload.arrival t
-(** All five arrival patterns, with randomized parameters. *)
-
-val power_exponent : float t
-(** [alpha] in [[1.5, 4]]; the literature's 2 and 3 drawn often. *)
-
-val procs : int t
-(** 1–4 processors. *)
-
-val n_jobs : int t
-(** Size-driven: from 1 up to about the size parameter. *)
-
-val instance : Instance.t t
-(** Random arrival pattern × work distribution (equal, uniform,
-    heavy-tailed, integer partition-style). *)
-
 val case : Oracle.case t
-(** A full test case: instance plus [alpha], an energy budget scaled to
-    the instance's total work, a processor count, and a sub-seed for
+(** A full test case: an instance (one of the five arrival patterns with
+    randomized parameters, equal, uniform, heavy-tailed or
+    partition-style works, 1 to about [size] jobs), [alpha] in [[1.5, 4]]
+    with the literature's 2 and 3 drawn often, an energy budget scaled
+    to the instance's total work, 1–4 processors, and a sub-seed for
     auxiliary randomness. *)

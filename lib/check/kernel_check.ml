@@ -93,8 +93,6 @@ let props =
       flow_legacy_close );
   ]
 
-let names () = List.map (fun (n, _, _) -> n) props
-
 let registered = ref false
 
 let register () =

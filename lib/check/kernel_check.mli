@@ -8,9 +8,6 @@
     while fault injection is armed — the references are uninstrumented,
     so under chaos the comparison would report injected noise. *)
 
-val names : unit -> string list
-(** Property names, in registration order. *)
-
 val register : unit -> unit
 (** Register the properties with {!Oracle}.  Idempotent.  Called from
     the CLI after the core and serve property sets, so existing fuzz

@@ -21,6 +21,5 @@
     [registered] forces that initialization for linkers that would
     otherwise drop an unreferenced module. *)
 
-val all : Oracle.property list
 val registered : unit -> Oracle.property list
 (** Same as {!Oracle.registered}, after forcing registration. *)

@@ -13,6 +13,7 @@ let drop_nth i xs = List.filteri (fun k _ -> k <> i) xs
 
 let map_nth i f xs = List.mapi (fun k x -> if k = i then f x else x) xs
 
+(* every one-step simplification of a case, most aggressive first *)
 let candidates c =
   let pairs = pairs_of c in
   let n = List.length pairs in

@@ -13,9 +13,6 @@
 
 type stats = { steps : int;  (** accepted shrinking steps *) evals : int  (** property evaluations *) }
 
-val candidates : Oracle.case -> Oracle.case list
-(** All one-step simplifications of a case, most aggressive first. *)
-
 val minimize :
   ?max_evals:int -> prop:(Oracle.case -> Oracle.outcome) -> Oracle.case -> Oracle.case * stats
 (** Smallest failing case reachable by greedy descent from a failing

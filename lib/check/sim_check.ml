@@ -148,8 +148,6 @@ let props =
     };
   ]
 
-let names () = List.map (fun p -> p.Oracle.name) props
-
 let registered = ref false
 
 let register () =

@@ -11,9 +11,6 @@
     - [sim:stream-replay] — a {!Workload.Stream} pulled job-by-job
       equals its own materialization for the same seed. *)
 
-val names : unit -> string list
-(** Property names, in registration order. *)
-
 val register : unit -> unit
 (** Register the properties with {!Oracle}.  Idempotent.  Called from
     the CLI after the kernel property set, so existing fuzz campaign

@@ -32,9 +32,6 @@ let jobs_feasible inst b =
   in
   Float.is_finite b.speed && b.speed > 0.0 && go b.first b.start
 
-let pp fmt b =
-  Format.fprintf fmt "block[%d..%d] w=%g start=%g speed=%g" b.first b.last b.work b.start b.speed
-
 (* Struct-of-arrays block storage for the unboxed kernel hot paths.
    [floatarray] fields are guaranteed flat float64 storage on every
    compiler configuration; int fields are plain immediate arrays.  The

@@ -24,7 +24,6 @@ val window_speed : work:float -> start:float -> next_release:float -> float
 val energy : Power_model.t -> t -> float
 (** Energy the block consumes ([infinity] for infinite speed). *)
 
-val duration : t -> float
 val finish : t -> float
 
 val entries : Instance.t -> int -> t -> Schedule.entry list
@@ -34,8 +33,6 @@ val entries : Instance.t -> int -> t -> Schedule.entry list
 val jobs_feasible : Instance.t -> t -> bool
 (** Every job in the block starts at or after its release when the jobs
     run consecutively at the block speed. *)
-
-val pp : Format.formatter -> t -> unit
 
 (** Struct-of-arrays block storage — the unboxed working set of the
     kernel hot paths ({!Incmerge}, {!Frontier}, {!Flow_frontier}).

@@ -15,7 +15,3 @@ val makespan : Power_model.t -> energy:float -> Instance.t -> float
     the budget is non-positive on a non-empty instance. *)
 
 val solve : Power_model.t -> energy:float -> Instance.t -> Schedule.t
-
-val all_feasible_partitions : Power_model.t -> energy:float -> Instance.t -> (Block.t list * float) list
-(** Every feasible block partition with its makespan, for tests that
-    want the full search space. *)

@@ -4,6 +4,8 @@ let block_feasible inst ~first ~last ~speed =
   Block.jobs_feasible inst
     { Block.first; last; work = 0.0 (* unused *); start = (Instance.job inst first).Job.release; speed }
 
+(* j -> the minimum energy that schedules jobs 0..j in pinned blocks
+   completing exactly at r_(j+1) (infinity when impossible) *)
 let min_prefix_energy model inst =
   let n = Instance.n inst in
   let release i = (Instance.job inst i).Job.release in

@@ -14,9 +14,3 @@ val solve : Power_model.t -> energy:float -> Instance.t -> Schedule.t
 (** @raise Invalid_argument when [energy <= 0] on a non-empty instance. *)
 
 val makespan : Power_model.t -> energy:float -> Instance.t -> float
-
-val min_prefix_energy : Power_model.t -> Instance.t -> float array
-(** [min_prefix_energy m inst] maps [j] to the minimum energy that
-    schedules jobs [0..j] in pinned blocks completing exactly at
-    [r_(j+1)] ([infinity] when impossible); used by the DP and exposed
-    for testing. *)

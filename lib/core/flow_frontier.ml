@@ -26,8 +26,6 @@ let sweep ?jobs ~alpha inst ~s_lo ~s_hi ~n =
          Obs.incr c_points;
          { last_speed = s; energy = sol.Flow.energy; flow = sol.Flow.flow }))
 
-let flow_at ~alpha ~energy inst = (Flow.solve_budget ~alpha ~energy inst).Flow.flow
-
 (* Fixed chunk width for [curve], deliberately independent of [jobs]:
    each chunk starts cold and warm-starts point-to-point inside, so the
    sequence of brackets (hence every float) is the same whether one

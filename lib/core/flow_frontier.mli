@@ -31,5 +31,3 @@ val curve :
     speed, which cuts the Brent iteration count well below the cold
     per-point bracket search (use {!sweep} when the parametrization is
     acceptable — it needs no root finding at all). *)
-
-val flow_at : alpha:float -> energy:float -> Instance.t -> float

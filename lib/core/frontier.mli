@@ -29,19 +29,9 @@ val build : Power_model.t -> Instance.t -> t
     configuration shares one window-block array, and prefix work/energy
     sums ({!Incmerge.prefix_sums}) price each split in O(1). *)
 
-val segments : t -> segment list
-(** In decreasing energy order. *)
-
-val prefix : t -> segment -> Block.t list
-(** The segment's settled blocks (speeds fixed), earliest first. *)
-
 val breakpoints : t -> float list
 (** Budgets at which the optimal configuration changes, increasing
     (for the paper's Figure-1 instance: [8; 17]). *)
-
-val segment_at : t -> float -> segment
-(** Binary search over the (energy-sorted) segments: O(log n) per query.
-    @raise Invalid_argument when [energy <= 0] or the instance is empty. *)
 
 val makespan_at : t -> float -> float
 (** The minimum makespan achievable with the given budget: the

@@ -21,10 +21,6 @@ let of_subs ~alpha subs s =
   let energy = Array.fold_left (fun acc p -> acc +. p.Flow.energy) 0.0 per_proc in
   { last_speed = s; per_proc; flow; energy }
 
-let solve_for_last_speed ~alpha ~m inst s =
-  check_equal_work inst;
-  of_subs ~alpha (Multi.cyclic_assignment ~m inst) s
-
 let solve_budget_subs ?(eps = 1e-12) ~alpha ~energy subs =
   let g s = (of_subs ~alpha subs s).energy -. energy in
   let lo = ref 1e-6 in

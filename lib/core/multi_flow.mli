@@ -14,9 +14,6 @@ type solution = {
   energy : float;
 }
 
-val solve_for_last_speed : alpha:float -> m:int -> Instance.t -> float -> solution
-(** @raise Invalid_argument unless the jobs have equal work. *)
-
 val solve_budget : ?eps:float -> alpha:float -> m:int -> energy:float -> Instance.t -> solution
 
 val schedule : m:int -> Instance.t -> solution -> Schedule.t

@@ -66,6 +66,8 @@ let local_search_pass model ~m ~energy inst assignment =
   done;
   assignment
 
+(* processor index per job, release order: the greedy start, then
+   move/swap improvement unless [local_search] is off *)
 let assign model ~m ~energy ?(local_search = true) inst =
   if m <= 0 then invalid_arg "Multi_general.assign: m <= 0";
   let a = greedy_start ~m inst in

@@ -9,10 +9,6 @@
     objective.  For equal-work inputs the greedy start {e is} the cyclic
     distribution, so the result specializes to the optimal one. *)
 
-val assign : Power_model.t -> m:int -> energy:float -> ?local_search:bool -> Instance.t -> int array
-(** Processor index per job (in release order).  [local_search] (default
-    true) runs move/swap improvement on the greedy start. *)
-
 val solve : Power_model.t -> m:int -> energy:float -> ?local_search:bool -> Instance.t -> Schedule.t
 
 val makespan : Power_model.t -> m:int -> energy:float -> ?local_search:bool -> Instance.t -> float

@@ -18,6 +18,9 @@ let downstream_durations dag durations =
     (List.rev (Dag.topological_order dag));
   lp
 
+(* Graham list scheduling in topological priority order: when a
+   processor frees up, start the ready task with the heaviest remaining
+   critical path, at its prescribed speed *)
 let list_schedule dag ~m ~speeds =
   if m <= 0 then invalid_arg "Precedence.list_schedule: m <= 0";
   let n = Dag.n dag in

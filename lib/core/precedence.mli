@@ -22,12 +22,6 @@ type t = {
   energy : float;
 }
 
-val list_schedule : Dag.t -> m:int -> speeds:float array -> t
-(** Graham list scheduling in topological priority order: when a
-    processor frees up, start the ready task with the heaviest remaining
-    critical path; each task runs at its prescribed speed.
-    @raise Invalid_argument on non-positive speeds or [m <= 0]. *)
-
 val uniform : alpha:float -> m:int -> energy:float -> Dag.t -> t
 (** Every task at the single speed that exhausts the budget
     ([σ = (E/W)^(1/(α−1))]); the list-scheduled makespan follows. *)

@@ -11,4 +11,3 @@ let make ~id ~release ~deadline ~work =
 
 let of_triples l = List.mapi (fun id (release, deadline, work) -> make ~id ~release ~deadline ~work) l
 let density j = j.work /. (j.deadline -. j.release)
-let pp fmt j = Format.fprintf fmt "J%d[%g,%g] w=%g" j.id j.release j.deadline j.work

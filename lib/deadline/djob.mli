@@ -15,5 +15,3 @@ val of_triples : (float * float * float) list -> t list
 val density : t -> float
 (** [work / (deadline − release)] — the minimum average speed the job
     needs on its own. *)
-
-val pp : Format.formatter -> t -> unit

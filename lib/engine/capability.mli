@@ -36,23 +36,14 @@ type t = {
   requires : requirement list;
 }
 
-val mode_kind : Problem.mode -> mode_kind
-
-val admits : t -> Problem.t -> (unit, string) result
-(** Problem-level match: objective, processor count, mode, and the
-    presence of any required problem parameters.  A problem carrying a
-    [speed_cap] is admitted only by solvers that require
-    {!Needs_speed_cap}, and one carrying [levels] only by solvers that
-    require {!Needs_levels}: any other solver would ignore the
-    constraint. *)
-
 val accepts : t -> Problem.t -> Instance.t -> (unit, string) result
-(** {!admits} plus the instance-side requirements (equal work, common
-    release, size bound, parameter arrays sized to the instance). *)
-
-val mode_kind_to_string : mode_kind -> string
-val setting_to_string : setting_support -> string
-val requirement_to_string : requirement -> string
+(** Problem-level match (objective, processor count, mode, and the
+    presence of any required problem parameters) plus the instance-side
+    requirements (equal work, common release, size bound, parameter
+    arrays sized to the instance).  A problem carrying a [speed_cap] is
+    accepted only by solvers that require {!Needs_speed_cap}, and one
+    carrying [levels] only by solvers that require {!Needs_levels}: any
+    other solver would ignore the constraint. *)
 
 val to_string : t -> string
 (** Compact one-line rendering used by [pasched solve --list-solvers]. *)

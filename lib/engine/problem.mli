@@ -61,7 +61,6 @@ val make :
 val objective_to_string : objective -> string
 val objective_of_string : string -> objective option
 val all_objectives : objective list
-val mode_to_string : mode -> string
 val to_string : t -> string
 (** One-line description, e.g. ["makespan/2-procs/budget 12"]. *)
 

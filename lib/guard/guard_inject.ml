@@ -18,7 +18,6 @@ let kind_of_string = function
 
 let default_prob = 0.1
 let all_kinds = [ Nan; Nonconv; Delay; Raise ]
-let all_spec = List.map (fun kind -> { kind; site = None; prob = default_prob }) all_kinds
 
 let parse_clause s =
   let body, prob =
@@ -137,6 +136,5 @@ let hooks plan =
         if corrupted then Float.nan else v);
   }
 
-let with_plan plan f = Fault.with_hooks (hooks plan) f
 let install plan = Fault.install (hooks plan)
 let fired plan = List.rev (Atomic.get plan.log)

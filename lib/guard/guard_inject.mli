@@ -32,9 +32,6 @@ type spec = clause list
 val parse : string -> (spec, string) result
 (** Parse the grammar above; [Error] carries a one-line reason. *)
 
-val all_spec : spec
-(** What ["all"] parses to: every kind, any site, default probability. *)
-
 type plan
 
 val make : ?max_fires:int -> seed:int -> spec -> plan
@@ -44,9 +41,6 @@ val make : ?max_fires:int -> seed:int -> spec -> plan
 val hooks : plan -> Fault.hooks
 (** The [Fault] hooks implementing the plan (transparent [tol_scale]
     and [iter_cap]; {!Guard} overlays its own). *)
-
-val with_plan : plan -> (unit -> 'a) -> 'a
-(** Run a thunk with the plan armed on the current domain. *)
 
 val install : plan -> unit
 (** Arm campaign-wide on the current domain (see [Fault.install]). *)

@@ -65,8 +65,6 @@ let work t i = t.works.(i)
 let total_work t = Array.fold_left ( +. ) 0.0 t.works
 let preds t i = t.preds.(i)
 let succs t i = t.succs.(i)
-let edges t =
-  List.concat (List.init (n t) (fun u -> List.map (fun v -> (u, v)) t.succs.(u)))
 
 let topological_order t = t.topo
 

@@ -49,9 +49,6 @@ val preds : t -> int -> int list
 val succs : t -> int -> int list
 (** Direct successors of a task. *)
 
-val edges : t -> (int * int) list
-(** All edges, as given to {!create} (deduplicated). *)
-
 val topological_order : t -> int list
 (** A topological order (stable: by index among ready tasks).  Every
     task appears exactly once, after all its {!preds}. *)

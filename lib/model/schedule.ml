@@ -32,12 +32,3 @@ let profile_of_proc t p =
 
 let energy m t =
   List.fold_left (fun acc e -> acc +. Power_model.energy_run m ~work:e.job.Job.work ~speed:e.speed) 0.0 t
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  List.iter
-    (fun e ->
-      Format.fprintf fmt "p%d: %a start=%g speed=%g done=%g@," e.proc Job.pp e.job e.start e.speed
-        (completion e))
-    t;
-  Format.fprintf fmt "@]"

@@ -45,9 +45,6 @@ val n_jobs : t -> int
 val n_procs : t -> int
 (** 1 + the largest processor index used (0 for an empty schedule). *)
 
-val duration : entry -> float
-(** [duration e] is [e.job.work /. e.speed]. *)
-
 val completion : entry -> float
 (** [completion e] is [e.start +. duration e]. *)
 
@@ -59,7 +56,3 @@ val profile_of_proc : t -> int -> Speed_profile.t
 val energy : Power_model.t -> t -> float
 (** Total energy: sum over entries of the single-speed run energy
     under the given power model. *)
-
-val pp : Format.formatter -> t -> unit
-(** One line per entry grouped by processor: job, start, speed,
-    completion. *)

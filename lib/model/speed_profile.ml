@@ -1,8 +1,6 @@
 type segment = { t0 : float; t1 : float; speed : float }
 type t = segment list (* sorted by t0, non-overlapping *)
 
-let empty = []
-
 let check_segment { t0; t1; speed } =
   if not (Float.is_finite t0 && Float.is_finite t1 && Float.is_finite speed) then
     invalid_arg "Speed_profile: non-finite segment";
@@ -57,12 +55,3 @@ let append t seg =
   | Some (_, e) ->
     if seg.t0 < e -. 1e-12 then invalid_arg "Speed_profile.append: segment starts before current end"
     else t @ [ seg ]
-
-let pp fmt t =
-  Format.fprintf fmt "@[<hov 2>profile{";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Format.fprintf fmt ";@ ";
-      Format.fprintf fmt "[%g,%g]@%g" s.t0 s.t1 s.speed)
-    t;
-  Format.fprintf fmt "}@]"

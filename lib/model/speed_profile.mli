@@ -18,10 +18,6 @@ type t
 (** Invariant: segments sorted by start time and pairwise
     non-overlapping.  Gaps are implicit idle time (speed 0). *)
 
-val empty : t
-(** The profile with no segments: speed 0 everywhere, zero work and
-    energy. *)
-
 val of_segments : segment list -> t
 (** [of_segments segs] sorts by start time and validates.
     @raise Invalid_argument when segments have [t1 < t0], negative
@@ -57,6 +53,3 @@ val append : t -> segment -> t
     time order.
     @raise Invalid_argument when [seg] starts before the current
     end or violates the {!segment} invariants. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints segments as [[t0, t1)@speed], space-separated. *)

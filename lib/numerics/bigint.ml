@@ -12,7 +12,6 @@ type t = { sign : int; mag : int array }
 
 let zero = { sign = 0; mag = [||] }
 let one = { sign = 1; mag = [| 1 |] }
-let minus_one = { sign = -1; mag = [| 1 |] }
 
 (* ---------- magnitude helpers ---------- *)
 
@@ -213,7 +212,6 @@ let divmod_mag u v =
 let sign x = x.sign
 let is_zero x = x.sign = 0
 let is_one x = x.sign = 1 && Array.length x.mag = 1 && x.mag.(0) = 1
-let is_even x = x.sign = 0 || x.mag.(0) land 1 = 0
 let neg x = if x.sign = 0 then x else { x with sign = -x.sign }
 let abs x = if x.sign < 0 then neg x else x
 
@@ -278,7 +276,6 @@ let rec gcd a b =
   let a = abs a and b = abs b in
   if is_zero b then a else gcd b (rem a b)
 
-let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
 let succ x = add x one
 let pred x = sub x one
@@ -361,9 +358,6 @@ let of_string s =
     acc := add (mul !acc mult) (of_int !chunk)
   end;
   if sgn < 0 then neg !acc else !acc
-
-let hash x = Array.fold_left (fun h limb -> (h * 31) + limb) x.sign x.mag
-let pp fmt x = Format.pp_print_string fmt (to_string x)
 
 module Infix = struct
   let ( + ) = add

@@ -13,12 +13,8 @@ type t
 
 val zero : t
 val one : t
-val minus_one : t
 
 val of_int : int -> t
-
-val to_int_opt : t -> int option
-(** [to_int_opt x] is [Some i] when [x] fits in a native [int]. *)
 
 val to_int_exn : t -> int
 (** @raise Failure when the value does not fit in a native [int]. *)
@@ -51,7 +47,6 @@ val divmod : t -> t -> t * t
     @raise Division_by_zero when [b] is zero. *)
 
 val div : t -> t -> t
-val rem : t -> t -> t
 
 val pow : t -> int -> t
 (** [pow x k] for [k >= 0].  @raise Invalid_argument on negative [k]. *)
@@ -69,19 +64,13 @@ val gcd : t -> t -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 
-val min : t -> t -> t
 val max : t -> t -> t
 
 val is_zero : t -> bool
 val is_one : t -> bool
-val is_even : t -> bool
 
 val succ : t -> t
 val pred : t -> t
-
-val hash : t -> int
-
-val pp : Format.formatter -> t -> unit
 
 (** Infix aliases, intended for local [open Bigint.Infix]. *)
 module Infix : sig

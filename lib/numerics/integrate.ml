@@ -1,12 +1,3 @@
-let trapezoid ~f ~lo ~hi ~n =
-  if n < 1 then invalid_arg "Integrate.trapezoid: n < 1";
-  let h = (hi -. lo) /. float_of_int n in
-  let acc = ref (0.5 *. (f lo +. f hi)) in
-  for i = 1 to n - 1 do
-    acc := !acc +. f (lo +. (float_of_int i *. h))
-  done;
-  !acc *. h
-
 let simpson ~f ~lo ~hi ~n =
   if n < 1 then invalid_arg "Integrate.simpson: n < 1";
   let n = if n land 1 = 1 then n + 1 else n in

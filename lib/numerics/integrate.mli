@@ -4,9 +4,6 @@
     simulator and the convex-power validators use these routines to
     cross-check the closed-form energy accounting. *)
 
-val trapezoid : f:(float -> float) -> lo:float -> hi:float -> n:int -> float
-(** Composite trapezoid rule with [n >= 1] panels. *)
-
 val simpson : f:(float -> float) -> lo:float -> hi:float -> n:int -> float
 (** Composite Simpson rule; [n] is rounded up to the next even count. *)
 

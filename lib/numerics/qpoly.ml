@@ -99,9 +99,6 @@ let compose p q =
   done;
   !acc
 
-let scale_arg c p = normalize (Array.mapi (fun i ci -> Rat.mul ci (Rat.pow c i)) p)
-let shift_arg c p = compose p (of_list [ c; Rat.one ])
-
 let to_string ?(var = "x") p =
   if is_zero p then "0"
   else begin
@@ -127,5 +124,3 @@ let to_string ?(var = "x") p =
     done;
     Buffer.contents buf
   end
-
-let pp fmt p = Format.pp_print_string fmt (to_string p)

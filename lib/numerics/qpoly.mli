@@ -24,9 +24,6 @@ val of_int_list : int list -> t
 val coeffs : t -> Rat.t list
 (** Little-endian, no leading zeros; [[]] for the zero polynomial. *)
 
-val coeff : t -> int -> Rat.t
-(** Coefficient of [x^i] (zero beyond the degree). *)
-
 val degree : t -> int
 (** [-1] for the zero polynomial. *)
 
@@ -60,15 +57,7 @@ val gcd : t -> t -> t
 val squarefree : t -> t
 (** [p / gcd (p, p')]: same roots, all simple. *)
 
-val monic : t -> t
 val compose : t -> t -> t
 (** [compose p q] is [p(q(x))]. *)
 
-val scale_arg : Rat.t -> t -> t
-(** [scale_arg c p] is [p(c*x)]. *)
-
-val shift_arg : Rat.t -> t -> t
-(** [shift_arg c p] is [p(x + c)]. *)
-
 val to_string : ?var:string -> t -> string
-val pp : Format.formatter -> t -> unit

@@ -16,7 +16,6 @@ let of_int i = of_bigint (Bigint.of_int i)
 let of_ints a b = normalize (Bigint.of_int a) (Bigint.of_int b)
 let zero = of_int 0
 let one = of_int 1
-let minus_one = of_int (-1)
 let num x = x.num
 let den x = x.den
 let sign x = Bigint.sign x.num
@@ -50,7 +49,6 @@ let compare a b = Bigint.compare (Bigint.mul a.num b.den) (Bigint.mul b.num a.de
 let equal a b = compare a b = 0
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
-let mediant a b = normalize (Bigint.add a.num b.num) (Bigint.add a.den b.den)
 (* Small operands keep the plain quotient of the two conversions, so no
    value computed from them moves.  Larger ones would overflow to
    inf/inf or underflow through an infinite denominator: take the
@@ -114,8 +112,6 @@ let of_string s =
         if neg_input then Bigint.neg v else v
       in
       make combined scale)
-
-let pp fmt x = Format.pp_print_string fmt (to_string x)
 
 module Infix = struct
   let ( + ) = add

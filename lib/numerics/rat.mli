@@ -9,13 +9,11 @@ type t
 
 val zero : t
 val one : t
-val minus_one : t
 
 val make : Bigint.t -> Bigint.t -> t
 (** [make num den] is [num/den] normalized.
     @raise Division_by_zero when [den] is zero. *)
 
-val of_bigint : Bigint.t -> t
 val of_int : int -> t
 
 val of_ints : int -> int -> t
@@ -52,11 +50,6 @@ val equal : t -> t -> bool
 val min : t -> t -> t
 val max : t -> t -> t
 val is_zero : t -> bool
-
-val mediant : t -> t -> t
-(** [(a+c)/(b+d)] for [a/b] and [c/d]; lies strictly between them. *)
-
-val pp : Format.formatter -> t -> unit
 
 module Infix : sig
   val ( + ) : t -> t -> t

@@ -49,5 +49,3 @@ let int t bound =
 let float t bound =
   let u = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) *. 0x1.0p-53 in
   u *. bound
-
-let bool t = Int64.logand (bits64 t) 1L = 1L

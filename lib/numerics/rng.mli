@@ -32,5 +32,3 @@ val int : t -> int -> int
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [[0, bound)] (53-bit resolution). *)
-
-val bool : t -> bool

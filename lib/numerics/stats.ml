@@ -12,8 +12,6 @@ let variance xs =
     Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs /. float_of_int (n - 1)
   end
 
-let stddev xs = Float.sqrt (variance xs)
-
 let sorted_copy xs =
   let ys = Array.copy xs in
   Array.sort compare ys;

@@ -6,8 +6,6 @@ val mean : float array -> float
 val variance : float array -> float
 (** Unbiased sample variance; zero for arrays of length < 2. *)
 
-val stddev : float array -> float
-
 val median : float array -> float
 (** @raise Invalid_argument on an empty array. *)
 

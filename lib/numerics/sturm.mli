@@ -21,9 +21,6 @@ val chain : Qpoly.t -> chain
     is divided out and the chain rebuilt once.
     @raise Invalid_argument on the zero polynomial. *)
 
-val variations_at_neg_inf : chain -> int
-val variations_at_pos_inf : chain -> int
-
 val count_roots : chain -> lo:Rat.t -> hi:Rat.t -> int
 (** Number of distinct real roots in the half-open interval [(lo, hi]].
     @raise Invalid_argument when [lo > hi]. *)

@@ -43,14 +43,6 @@ let observe h v = if !on && main_domain () then Obs_metrics.observe h v
 let span ?args name f =
   if !on && main_domain () then Obs_trace.with_span ?args name f else f ()
 
-let time h f =
-  if !on && main_domain () then begin
-    let sw = Obs_clock.start () in
-    let finally () = Obs_metrics.observe h (Obs_clock.elapsed_s sw) in
-    Fun.protect ~finally f
-  end
-  else f ()
-
 let snapshot = Obs_metrics.snapshot
 let trace_events = Obs_trace.events
 

@@ -33,8 +33,8 @@
 
     Counter and gauge updates are atomic (see {!Obs_metrics}) and
     record correctly from [Par] pool workers.  Trace spans and
-    histograms use unsynchronized shared state, so {!span}, {!time}
-    and {!observe} become no-ops on worker domains (they still run
+    histograms use unsynchronized shared state, so {!span} and
+    {!observe} become no-ops on worker domains (they still run
     [f], of course) — the recorded trace reflects the main domain
     only, while counters aggregate across all domains.
 
@@ -82,11 +82,6 @@ val span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** [span name f] runs [f ()] inside a trace span named [name] (see
     {!Obs_trace.with_span}); when disabled, or on a [Par] worker
     domain, it is exactly [f ()]. *)
-
-val time : histogram -> (unit -> 'a) -> 'a
-(** [time h f] runs [f ()] and observes its duration in seconds into
-    [h] — when enabled and on the main domain; otherwise exactly
-    [f ()]. *)
 
 val snapshot : unit -> Obs_metrics.snapshot
 (** [snapshot ()] is {!Obs_metrics.snapshot} (always available, even

@@ -33,15 +33,9 @@ val measure : name:string -> (unit -> unit) -> result
     after, so concurrent updates from outside [f] would be attributed
     to it — run sections one at a time. *)
 
-val result_to_json : result -> Obs_json.t
-(** [result_to_json r] is one element of the [results] list above. *)
-
-val to_json : commit:string -> date:string -> result list -> Obs_json.t
-(** [to_json ~commit ~date results] assembles the full artifact.
-    @param commit the git revision being measured (or ["unknown"])
-    @param date an ISO-8601 UTC timestamp *)
-
 val write_file : path:string -> commit:string -> date:string -> result list -> unit
 (** [write_file ~path ~commit ~date results] writes the artifact as
     pretty-printed JSON, with a trailing newline, creating or
-    truncating [path]. *)
+    truncating [path].
+    @param commit the git revision being measured (or ["unknown"])
+    @param date an ISO-8601 UTC timestamp *)

@@ -14,13 +14,6 @@ val now_ns : unit -> int64
 (** [now_ns ()] is the current monotonic time in nanoseconds since an
     unspecified epoch.  Non-decreasing across calls within a process. *)
 
-val now_us : unit -> float
-(** [now_us ()] is {!now_ns} converted to microseconds as a float (the
-    unit Chrome's [trace_event] format expects in its [ts] field). *)
-
-val ns_to_s : int64 -> float
-(** [ns_to_s ns] converts a nanosecond count to seconds. *)
-
 val ns_to_us : int64 -> float
 (** [ns_to_us ns] converts a nanosecond count to microseconds. *)
 
@@ -30,13 +23,7 @@ type stopwatch
 val start : unit -> stopwatch
 (** [start ()] begins timing now. *)
 
-val elapsed_ns : stopwatch -> int64
-(** [elapsed_ns sw] is the nanoseconds elapsed since [start] created
-    [sw].  Always [>= 0L]; calling it does not stop the stopwatch, so
-    repeated reads give increasing values. *)
-
-val elapsed_us : stopwatch -> float
-(** [elapsed_us sw] is {!elapsed_ns} in microseconds. *)
-
 val elapsed_s : stopwatch -> float
-(** [elapsed_s sw] is {!elapsed_ns} in seconds. *)
+(** [elapsed_s sw] is the seconds elapsed since [start] created [sw].
+    Always [>= 0.]; calling it does not stop the stopwatch, so repeated
+    reads give increasing values. *)

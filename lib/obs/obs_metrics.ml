@@ -49,7 +49,6 @@ let counter name =
 let incr c = Atomic.incr c.c_count
 let add c k = ignore (Atomic.fetch_and_add c.c_count k)
 let value c = Atomic.get c.c_count
-let counter_name c = c.c_name
 
 let gauge name =
   match Hashtbl.find_opt gauges name with
@@ -64,7 +63,6 @@ let set g v =
   Atomic.set g.g_touched true
 
 let gauge_value g = Atomic.get g.g_value
-let gauge_name g = g.g_name
 
 let histogram name =
   match Hashtbl.find_opt histograms name with
@@ -80,8 +78,6 @@ let observe h v =
   h.sumsq <- h.sumsq +. (v *. v);
   if v < h.lo then h.lo <- v;
   if v > h.hi then h.hi <- v
-
-let histogram_name h = h.h_name
 
 let stats h =
   if h.n = 0 then { count = 0; total = 0.0; mean = 0.0; stddev = 0.0; min_v = 0.0; max_v = 0.0 }

@@ -71,8 +71,6 @@ val add : counter -> int -> unit
 val value : counter -> int
 (** [value c] reads the current count. *)
 
-val counter_name : counter -> string
-
 val gauge : string -> gauge
 (** [gauge name] interns the gauge registered under [name]. *)
 
@@ -80,15 +78,12 @@ val set : gauge -> float -> unit
 (** [set g v] records [v] as the gauge's current value. *)
 
 val gauge_value : gauge -> float
-val gauge_name : gauge -> string
 
 val histogram : string -> histogram
 (** [histogram name] interns the histogram registered under [name]. *)
 
 val observe : histogram -> float -> unit
 (** [observe h v] folds [v] into the running summary. *)
-
-val histogram_name : histogram -> string
 
 val stats : histogram -> histogram_stats
 (** [stats h] is the current summary of [h]. *)

@@ -1,13 +1,8 @@
 (** Human-readable rendering of an observability snapshot.
 
     Counterpart to the machine-readable exports ({!Obs_trace.to_json},
-    {!Obs_bench.to_json}): a fixed-width text report meant for a
+    {!Obs_bench.write_file}): a fixed-width text report meant for a
     terminal, printed by [pasched --metrics]. *)
-
-val span_aggregate : Obs_trace.event list -> (string * (int * float * float)) list
-(** [span_aggregate events] groups events by span name into
-    [(name, (calls, total_us, max_us))], sorted by total duration,
-    descending.  The per-call mean is [total_us /. calls]. *)
 
 val render : Obs_metrics.snapshot -> Obs_trace.event list -> string
 (** [render snapshot events] formats the nonzero counters, the touched

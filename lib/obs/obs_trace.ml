@@ -53,7 +53,7 @@ let enter ?(args = []) name =
   incr depth_now;
   s
 
-let exit ?(args = []) s =
+let exit s =
   let t1 = Obs_clock.now_ns () in
   depth_now := Stdlib.max 0 (!depth_now - 1);
   push
@@ -62,7 +62,7 @@ let exit ?(args = []) s =
       ts_us = Obs_clock.ns_to_us (Int64.sub s.t0 !epoch);
       dur_us = Obs_clock.ns_to_us (Int64.sub t1 s.t0);
       depth = s.s_depth;
-      args = s.s_args @ args;
+      args = s.s_args;
     }
 
 let with_span ?args name f =

@@ -16,7 +16,7 @@
     recorded, so a runaway loop cannot exhaust memory.
 
     Timestamps come from {!Obs_clock} and are rebased to the first
-    [enter] after a {!clear}, so traces start near [ts = 0]. *)
+    span opened after a {!clear}, so traces start near [ts = 0]. *)
 
 type event = {
   name : string;
@@ -30,20 +30,6 @@ type event = {
     [b.depth > a.depth] and their intervals overlap then [b]'s
     interval is contained in [a]'s. *)
 
-type span
-(** An open span: the token returned by {!enter}, to be passed to
-    {!exit} exactly once. *)
-
-val enter : ?args:(string * string) list -> string -> span
-(** [enter name] opens a span and increments the nesting depth.
-    @param args annotations attached to the eventual event. *)
-
-val exit : ?args:(string * string) list -> span -> unit
-(** [exit s] closes [s], decrements the depth, and records the event.
-    Spans must be exited innermost-first; exiting out of order skews
-    the recorded depths (but never raises).
-    @param args appended to the annotations given at {!enter}. *)
-
 val with_span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** [with_span name f] runs [f ()] inside a span, exiting it even if
     [f] raises (the exception is re-raised). *)
@@ -54,7 +40,7 @@ val events : unit -> event list
 
 val clear : unit -> unit
 (** [clear ()] discards all events, resets the depth and the dropped
-    count, and re-arms the epoch to the next {!enter}. *)
+    count, and re-arms the epoch to the next span. *)
 
 val set_max_events : int -> unit
 (** [set_max_events n] caps the buffer at [n] events ([n >= 0];

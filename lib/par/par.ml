@@ -34,8 +34,6 @@ let list_map ?jobs f l = Array.to_list (map ?jobs f (Array.of_list l))
 let try_init ?jobs n f =
   init ?jobs n (fun i -> match f i with v -> Ok v | exception e -> Error e)
 
-let try_map ?jobs f a = try_init ?jobs (Array.length a) (fun i -> f a.(i))
-
 (* Resident pool for long-running dispatch loops (the serve daemon):
    workers are spawned once and parked between batches, so a stream of
    small batches does not pay a Domain.spawn per batch.  Semantics
@@ -47,11 +45,5 @@ module Pool = struct
   let create ?jobs () = Par_pool.pool_create ~jobs:(resolve jobs)
   let jobs = Par_pool.pool_jobs
   let init pool n f = Par_pool.pool_init pool n f
-  let map pool f a = init pool (Array.length a) (fun i -> f a.(i))
-
-  let try_init pool n f =
-    init pool n (fun i -> match f i with v -> Ok v | exception e -> Error e)
-
-  let try_map pool f a = try_init pool (Array.length a) (fun i -> f a.(i))
   let shutdown = Par_pool.pool_shutdown
 end

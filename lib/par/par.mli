@@ -90,9 +90,6 @@ val try_init : ?jobs:int -> int -> (int -> 'a) -> ('a, exn) result array
     completes; no exception propagates.  Used by campaign runners that
     must survive one faulted item. *)
 
-val try_map : ?jobs:int -> ('a -> 'b) -> 'a array -> ('b, exn) result array
-(** {!map} with the same containment. *)
-
 (** Resident worker pool for long-running dispatch loops.
 
     {!init} spawns its domains per call, which is the right trade for a
@@ -126,15 +123,6 @@ module Pool : sig
   (** As {!Par.init} but on the resident workers.  After {!shutdown},
       runs sequentially.
       @raise Invalid_argument when [n < 0]. *)
-
-  val map : t -> ('a -> 'b) -> 'a array -> 'b array
-  (** As {!Par.map} on the resident workers. *)
-
-  val try_init : t -> int -> (int -> 'a) -> ('a, exn) result array
-  (** As {!Par.try_init} on the resident workers. *)
-
-  val try_map : t -> ('a -> 'b) -> 'a array -> ('b, exn) result array
-  (** As {!Par.try_map} on the resident workers. *)
 
   val shutdown : t -> unit
   (** Stop and join the workers.  Idempotent; subsequent {!init} calls

@@ -30,10 +30,6 @@ val round_up : t -> float -> float option
 val round_down : t -> float -> float option
 (** Largest level [<= s], or [None] when [s] is below the bottom level. *)
 
-val bracket : t -> float -> (float * float) option
-(** Adjacent levels [lo <= s <= hi]; [Some (s, s)] when [s] is a level;
-    [None] when [s] is outside the level range. *)
-
 type split = { low_speed : float; low_time : float; high_speed : float; high_time : float }
 
 val two_level_split : t -> work:float -> duration:float -> split option

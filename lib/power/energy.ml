@@ -5,6 +5,8 @@ let of_segments m segs =
       acc +. (dur *. Power_model.power m speed))
     0.0 segs
 
+(* one constant speed over the whole time: by convexity the cheapest
+   way to finish that work in that time (Lemma 2's averaging argument) *)
 let uniform m ~total_work ~total_time = Power_model.energy_in_time m ~work:total_work ~duration:total_time
 
 let average_speed_saves m segs =

@@ -5,11 +5,6 @@ val of_segments : Power_model.t -> (float * float) list -> float
     [(duration, speed)] segments.
     @raise Invalid_argument on a negative duration. *)
 
-val uniform : Power_model.t -> total_work:float -> total_time:float -> float
-(** Energy of running [total_work] at one constant speed over
-    [total_time] — by convexity the cheapest way to finish that work in
-    that time (Lemma 2's averaging argument). *)
-
 val average_speed_saves : Power_model.t -> (float * float) list -> bool
 (** Checks Lemma 2's inequality on concrete data: a multi-speed segment
     list never beats running its average speed for its total duration.

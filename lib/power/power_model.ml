@@ -78,5 +78,3 @@ let duration_for_energy m ~work ~energy = work /. speed_for_energy m ~work ~ener
 
 let is_strictly_convex ?(lo = 1e-3) ?(hi = 10.0) ?(n = 200) m =
   Convex.is_strictly_convex_on_samples ~f:(power m) ~lo ~hi ~n
-
-let pp fmt m = Format.pp_print_string fmt (name m)

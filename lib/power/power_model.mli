@@ -64,5 +64,3 @@ val duration_for_energy : t -> work:float -> energy:float -> float
 
 val is_strictly_convex : ?lo:float -> ?hi:float -> ?n:int -> t -> bool
 (** Sample-based sanity check of the paper's standing assumption. *)
-
-val pp : Format.formatter -> t -> unit

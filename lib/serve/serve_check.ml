@@ -259,8 +259,6 @@ let props =
       journal_recovery );
   ]
 
-let names () = List.map (fun (n, _, _) -> n) props
-
 let registered = ref false
 
 let register () =

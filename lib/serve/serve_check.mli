@@ -15,7 +15,5 @@
       increments), and the reply round-trips through the JSON
       parser. *)
 
-val names : unit -> string list
-
 val register : unit -> unit
 (** Idempotent. *)

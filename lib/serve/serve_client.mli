@@ -32,15 +32,12 @@ val with_connection : socket:string -> ((string list -> string list) -> 'a) -> '
 val exchange : socket:string -> string list -> string list
 (** One round trip on a fresh connection. *)
 
-val wait_ready : socket:string -> unit
-(** Ping every 50 ms until the daemon answers, for up to 10 s.
-    @raise Failure ["daemon never answered on PATH"]. *)
-
 type daemon
 
 val start : exe:string -> socket:string -> string list -> daemon
 (** Spawn [exe serve --socket socket ARGS] with stdin and stdout on
-    /dev/null and {!wait_ready}; one that never answers is killed. *)
+    /dev/null, then ping it every 50 ms for up to 10 s; one that never
+    answers is killed.  @raise Failure ["daemon never answered on PATH"]. *)
 
 val stop : ?kill:bool -> daemon -> Unix.process_status option
 (** Reap the daemon, SIGKILLed first when [kill]; [None] once stopped. *)

@@ -25,8 +25,6 @@ let create ?(switch_time = 0.0) ?(switch_energy = 0.0) model id =
     segments = [];
   }
 
-let id p = p.id
-let free_at p = p.free_at
 let energy p = p.energy
 let switches p = p.switches
 

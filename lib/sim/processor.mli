@@ -12,10 +12,6 @@ val create : ?switch_time:float -> ?switch_energy:float -> Power_model.t -> int 
     speed between two work segments.
     @raise Invalid_argument on negative overheads. *)
 
-val id : t -> int
-val free_at : t -> float
-(** Time at which the processor can next start work. *)
-
 val energy : t -> float
 val switches : t -> int
 (** Number of speed transitions that incurred overhead. *)

@@ -134,8 +134,10 @@ type stream_report = {
    load, not the trace length — and metrics are streamed.  No per-job
    result is retained. *)
 let run_stream ?(config = default_stream_config) ?watermark model policy pull =
+  if config.procs < 1 then
+    invalid_arg (Printf.sprintf "Sim.run_stream: procs must be >= 1, got %d" config.procs);
   Obs.span "sim.run_stream" @@ fun () ->
-  let nprocs = Stdlib.max 1 config.procs in
+  let nprocs = config.procs in
   let levels = config.base.levels in
   let switch_time = config.base.switch_time and switch_energy = config.base.switch_energy in
   let metrics = Streaming_metrics.create () in

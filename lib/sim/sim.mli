@@ -109,8 +109,8 @@ val run_stream :
     rounded up to a discrete level when levels are configured; speed
     changes (including idle-to-work, matching [Processor]) pay the
     configured switch overhead.
-    @raise Invalid_argument if the policy returns a non-positive or
-    non-finite speed. *)
+    @raise Invalid_argument if [config.procs < 1], or if the policy
+    returns a non-positive or non-finite speed. *)
 
 val agrees_with_plan : ?tol:float -> report -> Power_model.t -> Schedule.t -> bool
 (** True when simulated completions and energy match the plan's analytic

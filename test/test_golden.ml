@@ -60,6 +60,7 @@ let subcommands =
     ("discrete.txt", "discrete");
     ("precedence.txt", "precedence");
     ("thermal.txt", "thermal");
+    ("laptop_gantt.txt", "laptop --gantt");
   ]
 
 let check_golden (file, args) () =
@@ -167,6 +168,40 @@ let test_bad_jobs_file_rejected () =
       "client --socket /nonexistent/sock --file /nonexistent/requests.ndjson";
       "soak --file /nonexistent/requests.ndjson";
     ]
+
+(* a usage error comes before any output: stdout stays empty *)
+let test_usage_error_before_output () =
+  List.iter
+    (fun (args, needle) ->
+      let code, out, err = run_cli args in
+      Alcotest.(check int) (Printf.sprintf "%s exits 2 (stderr: %s)" args err) 2 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s error mentions %S (stderr: %s)" args needle err)
+        true (contains ~needle err);
+      Alcotest.(check string) (Printf.sprintf "%s prints nothing on stdout" args) "" out)
+    [
+      ("maxflow -m 0", "procs must be >= 1");
+      ("sim -n 10 --procs 0", "procs must be >= 1");
+      ("sim -n 10 --procs=-1", "procs must be >= 1");
+      ("frontier --points 1", "must be >= 2");
+      ("solve --pareto --points 1", "must be >= 2");
+      ("precedence -m 0", "must be >= 1");
+      ("deadline -n 0", "must be >= 1");
+    ]
+
+(* at this budget the flow solver's bracket is not finite, so Guard
+   answers through flow-spt: the command prints that solver's schedule
+   under its own header, with no last-speed diagnostic to read *)
+let test_flow_fallback () =
+  let jobs = "--jobs 0:1,0:1 --energy 1e308" in
+  let code, out, err = run_cli ("flow " ^ jobs) in
+  Alcotest.(check int) (Printf.sprintf "flow on a fallback answer exits 0 (stderr: %s)" err) 0 code;
+  let code, direct, err = run_cli ("solve --objective flow --solver flow-spt " ^ jobs) in
+  Alcotest.(check int) (Printf.sprintf "solve --solver flow-spt exits 0 (stderr: %s)" err) 0 code;
+  let body s = List.filter (fun l -> l <> "" && l.[0] <> '#') (lines s) in
+  Alcotest.(check bool) "the header reports the total flow" true
+    (contains ~needle:"# total flow " (List.hd (lines out)));
+  Alcotest.(check (list string)) "the schedule is flow-spt's" (body direct) (body out)
 
 (* the typed guard exit codes, each triggered deterministically *)
 
@@ -367,6 +402,8 @@ let () =
           Alcotest.test_case "unknown solver rejected" `Quick test_unknown_solver_rejected;
           Alcotest.test_case "equal-work capability enforced" `Quick test_equal_work_rejected;
           Alcotest.test_case "bad jobs file rejected" `Quick test_bad_jobs_file_rejected;
+          Alcotest.test_case "usage errors print nothing" `Quick test_usage_error_before_output;
+          Alcotest.test_case "flow answers through its fallback" `Quick test_flow_fallback;
           Alcotest.test_case "infeasible target exits 3" `Quick test_infeasible_exit;
           Alcotest.test_case "non-convergence exits 4" `Quick test_no_convergence_exit;
           Alcotest.test_case "deadline exits 5" `Quick test_deadline_exit;

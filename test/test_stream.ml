@@ -328,6 +328,19 @@ let test_run_stream_multiproc_conserves () =
         r.Sim.metrics.Streaming_metrics.energy)
     [ 1; 2; 4 ]
 
+let test_run_stream_rejects_no_procs () =
+  (* a width below 1 is refused, not clamped to one processor *)
+  List.iter
+    (fun procs ->
+      let config = { Sim.default_stream_config with Sim.procs } in
+      match
+        Sim.run_stream ~config Power_model.cube (Sim.constant_policy 2.0)
+          (Workload.Stream.pull_fn (Workload.Stream.of_instance Instance.figure1))
+      with
+      | _ -> Alcotest.failf "procs %d was accepted" procs
+      | exception Invalid_argument _ -> ())
+    [ 0; -1 ]
+
 let test_run_stream_levels_and_switches () =
   let inst = Instance.of_pairs [ (0.0, 1.0); (0.5, 1.0); (4.0, 1.0) ] in
   let config =
@@ -487,6 +500,7 @@ let () =
         [
           Alcotest.test_case "agrees with online driver" `Quick test_run_stream_agrees_with_driver;
           Alcotest.test_case "multi-proc conservation" `Quick test_run_stream_multiproc_conserves;
+          Alcotest.test_case "procs < 1 rejected" `Quick test_run_stream_rejects_no_procs;
           Alcotest.test_case "levels, switches, thermal" `Quick test_run_stream_levels_and_switches;
           Alcotest.test_case "watermarks" `Quick test_run_stream_watermarks;
           Alcotest.test_case "seed fan-out jobs-invariant" `Quick test_run_stream_jobs_invariant;
