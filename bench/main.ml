@@ -419,14 +419,14 @@ let section_fuzz () =
 (* ---------------------------------------------------------------- *)
 (* PAR: the multicore execution layer.  The table times
 
-     curve cold jobs=1   per-point cold-bracket solve_budget (the
-                         pre-warm-start behaviour), sequential
+     curve cold jobs=1   per-point cold-start solve_budget (no warm
+                         speed), sequential
      curve warm jobs=1   warm-started Flow_frontier.curve, 1 domain
      curve warm jobs=4   the same curve at 4 domains
      fuzz jobs=1/4       the fuzz campaign at 1 vs 4 domains
 
    warm vs cold isolates the algorithmic win (same core count; the
-   rootfind.brent_iters line shows the per-point iteration drop);
+   rootfind.newton_iters line shows the per-point iteration drop);
    jobs 4 vs jobs 1 isolates the parallel win, which requires a
    multi-core machine to show a speedup. *)
 
@@ -484,19 +484,20 @@ let section_par () =
   let f4 = Runner.run ~jobs:4 ~seed:42 ~runs:150 () in
   Printf.printf "\ncurve jobs=1 equals jobs=4 (bitwise): %b\n" (c1 = c4);
   Printf.printf "fuzz summary jobs=1 equals jobs=4: %b\n" (f1 = f4);
-  (* warm-start effect in Brent iterations, via the obs counters *)
+  (* warm-start effect in Newton iterations (the outer search and the
+     pinned windows alike), via the obs counters *)
   let was_on = Obs.enabled () in
   Obs.set_enabled true;
-  let brent_iters = Obs.counter "rootfind.brent_iters" in
+  let newton_iters = Obs.counter "rootfind.newton_iters" in
   let iters_of f =
-    let v0 = Obs_metrics.value brent_iters in
+    let v0 = Obs_metrics.value newton_iters in
     f ();
-    Obs_metrics.value brent_iters - v0
+    Obs_metrics.value newton_iters - v0
   in
   let it_cold = iters_of (run_curve_cold ~jobs:1) in
   let it_warm = iters_of (run_curve ~jobs:1) in
   Obs.set_enabled was_on;
-  Printf.printf "\nrootfind.brent_iters over %d points: cold=%d (%.1f/pt)  warm=%d (%.1f/pt)\n" npts
+  Printf.printf "\nrootfind.newton_iters over %d points: cold=%d (%.1f/pt)  warm=%d (%.1f/pt)\n" npts
     it_cold
     (float_of_int it_cold /. float_of_int npts)
     it_warm
@@ -942,7 +943,7 @@ let section_guard () =
    (PR7).  The kernel section plus four single-workload sections, all
    gated by bench/baseline.json:
 
-     kernel_flow_cold   cold-bracket Flow.solve_budget per budget —
+     kernel_flow_cold   cold-start Flow.solve_budget per budget —
                         the flow-budget microbench on the new
                         Scratch-arena eval-only path
      kernel_flow_warm   the same budgets warm-chained in 16-point

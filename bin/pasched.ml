@@ -298,6 +298,16 @@ let int_at_least lo =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* likewise a float flag outside [[lo, hi]] *)
+let float_within lo hi =
+  let parse s =
+    match float_of_string_opt s with
+    | Some v when v >= lo && v <= hi -> Ok v
+    | Some v -> Error (`Msg (Printf.sprintf "must be in [%g, %g], got %g" lo hi v))
+    | None -> Error (`Msg (Printf.sprintf "invalid value %S, expected a number" s))
+  in
+  Arg.conv (parse, fun fmt v -> Format.fprintf fmt "%g" v)
+
 let points_term doc = Arg.(value & opt (int_at_least 2) 40 & info [ "points" ] ~docv:"N" ~doc)
 
 (* the optimal single-processor plan that simulate and thermal replay *)
@@ -589,7 +599,11 @@ let precedence_cmd =
   let n = Arg.(value & opt int 16 & info [ "n"; "count" ] ~docv:"N" ~doc:"Number of tasks.") in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"PRNG seed.") in
   let layers = Arg.(value & opt int 4 & info [ "layers" ] ~docv:"L" ~doc:"DAG layers.") in
-  let prob = Arg.(value & opt float 0.4 & info [ "edge-prob" ] ~docv:"P" ~doc:"Edge probability.") in
+  let prob =
+    Arg.(
+      value & opt (float_within 0.0 1.0) 0.4
+      & info [ "edge-prob" ] ~docv:"P" ~doc:"Edge probability.")
+  in
   Cmd.v
     (Cmd.info "precedence" ~doc:"Power-aware makespan with precedence constraints (heuristics + bounds).")
     Term.(ret (const run $ obs_term $ alpha_term $ energy_term $ m $ n $ seed $ layers $ prob))
@@ -976,7 +990,7 @@ let sim_cmd =
   in
   let watermark =
     Arg.(
-      value & opt int 0
+      value & opt (int_at_least 0) 0
       & info [ "watermark" ] ~docv:"N" ~doc:"Emit a metrics watermark every N completions (0 = off).")
   in
   let format =

@@ -175,6 +175,10 @@ let frontier_shape c =
   | Some f -> f
   | None -> (match convex es ms with Some f -> f | None -> Pass)
 
+(* For release (FIFO) order the laptop problem is convex, so Theorem 1
+   together with an exhausted budget certifies optimality: every last
+   speed satisfies Theorem 1 by construction, and only the energy match
+   tells the root from a wrong one. *)
 let flow_budget c =
   let c = equal_work_view c in
   let sol = Flow.solve_budget ~alpha:c.alpha ~energy:c.energy c.inst in
@@ -182,6 +186,11 @@ let flow_budget c =
   all_of
     [
       check_le "flow solution energy vs budget" sol.Flow.energy c.energy;
+      (if Float.abs (sol.Flow.energy -. c.energy) <= 1e-9 *. c.energy then Pass
+       else
+         Fail
+           (Printf.sprintf "flow solution energy %.17g misses the budget %.17g by more than 1e-9"
+              sol.Flow.energy c.energy));
       check_valid "flow schedule feasibility" (Validate.check c.inst sched);
       check_close "flow metric vs solution field" sol.Flow.flow (Metrics.total_flow sched);
       (if Flow.theorem1_holds ~alpha:c.alpha c.inst sol then Pass

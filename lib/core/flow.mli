@@ -47,14 +47,29 @@ val solve_for_last_speed : alpha:float -> Instance.t -> float -> solution
 val solve_budget :
   ?eps:float -> ?warm:float -> alpha:float -> energy:float -> Instance.t -> solution
 (** Laptop problem: minimize total flow within the energy budget.
-    Root-finds on [s] until the energy matches to relative [eps]
-    (default 1e-12).  [?warm] seeds the bracket with a known-good last
-    speed — typically [last_speed] of the solution for a nearby budget,
-    as when sweeping a Pareto curve — replacing the cold geometric
-    bracket search with a one-sided expansion from [warm]; since
-    energy is strictly increasing in [s] the result is the same root,
-    found in fewer iterations.  A non-positive or non-finite [warm] is
-    ignored. *)
+    Every job runs at least at [s], so [energy(s) >= n w s^(alpha-1)]
+    and [s0 = (E / (n w))^(1/(alpha-1))] bounds the root from above:
+    [(0, 2 s0)] is a bracket before any evaluation.  One safeguarded
+    Newton on [t = s / s0] over that bracket, with [dE/ds] from the
+    same evaluation as the energy, finds the root; its step test
+    ([eps], default 1e-12) is relative to [s], so the energy matches
+    the budget to relative [eps] at every scale.  [?warm] starts the
+    iteration from a known last speed — typically [last_speed] of the
+    solution for a nearby budget, as when sweeping a Pareto curve —
+    instead of [s0]; since energy is strictly increasing in [s] the
+    result is the same root, found in fewer iterations.  A [warm]
+    outside [(0, 2 s0)] (non-positive or non-finite included) is
+    ignored.  Each pinned window's inner Newton starts from that
+    window's root at the previous evaluation of the same call.
+
+    Where [s0^alpha] leaves the float range (at huge or tiny budgets)
+    the instance is solved with work and speeds scaled by a power of
+    two, which leaves durations, completions and flow unchanged and
+    scales energy by a known factor, and the result is mapped back.
+    @raise Invalid_argument when the budget is not positive, under
+    the conditions of {!solve_for_last_speed}, or when the optimal
+    schedule's work or speeds leave the normal float range (the
+    message names the budget). *)
 
 val solve_flow_target : ?eps:float -> alpha:float -> flow:float -> Instance.t -> solution
 (** Server problem: least energy whose optimal flow meets the target.

@@ -28,7 +28,7 @@ let sweep ?jobs ~alpha inst ~s_lo ~s_hi ~n =
 
 (* Fixed chunk width for [curve], deliberately independent of [jobs]:
    each chunk starts cold and warm-starts point-to-point inside, so the
-   sequence of brackets (hence every float) is the same whether one
+   sequence of warm starts (hence every float) is the same whether one
    domain evaluates all chunks or eight evaluate two each. *)
 let curve_chunk = 16
 

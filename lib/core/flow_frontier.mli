@@ -28,6 +28,6 @@ val curve :
 (** [(energy, flow)] points on an even energy grid, each solved by
     {!Flow.solve_budget}.  Points are evaluated in fixed-width chunks;
     within a chunk each solve warm-starts from its predecessor's last
-    speed, which cuts the Brent iteration count well below the cold
-    per-point bracket search (use {!sweep} when the parametrization is
-    acceptable — it needs no root finding at all). *)
+    speed, which cuts the Newton iteration count below cold per-point
+    solves (use {!sweep} when the parametrization is acceptable — it
+    needs no root finding at all). *)

@@ -2,9 +2,12 @@
 
    The top-level functions mirror the CURRENT Flow algorithm —
    analytic singleton windows, fused-derivative Newton for pinned
-   runs, O(1) free-run totals from the power tables, the analytic
-   budget bracket — operation for operation on boxed storage
-   (float arrays and records allocated per call, no scratch arena).
+   runs warm-started from the window's previous root, O(1) free-run
+   totals from the power tables, and one safeguarded Newton on the
+   energy equation over the a-priori bracket, with its power-of-two
+   rescaling at extreme budgets — operation for operation on boxed
+   storage (float arrays and records allocated per call, no scratch
+   arena).
    Every float they produce is bitwise identical to the unboxed
    kernels': the [kernel:*] fuzz properties and test_kernel assert
    exactly that, which is what certifies the Float.Array/scratch
@@ -54,6 +57,8 @@ type env = {
   r_pinned : int array;
   r_end : float array;
   r_end_a : float array;
+  w_last : int array;
+  w_x : float array;
 }
 
 (* same recurrences as Scratch.flow_tables, so the cached and the
@@ -71,7 +76,7 @@ let tables ~alpha n =
   done;
   (h, hp, pw)
 
-let make_env ~alpha inst =
+let make_env ~alpha ~w inst =
   let n = Instance.n inst in
   let rel = Array.make n 0.0 in
   let rel_sum = Array.make (n + 1) 0.0 in
@@ -85,7 +90,7 @@ let make_env ~alpha inst =
     alpha;
     inv_a = 1.0 /. alpha;
     n;
-    w = (Instance.job inst 0).Job.work;
+    w;
     rel;
     rel_sum;
     h;
@@ -96,13 +101,18 @@ let make_env ~alpha inst =
     r_pinned = Array.make n 0;
     r_end = Array.make n 0.0;
     r_end_a = Array.make n 0.0;
+    w_last = Array.make n (-1);
+    w_x = Array.make n 0.0;
   }
 
 let merge_pass env s =
   if s <= 0.0 || not (Float.is_finite s) then invalid_arg "Kernel_ref: last speed must be positive";
-  let { alpha; inv_a; n; w; rel; h; r_first; r_last; r_pinned; r_end; r_end_a; _ } = env in
+  let { alpha; inv_a; n; w; rel; h; r_first; r_last; r_pinned; r_end; r_end_a; w_last; w_x; _ } =
+    env
+  in
   let sa = s ** alpha in
-  let pinned_end ~len ~window =
+  let pinned_end ~first ~last ~window =
+    let len = last - first + 1 in
     if window <= tol then (Float.infinity, Float.infinity)
     else if len = 1 then begin
       if w /. s <= window then (s, sa)
@@ -123,11 +133,13 @@ let merge_pass env s =
         done;
         (!s0 -. window, -.(xa /. x) *. !s1)
       in
-      let fs, _ = f_df s in
-      if fs <= 0.0 then (s, sa)
+      if w /. s *. h.(len) <= window then (s, sa)
       else begin
-        let x0 = Float.max (2.0 *. s) (float_of_int len *. w /. window) in
-        let x = Rootfind.newton_bracketed ~f_df ~lo:s ~hi:(2.0 *. x0) ~x0 () in
+        let x_up = Float.max (2.0 *. s) (float_of_int len *. w /. window) in
+        let x0 = if w_last.(first) = last && w_x.(first) > s then w_x.(first) else x_up in
+        let x = Rootfind.newton_bracketed ~f_df ~lo:s ~hi:(2.0 *. x_up) ~x0 () in
+        w_last.(first) <- last;
+        w_x.(first) <- x;
         (x, x ** alpha)
       end
     end
@@ -153,7 +165,7 @@ let merge_pass env s =
       end
       else begin
         cur_pinned := true;
-        let e, ea = pinned_end ~len ~window in
+        let e, ea = pinned_end ~first ~last ~window in
         cur_end := e;
         cur_end_a := ea
       end
@@ -185,23 +197,38 @@ let merge_pass env s =
 
 let eval_energy env s =
   let top = merge_pass env s in
-  let { alpha; inv_a; w; pw; r_first; r_last; r_pinned; r_end_a; _ } = env in
+  let { alpha; inv_a; w; pw; r_first; r_last; r_pinned; r_end; r_end_a; _ } = env in
   let sa = s ** alpha in
   let am1_a = 1.0 -. inv_a in
   let sam1 = s ** (alpha -. 1.0) in
-  let energy = ref 0.0 in
+  let energy = ref 0.0 and e_free = ref 0.0 and d_pin = ref 0.0 in
   for ri = 0 to top - 1 do
     let first = r_first.(ri) and last = r_last.(ri) in
     if r_pinned.(ri) = 1 then begin
       let ea = r_end_a.(ri) in
+      let pa = ref 0.0 and pb = ref 0.0 and pv = ref 0.0 and pq = ref 0.0 in
       for k = first to last do
-        let u = ea +. (float_of_int (last - k) *. sa) in
-        energy := !energy +. (w *. (u ** am1_a))
-      done
+        let j = float_of_int (last - k) in
+        let u = ea +. (j *. sa) in
+        let wp = w *. (u ** am1_a) in
+        energy := !energy +. wp;
+        let term = wp /. u in
+        let v = term *. (ea /. u) in
+        pa := !pa +. term;
+        pb := !pb +. (j *. term);
+        pv := !pv +. v;
+        pq := !pq +. (j *. v)
+      done;
+      let d = if r_end.(ri) = s then 1.0 else -.(!pq /. !pv) in
+      d_pin := !d_pin +. ((d *. !pa) +. !pb)
     end
-    else energy := !energy +. (w *. sam1 *. pw.(last - first + 1))
+    else begin
+      let e_run = w *. sam1 *. pw.(last - first + 1) in
+      energy := !energy +. e_run;
+      e_free := !e_free +. e_run
+    end
   done;
-  !energy
+  (!energy, (alpha -. 1.0) /. s *. (!e_free +. (sa *. !d_pin)))
 
 let solve_full env s =
   let top = merge_pass env s in
@@ -232,77 +259,61 @@ let validate ~alpha inst =
   if not (Instance.is_equal_work inst) then
     invalid_arg "Kernel_ref: Theorem 1 structure requires equal-work jobs"
 
+let solve_in_range ~eps ~warm ~alpha ~energy ~w ~s0 inst =
+  let env = make_env ~alpha ~w inst in
+  let f_df t =
+    let e, de = eval_energy env (t *. s0) in
+    (energy -. e, -.(s0 *. de))
+  in
+  let x0 = match warm with Some s -> s /. s0 | None -> 1.0 in
+  let t = Rootfind.newton_bracketed ~f_df ~lo:0.0 ~hi:2.0 ~x0 ~eps () in
+  solve_full env (t *. s0)
+
 let solve_budget ?(eps = 1e-12) ?warm ~alpha ~energy inst =
   if energy <= 0.0 then invalid_arg "Kernel_ref.solve_budget: energy must be positive";
   if Instance.n inst = 0 then empty_solution 0.0
   else begin
     validate ~alpha inst;
-    let n = Instance.n inst in
-    let env = make_env ~alpha inst in
-    let g s = eval_energy env s -. energy in
-    let lo, glo, hi, ghi =
-      match warm with
-      | Some s0 when s0 > 0.0 && Float.is_finite s0 ->
-        let g0 = g s0 in
-        if g0 <= 0.0 then begin
-          let hi = ref (s0 *. 1.05) in
-          let ghi = ref (g !hi) in
-          while !ghi < 0.0 && !hi < 1e300 do
-            hi := !hi *. 2.0;
-            ghi := g !hi
-          done;
-          (s0, g0, !hi, !ghi)
-        end
-        else begin
-          let lo = ref (s0 /. 1.05) in
-          let glo = ref (g !lo) in
-          while !glo > 0.0 && !lo > 1e-300 do
-            lo := !lo /. 2.0;
-            glo := g !lo
-          done;
-          (!lo, !glo, s0, g0)
-        end
-      | _ ->
-        let s0 = (energy /. (float_of_int n *. env.w)) ** (1.0 /. (alpha -. 1.0)) in
-        if s0 > 0.0 && Float.is_finite s0 then begin
-          let g0 = g s0 in
-          if g0 >= 0.0 then begin
-            let lo = ref (0.5 *. s0) in
-            let glo = ref (g !lo) in
-            while !glo > 0.0 && !lo > 1e-300 do
-              lo := 0.5 *. !lo;
-              glo := g !lo
-            done;
-            (!lo, !glo, s0, g0)
-          end
-          else begin
-            let hi = ref (2.0 *. s0) in
-            let ghi = ref (g !hi) in
-            while !ghi < 0.0 && !hi < 1e300 do
-              hi := !hi *. 2.0;
-              ghi := g !hi
-            done;
-            (s0, g0, !hi, !ghi)
-          end
-        end
-        else begin
-          let lo = ref 1e-6 in
-          let glo = ref (g !lo) in
-          while !glo > 0.0 && !lo > 1e-300 do
-            lo := !lo /. 16.0;
-            glo := g !lo
-          done;
-          let hi = ref 1.0 in
-          let ghi = ref (g !hi) in
-          while !ghi < 0.0 && !hi < 1e300 do
-            hi := !hi *. 2.0;
-            ghi := g !hi
-          done;
-          (!lo, !glo, !hi, !ghi)
-        end
-    in
-    let s = Rootfind.brent ~f:g ~lo ~hi ~flo:glo ~fhi:ghi ~eps ~max_iter:300 () in
-    solve_full env s
+    let n = float_of_int (Instance.n inst) and w = (Instance.job inst 0).Job.work in
+    let s0 = (energy /. (n *. w)) ** (1.0 /. (alpha -. 1.0)) in
+    let sa0 = s0 ** alpha in
+    if sa0 >= 0x1p-128 && sa0 <= 0x1p128 then solve_in_range ~eps ~warm ~alpha ~energy ~w ~s0 inst
+    else begin
+      let unrepresentable () =
+        invalid_arg
+          (Printf.sprintf
+             "Kernel_ref.solve_budget: the optimal schedule at energy %g lies outside the float range"
+             energy)
+      in
+      let l2s0 = (Float.log2 energy -. Float.log2 n -. Float.log2 w) /. (alpha -. 1.0) in
+      let k = -int_of_float (Float.round (Float.min 4096.0 (Float.max (-4096.0) l2s0))) in
+      let normal x = x >= Float.min_float && x <= Float.max_float in
+      let w' = Float.ldexp w k in
+      let ka = float_of_int k *. alpha in
+      let q = Float.floor ka in
+      let r = ka -. q in
+      let energy' = Float.ldexp energy (int_of_float q) *. (2.0 ** r) in
+      if not (normal w' && normal energy') then unrepresentable ();
+      let s0' = (energy' /. (n *. w')) ** (1.0 /. (alpha -. 1.0)) in
+      let warm = Option.map (fun s -> Float.ldexp s k) warm in
+      let sol = solve_in_range ~eps ~warm ~alpha ~energy:energy' ~w:w' ~s0:s0' inst in
+      let back x = Float.ldexp x (-k) in
+      let sol =
+        {
+          sol with
+          last_speed = back sol.last_speed;
+          speeds = Array.map back sol.speeds;
+          energy = Float.ldexp (sol.energy *. (2.0 ** -.r)) (-int_of_float q);
+        }
+      in
+      if
+        not
+          (Array.for_all normal sol.speeds
+          && Array.for_all Float.is_finite sol.completions
+          && Float.is_finite sol.flow && normal sol.energy)
+      then unrepresentable ();
+      sol
+    end
   end
 
 (* same grid and 16-point warm chunks as Flow_frontier.curve,

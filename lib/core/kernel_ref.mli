@@ -31,8 +31,9 @@ type solution = {
 
 val solve_budget :
   ?eps:float -> ?warm:float -> alpha:float -> energy:float -> Instance.t -> solution
-(** Boxed mirror of {!Flow.solve_budget}: identical bracketing,
-    root finds and materialization, bitwise-equal results.
+(** Boxed mirror of {!Flow.solve_budget}: the same outer Newton,
+    pinned-window warm starts, rescaling and materialization,
+    bitwise-equal results.
     @raise Invalid_argument under exactly the conditions of
     {!Flow.solve_budget}. *)
 

@@ -58,6 +58,66 @@ let test_rejects_unequal_work () =
     (Invalid_argument "Flow: Theorem 1 structure requires equal-work jobs")
     (fun () -> ignore (Flow.solve_for_last_speed ~alpha:3.0 (Instance.of_pairs [ (0.0, 1.0); (0.0, 2.0) ]) 1.0))
 
+(* ---------- the budget is met at every scale ---------- *)
+
+let rel_err got want = Float.abs (got -. want) /. Float.abs want
+
+let check_rel what ~tol want got =
+  check_bool (Printf.sprintf "%s: got %.17g, want %.17g (rel %.3g)" what got want (rel_err got want))
+    true
+    (rel_err got want <= tol)
+
+(* At budgets this small every job waits for the one busy run, which
+   ends with a free run at the last speed: sigma_k = s (1 + j)^(1/a)
+   for the j jobs after k, so energy = w s^(a-1) sum_{t=1..n} t^(1-1/a)
+   and s is closed-form.  A relative step test is needed to find it:
+   s is below 1e-13 here. *)
+let check_one_busy_run ~alpha ~energy inst =
+  let sol = Flow.solve_budget ~alpha ~energy inst in
+  let n = Instance.n inst in
+  let pw = ref 0.0 in
+  for t = 1 to n do
+    pw := !pw +. (float_of_int t ** (1.0 -. (1.0 /. alpha)))
+  done;
+  let s = (energy /. !pw) ** (1.0 /. (alpha -. 1.0)) in
+  let t = ref 0.0 and flow = ref 0.0 in
+  for k = 0 to n - 1 do
+    t := !t +. (1.0 /. (s *. (float_of_int (n - k) ** (1.0 /. alpha))));
+    flow := !flow +. (!t -. (Instance.job inst k).Job.release)
+  done;
+  check_rel "energy meets the budget" ~tol:1e-9 energy sol.Flow.energy;
+  check_bool "Theorem 1 holds" true (Flow.theorem1_holds ~alpha inst sol);
+  check_int "one busy run" 1 (List.length sol.Flow.runs);
+  check_rel "closed-form last speed" ~tol:1e-9 s sol.Flow.last_speed;
+  check_rel "closed-form flow" ~tol:1e-9 !flow sol.Flow.flow
+
+let test_tiny_budget_three_jobs () =
+  check_one_busy_run ~alpha:1.5 ~energy:1e-6 (Instance.of_pairs [ (0.0, 1.0); (0.5, 1.0); (1.0, 1.0) ])
+
+let test_tiny_budget_poisson64 () =
+  check_one_busy_run ~alpha:1.5 ~energy:1e-6
+    (Workload.equal_work ~seed:7 ~n:64 ~work:1.0 (Workload.Poisson 1.0))
+
+(* two unit jobs at 0 under alpha = 3: flow scales as E^(-1/2), and
+   from about 1e240 up s^3 overflows unless the solve is rescaled (it
+   overflows in [Flow.theorem1_holds] too, so the one busy run's speed
+   relation sigma_0^3 = 2 s^3 is checked directly) *)
+let test_huge_budgets_rescaled () =
+  let inst = Instance.of_pairs [ (0.0, 1.0); (0.0, 1.0) ] in
+  let at e = Flow.solve_budget ~alpha:3.0 ~energy:e inst in
+  let base = at 1e200 in
+  List.iter
+    (fun e ->
+      let sol = at e in
+      let what = Printf.sprintf "E=%g" e in
+      check_rel (what ^ " energy") ~tol:1e-9 e sol.Flow.energy;
+      check_rel (what ^ " flow") ~tol:1e-9 (base.Flow.flow *. Float.sqrt (1e200 /. e)) sol.Flow.flow;
+      check_rel (what ^ " first speed") ~tol:1e-12
+        ((2.0 ** (1.0 /. 3.0)) *. sol.Flow.last_speed)
+        sol.Flow.speeds.(0);
+      check_bool (what ^ " feasible") true (Validate.is_feasible inst (Flow.schedule inst sol)))
+    [ 1e250; 1e300; 1e308 ]
+
 (* ---------- the theorem-8 instance across its three configurations ---------- *)
 
 let test_thm8_all_busy_at_9 () =
@@ -353,6 +413,12 @@ let () =
           Alcotest.test_case "budget exhausted" `Quick test_budget_exhausted;
           Alcotest.test_case "schedules feasible" `Quick test_schedule_feasible;
           Alcotest.test_case "unequal work rejected" `Quick test_rejects_unequal_work;
+        ] );
+      ( "budget-scale",
+        [
+          Alcotest.test_case "tiny budget, three jobs" `Quick test_tiny_budget_three_jobs;
+          Alcotest.test_case "tiny budget, 64 Poisson jobs" `Quick test_tiny_budget_poisson64;
+          Alcotest.test_case "huge budgets rescaled" `Quick test_huge_budgets_rescaled;
         ] );
       ( "theorem8-instance",
         [

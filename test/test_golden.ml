@@ -187,14 +187,16 @@ let test_usage_error_before_output () =
       ("solve --pareto --points 1", "must be >= 2");
       ("precedence -m 0", "must be >= 1");
       ("deadline -n 0", "must be >= 1");
+      ("precedence --edge-prob 2", "must be in [0, 1]");
+      ("sim -n 5 --watermark=-1", "must be >= 0");
     ]
 
-(* at this budget the flow solver's bracket is not finite, so Guard
-   answers through flow-spt: the command prints that solver's schedule
-   under its own header, with no last-speed diagnostic to read *)
+(* an injected fault in the flow solver makes Guard answer through
+   flow-spt: the command prints that solver's schedule under its own
+   header, with no last-speed diagnostic to read *)
 let test_flow_fallback () =
-  let jobs = "--jobs 0:1,0:1 --energy 1e308" in
-  let code, out, err = run_cli ("flow " ^ jobs) in
+  let jobs = "--jobs 0:1,0:1 --energy 12" in
+  let code, out, err = run_cli ("flow --inject raise:flow@1 " ^ jobs) in
   Alcotest.(check int) (Printf.sprintf "flow on a fallback answer exits 0 (stderr: %s)" err) 0 code;
   let code, direct, err = run_cli ("solve --objective flow --solver flow-spt " ^ jobs) in
   Alcotest.(check int) (Printf.sprintf "solve --solver flow-spt exits 0 (stderr: %s)" err) 0 code;
@@ -202,6 +204,36 @@ let test_flow_fallback () =
   Alcotest.(check bool) "the header reports the total flow" true
     (contains ~needle:"# total flow " (List.hd (lines out)));
   Alcotest.(check (list string)) "the schedule is flow-spt's" (body direct) (body out)
+
+(* budgets where s^alpha overflows are solved on a rescaled instance:
+   the CLI answers through the flow solver itself (no fallback), and
+   the header's energy (8 significant digits) is the budget *)
+let test_flow_huge_budgets () =
+  List.iter
+    (fun e ->
+      let args = "solve --objective flow --solver flow --no-fallback --jobs 0:1,0:1 --energy " ^ e in
+      let code, out, err = run_cli args in
+      Alcotest.(check int) (Printf.sprintf "%s exits 0 (stderr: %s)" args err) 0 code;
+      let header = List.hd (lines out) in
+      Alcotest.(check bool) (args ^ " answers through flow: " ^ header) true
+        (contains ~needle:"# flow flow/" header);
+      let energy = Scanf.sscanf header "# %_s %_s %_s flow = %_f, energy = %f" Fun.id in
+      let budget = float_of_string e in
+      Alcotest.(check bool) (Printf.sprintf "%s: energy %g within 1e-9" args energy) true
+        (Float.abs (energy -. budget) <= 1e-9 *. budget))
+    [ "1e250"; "1e300"; "1e308" ]
+
+(* speeds of ~1e-601 have no float: a typed usage error naming the
+   budget, before any output *)
+let test_flow_unrepresentable_budget () =
+  let args =
+    "solve --objective flow --solver flow --no-fallback --alpha 1.5 --jobs 0:1,0.5:1,1:1 --energy 1e-300"
+  in
+  let code, out, err = run_cli args in
+  Alcotest.(check int) (Printf.sprintf "%s exits 2 (stderr: %s)" args err) 2 code;
+  Alcotest.(check bool) (Printf.sprintf "stderr names the budget (%s)" err) true
+    (contains ~needle:"energy 1e-300" err);
+  Alcotest.(check string) "nothing on stdout" "" out
 
 (* the typed guard exit codes, each triggered deterministically *)
 
@@ -404,6 +436,9 @@ let () =
           Alcotest.test_case "bad jobs file rejected" `Quick test_bad_jobs_file_rejected;
           Alcotest.test_case "usage errors print nothing" `Quick test_usage_error_before_output;
           Alcotest.test_case "flow answers through its fallback" `Quick test_flow_fallback;
+          Alcotest.test_case "flow solves huge budgets" `Quick test_flow_huge_budgets;
+          Alcotest.test_case "unrepresentable flow budget exits 2" `Quick
+            test_flow_unrepresentable_budget;
           Alcotest.test_case "infeasible target exits 3" `Quick test_infeasible_exit;
           Alcotest.test_case "non-convergence exits 4" `Quick test_no_convergence_exit;
           Alcotest.test_case "deadline exits 5" `Quick test_deadline_exit;

@@ -10,7 +10,8 @@
      storage).
 
    Plus the semantic anchor: the current solver agrees with the frozen
-   PR6-era one (Kernel_ref.Legacy) to root-finder precision. *)
+   PR6-era one (Kernel_ref.Legacy) to root-finder precision, and the
+   work counters of the kernel bench workload are pinned exactly. *)
 
 let check_bool = Alcotest.(check bool)
 
@@ -24,12 +25,21 @@ let bits_equal name got want =
 
 let test_curve_bitwise () =
   List.iter
-    (fun (n, alpha) ->
+    (fun (n, alpha, e_lo, e_hi) ->
       let i = inst n in
-      let got = Flow_frontier.curve ~jobs:1 ~alpha i ~e_lo:20.0 ~e_hi:200.0 ~n:33 in
-      let want = Kernel_ref.curve ~alpha i ~e_lo:20.0 ~e_hi:200.0 ~n:33 in
-      bits_equal (Printf.sprintf "curve n=%d alpha=%g" n alpha) got want)
-    [ (1, 3.0); (7, 3.0); (64, 3.0); (64, 2.0); (40, 1.5) ]
+      let got = Flow_frontier.curve ~jobs:1 ~alpha i ~e_lo ~e_hi ~n:33 in
+      let want = Kernel_ref.curve ~alpha i ~e_lo ~e_hi ~n:33 in
+      bits_equal (Printf.sprintf "curve n=%d alpha=%g e=%g..%g" n alpha e_lo e_hi) got want)
+    [
+      (1, 3.0, 20.0, 200.0);
+      (7, 3.0, 20.0, 200.0);
+      (64, 3.0, 20.0, 200.0);
+      (64, 2.0, 20.0, 200.0);
+      (40, 1.5, 20.0, 200.0);
+      (* budgets solved on a power-of-two rescaled instance *)
+      (7, 3.0, 1e250, 1e251);
+      (9, 2.0, 1e-250, 1e-249);
+    ]
 
 let test_sample_bitwise () =
   List.iter
@@ -170,6 +180,48 @@ let test_warm_alloc_bound () =
     true
     (warm < legacy /. 3.0)
 
+(* ---------- work counters of the kernel workload ---------- *)
+
+let run_cold () =
+  let i = Lazy.force kernel_inst in
+  for k = 0 to kernel_budgets - 1 do
+    ignore (Flow.solve_budget ~alpha:3.0 ~energy:(kernel_budget k) i)
+  done
+
+let work_counters =
+  [ "rootfind.calls"; "rootfind.newton_iters"; "flow.run_merges"; "rootfind.brent_iters" ]
+
+let counted run =
+  let was_on = Obs.enabled () in
+  Obs.set_enabled true;
+  let cs = List.map Obs.counter work_counters in
+  let v0 = List.map Obs_metrics.value cs in
+  run ();
+  let got = List.map2 (fun c v -> Obs_metrics.value c - v) cs v0 in
+  Obs.set_enabled was_on;
+  got
+
+(* Exact totals over the 192 solves (per solve: cold 75.4 root finds,
+   314.2 Newton iterations, 153.2 merges; warm-chained 64.0, 258.0,
+   127.7).  Counts are deterministic for a given build, so a change
+   that moves them changes the algorithm: the outer search (one
+   Newton, no Brent) or the pinned windows' warm starts.  Re-pin them
+   only with a reason. *)
+let test_work_pinned () =
+  List.iter
+    (fun (path, run, want) ->
+      List.iter2
+        (fun name (got, want) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s, %d %s solves" name kernel_budgets path)
+            want got)
+        work_counters
+        (List.combine (counted run) want))
+    [
+      ("cold", run_cold, [ 14482; 60322; 29414; 0 ]);
+      ("warm-chained", run_warm, [ 12285; 49539; 24511; 0 ]);
+    ]
+
 (* ---------- agreement with the frozen PR6-era solver ---------- *)
 
 let test_legacy_close () =
@@ -208,6 +260,7 @@ let () =
           Alcotest.test_case "flow tables recurrence and growth" `Quick test_flow_tables_recurrence;
           Alcotest.test_case "warm solve allocation bound" `Quick test_warm_alloc_bound;
         ] );
+      ("work", [ Alcotest.test_case "kernel workload counters pinned" `Quick test_work_pinned ]);
       ( "legacy",
         [ Alcotest.test_case "roots agree with PR6-era solver" `Quick test_legacy_close ] );
     ]

@@ -189,15 +189,17 @@ let test_warm_start_bogus_ignored () =
         w.Flow.last_speed)
     [ 0.0; -1.0; Float.nan; Float.infinity ]
 
-let test_warm_start_fewer_brent_iters () =
+(* the outer search and the pinned windows are both Newton iterations,
+   so the one counter sees every evaluation a warm start saves *)
+let test_warm_start_fewer_newton_iters () =
   let inst = Workload.equal_work ~seed:11 ~n:24 ~work:1.0 (Workload.Poisson 1.0) in
   let was_on = Obs.enabled () in
   Obs.set_enabled true;
-  let brent = Obs.counter "rootfind.brent_iters" in
+  let newton = Obs.counter "rootfind.newton_iters" in
   let iters f =
-    let v0 = Obs_metrics.value brent in
+    let v0 = Obs_metrics.value newton in
     f ();
-    Obs_metrics.value brent - v0
+    Obs_metrics.value newton - v0
   in
   let energies = List.init 32 (fun i -> 30.0 +. (4.0 *. float_of_int i)) in
   let cold =
@@ -215,7 +217,7 @@ let test_warm_start_fewer_brent_iters () =
   in
   Obs.set_enabled was_on;
   check_bool
-    (Printf.sprintf "warm sweep needs fewer Brent iterations (cold=%d warm=%d)" cold warm)
+    (Printf.sprintf "warm sweep needs fewer Newton iterations (cold=%d warm=%d)" cold warm)
     true (warm < cold)
 
 let () =
@@ -244,6 +246,6 @@ let () =
         [
           Alcotest.test_case "same root as cold" `Quick test_warm_start_same_root;
           Alcotest.test_case "bogus warm ignored" `Quick test_warm_start_bogus_ignored;
-          Alcotest.test_case "fewer Brent iterations" `Quick test_warm_start_fewer_brent_iters;
+          Alcotest.test_case "fewer Newton iterations" `Quick test_warm_start_fewer_newton_iters;
         ] );
     ]
