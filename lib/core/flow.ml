@@ -505,24 +505,23 @@ let schedule inst sol =
   done;
   Schedule.of_entries !entries
 
+(* Scale-free: speeds enter as ratios to the last speed, so the α-th
+   powers stay near 1 at any budget, and each completion is compared
+   with the next release on the scale of that job's own duration *)
 let theorem1_holds ?(tol = 1e-6) ~alpha inst sol =
   let n = Instance.n inst in
   let s = sol.last_speed in
-  let sa = s ** alpha in
   let ok = ref true in
   for i = 0 to n - 2 do
     let r_next = (Instance.job inst (i + 1)).Job.release in
     let ci = sol.completions.(i) in
-    let si_a = sol.speeds.(i) ** alpha in
-    let upper = (sol.speeds.(i + 1) ** alpha) +. sa in
-    let slack = tol *. (1.0 +. si_a) in
-    let case1 = ci < r_next -. tol && Float.abs (sol.speeds.(i) -. s) <= tol *. (1.0 +. s) in
-    let case2 = ci > r_next +. tol && Float.abs (si_a -. upper) <= slack in
-    let case3 =
-      Float.abs (ci -. r_next) <= tol *. (1.0 +. r_next)
-      && si_a >= sa -. slack
-      && si_a <= upper +. slack
-    in
+    let sigma = sol.speeds.(i) in
+    let rho = (sigma /. s) ** alpha in
+    let rho_next = ((sol.speeds.(i + 1) /. s) ** alpha) +. 1.0 in
+    let near = tol *. (Float.abs r_next +. ((Instance.job inst i).Job.work /. sigma)) in
+    let case1 = ci < r_next -. near && Float.abs (sigma -. s) <= tol *. s in
+    let case2 = ci > r_next +. near && Float.abs (rho -. rho_next) <= tol *. rho_next in
+    let case3 = Float.abs (ci -. r_next) <= near && rho >= 1.0 -. tol && rho <= rho_next *. (1.0 +. tol) in
     if not (case1 || case2 || case3) then ok := false
   done;
   !ok

@@ -80,4 +80,8 @@ val schedule : Instance.t -> solution -> Schedule.t
 
 val theorem1_holds : ?tol:float -> alpha:float -> Instance.t -> solution -> bool
 (** Checks every adjacent pair against the three Theorem 1 relations —
-    the paper's characterization of flow-optimal schedules. *)
+    the paper's characterization of flow-optimal schedules.  Speeds
+    enter as ratios to the last speed, compared with relative tolerance
+    [tol], and a completion meets the next release within [tol] of the
+    release plus the job's duration, so the check means the same at
+    every budget. *)

@@ -1,5 +1,11 @@
 type t = Job.t array (* sorted by (release, id) *)
 
+(* one pass finds rows already in order, as decode hands them over *)
+let sorted a =
+  let rec in_order i = i >= Array.length a || (Job.compare_by_release a.(i - 1) a.(i) <= 0 && in_order (i + 1)) in
+  if not (in_order 1) then Array.sort Job.compare_by_release a;
+  a
+
 let create jobs_list =
   let seen = Hashtbl.create 16 in
   List.iter
@@ -9,11 +15,10 @@ let create jobs_list =
       (* re-validate in case the record was built directly *)
       ignore (Job.make ~id:j.Job.id ~release:j.Job.release ~work:j.Job.work))
     jobs_list;
-  let a = Array.of_list jobs_list in
-  Array.sort Job.compare_by_release a;
-  a
+  sorted (Array.of_list jobs_list)
 
-let of_pairs pairs = create (List.mapi (fun i (release, work) -> Job.make ~id:i ~release ~work) pairs)
+(* ids 0 .. n-1 are distinct, and [Job.make] has validated each job *)
+let of_pairs pairs = sorted (Array.of_list (List.mapi (fun i (release, work) -> Job.make ~id:i ~release ~work) pairs))
 let of_works works = of_pairs (List.map (fun w -> (0.0, w)) works)
 let figure1 = of_pairs [ (0.0, 5.0); (5.0, 2.0); (6.0, 1.0) ]
 let theorem8 = of_pairs [ (0.0, 1.0); (0.0, 1.0); (1.0, 1.0) ]

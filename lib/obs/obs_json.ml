@@ -36,61 +36,166 @@ let escape_to buf s =
 
 external format_float : string -> float -> string = "caml_format_float"
 
-(* The shortest of %.12g and %.17g that round-trips, from one C
-   %.17g call in the common cases.  [s] = %.17g of [f] is exact to
-   half a unit of its 17th significant digit.
-   - At most 12 significant digits: %.12g prints the same digits, so it
-     round-trips; below decimal exponent 12 both formats pick the same
-     notation and the strings are equal.
-   - More than 12, [f] normal: [d] is the distance from [s] to the
-     nearest 12-digit decimal in units of the 17th digit.  Half an ulp
-     of a normal float is under 10^17 / 2^53 < 11.1 such units, so at
-     [d >= 12] no 12-digit decimal reads back as [f].
-   - Otherwise (near a 12-digit decimal, or subnormal): try %.12g. *)
-let float_to_string f =
+(* The shortest of %.12g and %.17g that round-trips, by its
+   definition: the floats outside the integer window below, and the
+   rare ones inside it next to a 12-digit decimal *)
+let primitive_float_to_string f =
   if Float.is_nan f then "null"
   else if f = Float.infinity then "1e999"
   else if f = Float.neg_infinity then "-1e999"
-  else begin
-    let s = format_float "%.17g" f in
-    let n = String.length s in
-    (* one pass over the mantissa: [k] digits seen, [first]/[last] the
-       ordinals of the first and last nonzero digit, [point] the digits
-       before '.', [t] digits 13-17 counted from [first] *)
-    let k = ref 0 and first = ref (-1) and last = ref (-1) in
-    let point = ref (-1) and t = ref 0 and exp_form = ref false and i = ref 0 in
-    while !i < n && not !exp_form do
-      (match String.unsafe_get s !i with
-      | '0' .. '9' as c ->
-        if c <> '0' then begin
-          if !first < 0 then first := !k;
-          last := !k
-        end;
-        if !first >= 0 && !k - !first >= 12 && !k - !first < 17 then
-          t := (10 * !t) + (Char.code c - 48);
-        incr k
-      | '.' -> point := !k
-      | 'e' -> exp_form := true
-      | _ -> ());
-      incr i
-    done;
-    if !first < 0 then s
-    else if !last - !first < 12 then
-      (* %.17g prints integers of up to 17 digits in full, %.12g only
-         up to 12: past that, %.12g switches to e-notation *)
-      if (not !exp_form) && !point < 0 && !k >= 13 then format_float "%.12g" f else s
-    else begin
-      (* %g drops trailing zeros: pad [t] back to five digits *)
-      for _ = !k - !first - 12 to 4 do
-        t := 10 * !t
-      done;
-      let d = Int.min !t (100000 - !t) in
-      if d >= 12 && Float.abs f >= Float.min_float then s
-      else
-        let s12 = format_float "%.12g" f in
-        if float_of_string s12 = f then s12 else s
-    end
+  else
+    let s = format_float "%.12g" f in
+    if float_of_string s = f then s else format_float "%.17g" f
+
+(* ---- the integer writer: normal |x| in [1e-4, 1e16) ----
+
+   x = m 2^e with m in [2^52, 2^53).  With k its decimal exponent and
+   q = 16 - k, its 17 significant digits are the integer
+   D = round-half-even(m 5^q 2^(e+q)), and in the window 1 <= q <= 21
+   and -46 <= e + q <= 2.  D is what %.17g prints.
+   - Digits 13-17 of D all zero: %.12g prints the same digits, so it
+     round-trips.
+   - Digits 13-17 at least 12 units of the 17th digit from a 12-digit
+     decimal: half an ulp of a normal float is under 10^17 / 2^53 <
+     11.1 such units, so no 12-digit decimal reads back as x, and the
+     %.17g form is printed.
+   - Otherwise x is next to a 12-digit decimal, and the definition
+     above decides. *)
+
+(* 5^q < 2^52 for q <= 22 *)
+let pow5 =
+  let a = Array.make 23 1 in
+  for q = 1 to 22 do
+    a.(q) <- 5 * a.(q - 1)
+  done;
+  a
+
+let mask26 = (1 lsl 26) - 1
+let mask52 = (1 lsl 52) - 1
+let ten17 = 100_000_000_000_000_000
+
+(* round-half-even(m 5^q 2^(e+q)).  The product is hi 2^52 + lo from
+   26-bit halves; every result is below 10^18, so the shift loses no
+   high bit *)
+let scaled m e q =
+  let p = Array.unsafe_get pow5 q in
+  let mh = m lsr 26 and ml = m land mask26 and ph = p lsr 26 and pl = p land mask26 in
+  let mid = (mh * pl) + (ml * ph) in
+  let lo = (ml * pl) + ((mid land mask26) lsl 26) in
+  let hi = (mh * ph) + (mid lsr 26) + (lo lsr 52) in
+  let lo = lo land mask52 in
+  let r = -(e + q) in
+  if r <= 0 then ((hi lsl 52) lor lo) lsl -r
+  else
+    let t = (hi lsl (52 - r)) lor (lo lsr r) in
+    let rem = lo land ((1 lsl r) - 1) and half = 1 lsl (r - 1) in
+    if rem > half || (rem = half && t land 1 = 1) then t + 1 else t
+
+(* 10^j for j <= 17 *)
+let pow10 j = Array.unsafe_get pow5 j lsl j
+
+(* the 8 decimal digits of [v] < 10^8 in ASCII, first digit in the low
+   byte: two digits per 16-bit lane, then one per byte, each by a
+   multiply and shift (n / 100 = n * 5243 >> 19 for n < 43,699, and
+   n / 10 = n * 103 >> 10 for n < 179) *)
+let swar8 v =
+  let x = (v / 10000) lor ((v mod 10000) lsl 32) in
+  let h = ((x * 5243) lsr 19) land 0x0000007F0000007F in
+  let x = h lor ((x - (h * 100)) lsl 16) in
+  let t = ((x * 103) lsr 10) land 0x000F000F000F000F in
+  t lor ((x - (t * 10)) lsl 8) lor 0x3030303030303030
+
+(* the [w] >= 1 low decimal digits of [v], zero-padded: eight-byte
+   writes, the last one cut back to its digits *)
+let rec add_fixed buf v w =
+  if w > 8 then begin
+    add_fixed buf (v / 100_000_000) (w - 8);
+    Buffer.add_int64_le buf (Int64.of_int (swar8 (v mod 100_000_000)))
   end
+  else begin
+    let pos = Buffer.length buf in
+    Buffer.add_int64_le buf (Int64.of_int (swar8 v lsr (8 * (8 - w))));
+    Buffer.truncate buf (pos + w)
+  end
+
+let add_zeros buf n =
+  for _ = 1 to n do
+    Buffer.add_char buf '0'
+  done
+
+(* %.<p>g of v 10^(k-n+1), for [v] of [n] digits with trailing zeros
+   allowed; -4 <= k < 17 *)
+let add_g buf v n k p =
+  let v = ref v and n = ref n in
+  while !v mod 10 = 0 do
+    v := !v / 10;
+    decr n
+  done;
+  let v = !v and n = !n in
+  if k >= p then begin
+    let rest = pow10 (n - 1) in
+    add_fixed buf (v / rest) 1;
+    if n > 1 then begin
+      Buffer.add_char buf '.';
+      add_fixed buf (v mod rest) (n - 1)
+    end;
+    Buffer.add_string buf "e+";
+    add_fixed buf k 2
+  end
+  else if k < 0 then begin
+    Buffer.add_string buf "0.";
+    add_zeros buf (-k - 1);
+    add_fixed buf v n
+  end
+  else if n <= k + 1 then begin
+    add_fixed buf v n;
+    add_zeros buf (k + 1 - n)
+  end
+  else begin
+    let frac = pow10 (n - k - 1) in
+    add_fixed buf (v / frac) (k + 1);
+    Buffer.add_char buf '.';
+    add_fixed buf (v mod frac) (n - k - 1)
+  end
+
+(* [bits] of a positive x in the window *)
+let add_window buf bits =
+  let m = bits land mask52 lor (1 lsl 52) and e = ((bits lsr 52) land 0x7FF) - 1075 in
+  (* floor((e + 52) log10 2): x's decimal exponent or one less, which
+     shows as 18 digits *)
+  let k = ref (((e + 52) * 78913) asr 18) in
+  let q = 16 - !k in
+  let d = ref (scaled m e q) in
+  if !d >= ten17 then begin
+    incr k;
+    d := scaled m e (q - 1)
+  end;
+  if !d = ten17 then begin
+    incr k;
+    d := ten17 / 10
+  end;
+  let d = !d and k = !k in
+  let t = d mod 100000 in
+  if t = 0 then add_g buf (d / 100000) 12 k 12
+  else if Int.min t (100000 - t) >= 12 then add_g buf d 17 k 17
+  else
+    (* [Int64.of_int] extends bit 62, the top exponent bit, into the sign *)
+    Buffer.add_string buf (primitive_float_to_string (Float.abs (Int64.float_of_bits (Int64.of_int bits))))
+
+let add_float buf f =
+  if f = 0.0 then Buffer.add_string buf (if Float.sign_bit f then "-0" else "0")
+  else
+    let x = Float.abs f in
+    if x >= 1e-4 && x < 1e16 then begin
+      if f < 0.0 then Buffer.add_char buf '-';
+      add_window buf (Int64.to_int (Int64.bits_of_float x))
+    end
+    else Buffer.add_string buf (primitive_float_to_string f)
+
+let float_to_string f =
+  let buf = Buffer.create 24 in
+  add_float buf f;
+  Buffer.contents buf
 
 (* digit by digit: [string_of_int] is a C snprintf call *)
 let rec add_nat buf n =
@@ -101,7 +206,7 @@ let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> if i >= 0 then add_nat buf i else Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (float_to_string f)
+  | Float f -> add_float buf f
   | String s -> escape_to buf s
   | Raw s -> Buffer.add_string buf s
   | List xs ->

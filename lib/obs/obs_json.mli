@@ -47,7 +47,11 @@ val float_to_string : float -> string
     same float and the [%.17g] form when it does not.  The bytes are
     those of the two-[Printf] definition [let s = Printf.sprintf
     "%.12g" f in if float_of_string s = f then s else Printf.sprintf
-    "%.17g" f]; the common cases cost one C [%.17g] call. *)
+    "%.17g" f].  [±0] and the normal floats with 1e-4 <= |f| < 1e16
+    are printed with integer arithmetic and no C call, and {!write}
+    appends them to its buffer without allocating.  The other floats,
+    and the rare one in that range next to a 12-digit decimal, go
+    through the definition itself. *)
 
 val of_string : string -> (t, string) result
 (** [of_string s] parses one JSON document occupying all of [s]

@@ -27,20 +27,48 @@ let c_compactions = Obs.counter "serve.journal.compactions"
 
 (* ---------------- CRC-32 (IEEE 802.3) ---------------- *)
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+(* Slicing-by-8: eight 256-entry tables laid end to end.  Table 0 is the
+   bytewise table; table k advances table k-1's entry by one more zero
+   byte, so one step folds eight bytes through eight lookups. *)
+let crc_tables =
+  let t = Array.make 2048 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for i = 256 to 2047 do
+    let prev = t.(i - 256) in
+    t.(i) <- (prev lsr 8) lxor t.(prev land 0xFF)
+  done;
+  t
 
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  String.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8)) s;
+let crc32_sub s pos len =
+  let t = crc_tables in
+  let c = ref 0xFFFFFFFF and i = ref pos in
+  let stop8 = pos + (len land lnot 7) in
+  while !i < stop8 do
+    let lo = (Int32.to_int (String.get_int32_le s !i) land 0xFFFFFFFF) lxor !c in
+    let hi = Int32.to_int (String.get_int32_le s (!i + 4)) land 0xFFFFFFFF in
+    c :=
+      Array.unsafe_get t (1792 + (lo land 0xFF))
+      lxor Array.unsafe_get t (1536 + ((lo lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (1280 + ((lo lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (1024 + (lo lsr 24))
+      lxor Array.unsafe_get t (768 + (hi land 0xFF))
+      lxor Array.unsafe_get t (512 + ((hi lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (256 + ((hi lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (hi lsr 24);
+    i := !i + 8
+  done;
+  for k = stop8 to pos + len - 1 do
+    c := Array.unsafe_get t ((!c lxor Char.code (String.get s k)) land 0xFF) lxor (!c lsr 8)
+  done;
   !c lxor 0xFFFFFFFF
+
+let crc32 s = crc32_sub s 0 (String.length s)
 
 (* ---------------- line framing ---------------- *)
 
@@ -52,14 +80,21 @@ let crc32 s =
 let crc_ofs = 8 (* String.length {|{"crc":"|} *)
 let entry_ofs = 26 (* String.length {|{"crc":"xxxxxxxx","entry":|} *)
 
-let entry_string ~canon payload =
-  Obs_json.to_string (Obs_json.Obj [ ("canon", Obs_json.String canon); ("payload", Obs_json.Obj payload) ])
-
 (* an ok payload's members arrive pre-encoded ({!Serve_protocol.ok_payload}),
-   so the line copies their bytes: an append prints no float *)
+   so the line copies their bytes: an append prints no float.  The
+   frame, E and the closing brace go into one buffer; the CRC is then
+   written over the placeholder *)
 let encode_line ~canon payload =
-  let body = entry_string ~canon payload in
-  Printf.sprintf "{\"crc\":\"%08x\",\"entry\":%s}" (crc32 body) body
+  let buf = Buffer.create 512 in
+  Buffer.add_string buf {|{"crc":"00000000","entry":|};
+  Obs_json.write buf (Obs_json.Obj [ ("canon", Obs_json.String canon); ("payload", Obs_json.Obj payload) ]);
+  Buffer.add_char buf '}';
+  let line = Buffer.to_bytes buf in
+  let crc = crc32_sub (Bytes.unsafe_to_string line) entry_ofs (Bytes.length line - entry_ofs - 1) in
+  for k = 0 to 7 do
+    Bytes.set line (crc_ofs + k) "0123456789abcdef".[(crc lsr (28 - (4 * k))) land 0xF]
+  done;
+  Bytes.unsafe_to_string line
 
 let hex8 s ofs =
   let v = ref 0 in

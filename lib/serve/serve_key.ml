@@ -19,9 +19,57 @@ let canonical_jobs rows =
 
 external hexstring_of_float : float -> int -> char -> string = "caml_hexstring_of_float"
 
-(* the runtime primitive behind Printf's %h: a negative precision
-   prints every hex digit the float needs, '-' signs negatives only *)
-let add_float buf x = Buffer.add_string buf (hexstring_of_float x (-1) '-')
+let rec add_nat buf n =
+  if n >= 10 then add_nat buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+(* the 8 hex digits of the 32-bit [v] in ASCII, first digit in the low
+   byte: the nibbles spread one per byte, then '0' added to each and
+   'a' - '0' - 10 more to those above 9.  A top byte of 'a'..'f' sets
+   bit 62, so the caller masks the sign-extended bit 63 off *)
+let hex8 v =
+  let x = (v lsr 16) lor ((v land 0xFFFF) lsl 32) in
+  let x = ((x lsr 8) land 0x000000FF000000FF) lor ((x land 0x000000FF000000FF) lsl 16) in
+  let x = ((x lsr 4) land 0x000F000F000F000F) lor ((x land 0x000F000F000F000F) lsl 8) in
+  let letters = ((x + 0x0606060606060606) lsr 4) land 0x0101010101010101 in
+  x + 0x3030303030303030 + (letters * 0x27)
+
+(* the first [n] hex digits of [v] as one eight-byte write, cut back *)
+let add_hex8 buf v n =
+  let pos = Buffer.length buf in
+  Buffer.add_int64_le buf (Int64.logand (Int64.of_int (hex8 v)) Int64.max_int);
+  Buffer.truncate buf (pos + n)
+
+(* Printf's %h, printed from the bits: [-]0x1.<fraction>p<exponent>,
+   with 0x0 and exponent -1022 for subnormals and 0x0p+0 for zero; the
+   fraction is the 52 stored bits as 13 hex digits, trailing zero
+   digits dropped.  Infinities and NaNs take the runtime primitive
+   behind %h (a negative precision prints every hex digit the float
+   needs, '-' signs negatives only) *)
+let add_float buf x =
+  let b = Int64.to_int (Int64.bits_of_float x) in
+  let biased = (b lsr 52) land 0x7FF and frac = b land ((1 lsl 52) - 1) in
+  if biased = 0x7FF then Buffer.add_string buf (hexstring_of_float x (-1) '-')
+  else begin
+    if Float.sign_bit x then Buffer.add_char buf '-';
+    Buffer.add_char buf '0';
+    Buffer.add_char buf 'x';
+    Buffer.add_char buf (if biased = 0 then '0' else '1');
+    if frac <> 0 then begin
+      Buffer.add_char buf '.';
+      let digits = ref 13 and f = ref frac in
+      while !f land 0xF = 0 do
+        f := !f lsr 4;
+        decr digits
+      done;
+      add_hex8 buf (frac lsr 20) (Int.min !digits 8);
+      if !digits > 8 then add_hex8 buf ((frac land 0xFFFFF) lsl 12) (!digits - 8)
+    end;
+    let e = if biased > 0 then biased - 1023 else if frac = 0 then 0 else -1022 in
+    Buffer.add_char buf 'p';
+    Buffer.add_char buf (if e < 0 then '-' else '+');
+    add_nat buf (abs e)
+  end
 
 let add_opt buf = function
   | None -> Buffer.add_char buf '_'

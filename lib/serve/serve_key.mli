@@ -9,7 +9,8 @@
     {e reply} are also identical across reorderings), carrying each
     job's weight and deadline along with it; {!canon} then renders
     every model parameter with ["%h"] hex-float formatting (exact, no
-    rounding ambiguity) into one canonical string, and {!hash} folds it
+    rounding ambiguity; the bytes of [Printf]'s ["%h"], written from
+    the float's bits) into one canonical string, and {!hash} folds it
     through 64-bit FNV-1a.
 
     The per-request wall-clock deadline is deliberately {e not} part of

@@ -92,16 +92,22 @@ let check_one_busy_run ~alpha ~energy inst =
   check_rel "closed-form flow" ~tol:1e-9 !flow sol.Flow.flow
 
 let test_tiny_budget_three_jobs () =
-  check_one_busy_run ~alpha:1.5 ~energy:1e-6 (Instance.of_pairs [ (0.0, 1.0); (0.5, 1.0); (1.0, 1.0) ])
+  let inst = Instance.of_pairs [ (0.0, 1.0); (0.5, 1.0); (1.0, 1.0) ] in
+  check_one_busy_run ~alpha:1.5 ~energy:1e-6 inst;
+  (* the check is not vacuous at this scale: speeds near 1e-13 must
+     still meet sigma_i^a = sigma_(i+1)^a + s^a *)
+  let sol = Flow.solve_budget ~alpha:1.5 ~energy:1e-6 inst in
+  let speeds = Array.copy sol.Flow.speeds in
+  speeds.(0) <- 2.0 *. speeds.(0);
+  check_bool "Theorem 1 fails with sigma_0 doubled" false
+    (Flow.theorem1_holds ~alpha:1.5 inst { sol with Flow.speeds })
 
 let test_tiny_budget_poisson64 () =
   check_one_busy_run ~alpha:1.5 ~energy:1e-6
     (Workload.equal_work ~seed:7 ~n:64 ~work:1.0 (Workload.Poisson 1.0))
 
 (* two unit jobs at 0 under alpha = 3: flow scales as E^(-1/2), and
-   from about 1e240 up s^3 overflows unless the solve is rescaled (it
-   overflows in [Flow.theorem1_holds] too, so the one busy run's speed
-   relation sigma_0^3 = 2 s^3 is checked directly) *)
+   from about 1e240 up s^3 overflows unless the solve is rescaled *)
 let test_huge_budgets_rescaled () =
   let inst = Instance.of_pairs [ (0.0, 1.0); (0.0, 1.0) ] in
   let at e = Flow.solve_budget ~alpha:3.0 ~energy:e inst in
@@ -115,6 +121,7 @@ let test_huge_budgets_rescaled () =
       check_rel (what ^ " first speed") ~tol:1e-12
         ((2.0 ** (1.0 /. 3.0)) *. sol.Flow.last_speed)
         sol.Flow.speeds.(0);
+      check_bool (what ^ " Theorem 1 holds") true (Flow.theorem1_holds ~alpha:3.0 inst sol);
       check_bool (what ^ " feasible") true (Validate.is_feasible inst (Flow.schedule inst sol)))
     [ 1e250; 1e300; 1e308 ]
 

@@ -105,14 +105,34 @@ let test_instance_sorted () =
   checkf "first release" 1.0 (Instance.first_release inst);
   checkf "last release" 5.0 (Instance.last_release inst);
   check_bool "not equal work" false (Instance.is_equal_work inst);
-  check_bool "not common release" false (Instance.has_common_release inst)
+  check_bool "not common release" false (Instance.has_common_release inst);
+  (* a reversed list, with release ties broken by id, comes back in
+     (release, id) order *)
+  let jobs = List.init 9 (fun i -> Job.make ~id:(10 * i) ~release:(float_of_int (i / 3)) ~work:1.0) in
+  let back = Array.to_list (Array.map (fun (j : Job.t) -> j.Job.id) (Instance.jobs (Instance.create (List.rev jobs)))) in
+  Alcotest.(check (list int)) "reversed input sorted" (List.map (fun (j : Job.t) -> j.Job.id) jobs) back
 
 let test_instance_duplicate_ids () =
-  Alcotest.check_raises "duplicate ids" (Invalid_argument "Instance.create: duplicate job id")
-    (fun () ->
+  let dup = Invalid_argument "Instance.create: duplicate job id" in
+  Alcotest.check_raises "duplicate ids" dup (fun () ->
       ignore
         (Instance.create
-           [ Job.make ~id:1 ~release:0.0 ~work:1.0; Job.make ~id:1 ~release:1.0 ~work:1.0 ]))
+           [ Job.make ~id:1 ~release:0.0 ~work:1.0; Job.make ~id:1 ~release:1.0 ~work:1.0 ]));
+  (* unsorted input *)
+  List.iter
+    (fun ids ->
+      Alcotest.check_raises "duplicate ids in unsorted input" dup (fun () ->
+          ignore
+            (Instance.create
+               (List.mapi (fun i id -> Job.make ~id ~release:(float_of_int (10 - i)) ~work:1.0) ids))))
+    [ [ 2; 0; 1; 0 ]; [ 7; -3; 12; 7 ]; [ 3; 1; 2; 3 ] ];
+  (* the first bad job in list order names the error *)
+  let bad = { Job.id = 5; release = -1.0; work = 1.0 } in
+  Alcotest.check_raises "duplicate before an invalid job" dup (fun () ->
+      ignore (Instance.create [ Job.make ~id:5 ~release:2.0 ~work:1.0; Job.make ~id:5 ~release:1.0 ~work:1.0; bad ]));
+  Alcotest.check_raises "invalid job before a duplicate"
+    (Invalid_argument "Job.make: release must be finite and non-negative") (fun () ->
+      ignore (Instance.create [ Job.make ~id:50 ~release:2.0 ~work:1.0; bad; Job.make ~id:50 ~release:1.0 ~work:1.0 ]))
 
 let test_builtin_instances () =
   check_int "figure1 size" 3 (Instance.n Instance.figure1);

@@ -335,6 +335,89 @@ let test_float_writer_random () =
     check_float_bytes (Float.succ decimal)
   done
 
+(* The integer path covers normal |x| in [1e-4, 1e16).  Its hard cases:
+   exact ties at the 17th and 12th digit, the window's edges and every
+   power of ten between them, and the floats next to a 12-digit
+   decimal, which it hands back to the definition *)
+let test_float_writer_window () =
+  let rng = Random.State.make [| 23 |] in
+  let both x =
+    check_float_bytes x;
+    check_float_bytes (-.x)
+  in
+  let with_ulps n x =
+    both x;
+    let up = ref x and down = ref x in
+    for _ = 1 to n do
+      up := Float.succ !up;
+      down := Float.pred !down;
+      both !up;
+      both !down
+    done
+  in
+  check_float_bytes 0.0;
+  check_float_bytes (-0.0);
+  Alcotest.(check string) "-0 prints its sign" "-0" (Obs_json.float_to_string (-0.0));
+  (* every power of ten from 1e-5 to 1e17: both edges from both sides *)
+  for k = -5 to 17 do
+    with_ulps 50 (float_of_string (Printf.sprintf "1e%d" k))
+  done;
+  (* x = j / 2^(q+1) with j odd has x 10^q = j 5^q / 2: a tie at the
+     [digits]-th significant digit when that is in [10^(digits-1),
+     10^digits) *)
+  let ties ~digits =
+    let p10 = int_of_float (10.0 ** float_of_int (digits - 1)) in
+    for q = Int.max 0 (digits - 16) to digits + 3 do
+      let p5 = int_of_float (5.0 ** float_of_int q) in
+      let lo = ((2 * p10) + p5 - 1) / p5 and hi = Int.min (20 * p10 / p5) (1 lsl 53) in
+      for _ = 1 to 400 do
+        let j = (lo + Random.State.full_int rng (hi - lo)) lor 1 in
+        if j < hi then both (Float.ldexp (float_of_int j) (-(q + 1)))
+      done
+    done
+  in
+  ties ~digits:17;
+  ties ~digits:12;
+  (* next to 12-digit decimals, and the values below a decade that
+     round up to it at 12 digits *)
+  for _ = 1 to 2_000 do
+    let d =
+      float_of_string
+        (Printf.sprintf "%d.%011Lde%d" (1 + Random.State.int rng 9)
+           (Random.State.int64 rng 100_000_000_000L)
+           (Random.State.int rng 21 - 4))
+    in
+    with_ulps 3 d
+  done;
+  for k = -4 to 15 do
+    for d = 0 to 9 do
+      both (float_of_string (Printf.sprintf "9.99999999999%de%d" d k))
+    done
+  done;
+  (* seeded in-window floats: uniform, log-uniform, three decimals *)
+  for i = 1 to 34_000 do
+    let check = if i mod 10 = 0 then both else check_float_bytes in
+    check (Random.State.float rng 1000.0);
+    check (10.0 ** (Random.State.float rng 20.0 -. 4.0));
+    check (float_of_string (Printf.sprintf "%d.%03d" (Random.State.int rng 100_000) (Random.State.int rng 1000)))
+  done
+
+(* the integer path writes straight into the buffer: no string, no
+   box.  The few floats next to a 12-digit decimal take the definition
+   and allocate its strings, about 50 words on this list *)
+let test_float_writer_allocation () =
+  let rng = Random.State.make [| 24 |] in
+  let doc = Obs_json.List (List.init 10_000 (fun _ -> Obs_json.Float (10.0 ** (Random.State.float rng 20.0 -. 4.0)))) in
+  let buf = Buffer.create (10_000 * 32) in
+  Obs_json.write buf doc;
+  Buffer.clear buf;
+  let w0 = Gc.minor_words () in
+  Obs_json.write buf doc;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "writing 10,000 floats allocates %.0f minor words (< 64)" words)
+    true (words < 64.0)
+
 (* ---------------------------------------------------------------- *)
 (* integration: the real binary's --trace output parses *)
 
@@ -425,6 +508,8 @@ let () =
           Alcotest.test_case "unicode escapes" `Quick test_json_unicode_escapes;
           Alcotest.test_case "float writer edges" `Quick test_float_writer_edges;
           Alcotest.test_case "float writer random" `Quick test_float_writer_random;
+          Alcotest.test_case "float writer window" `Quick test_float_writer_window;
+          Alcotest.test_case "float writer allocation" `Quick test_float_writer_allocation;
           Alcotest.test_case "raw text" `Quick test_json_raw;
         ] );
       ( "instrumentation",

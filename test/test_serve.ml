@@ -197,6 +197,20 @@ let test_canon_hex_floats () =
     | _ -> float_of_int (Random.State.int rng 1000)
   in
   let h = Printf.sprintf "%h" in
+  (* explicit rows: signed zeros, subnormals, the normal range's ends,
+     powers of two, fractions with every count of trailing zero digits *)
+  let rows =
+    [ 0.0; -0.0; 5e-324; -5e-324; Int64.float_of_bits 0x000FFFFFFFFFFFFFL; Int64.float_of_bits 0x0008000000000000L;
+      Float.min_float; -.Float.min_float; Float.max_float; -.Float.max_float; Float.epsilon; 0.1; -2.5 ]
+    @ List.concat_map (fun k -> [ Float.ldexp 1.0 k; -.Float.ldexp 1.0 k ]) [ -1074; -1022; -1; 0; 1; 10; 52; 1023 ]
+    @ List.init 14 (fun d -> 1.0 +. Float.ldexp 1.0 (-4 * d))
+  in
+  List.iter
+    (fun x ->
+      let p = Problem.make ~objective:Problem.Makespan ~mode:(Problem.Budget 1.0) ~alpha:2.0 () in
+      check_string "canon matches Printf %h" (Printf.sprintf "solver=auto;obj=makespan;mode=budget:%s;alpha=%s;procs=1;cap=_;levels=_;points=0;jobs=%s:%s:_:_,;" (h 1.0) (h 2.0) (h x) (h x))
+        (Serve_key.canon ~solver:None ~points:0 p [| (x, x) |]))
+    rows;
   for _ = 1 to 300 do
     let n = 1 + Random.State.int rng 6 in
     let pairs = Array.init n (fun _ -> (any (), any ())) in
@@ -684,9 +698,31 @@ let replay_counts path =
   Serve_journal.close j;
   (List.rev !seen, st)
 
+(* the bytewise CRC-32 that slicing-by-8 replaced, kept as the reference *)
+let reference_crc32 s =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  String.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8)) s;
+  !c lxor 0xFFFFFFFF
+
 let test_crc_vector () =
   check_int "IEEE CRC-32 check vector" 0xCBF43926 (Serve_journal.crc32 "123456789");
-  check_int "empty string" 0 (Serve_journal.crc32 "")
+  check_int "empty string" 0 (Serve_journal.crc32 "");
+  (* every length 0..2000 covers each tail mod 8 behind each number of
+     eight-byte steps *)
+  let rng = Random.State.make [| 32 |] in
+  let bytes = String.init 2000 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  for len = 0 to 2000 do
+    let s = String.sub bytes (2000 - len) len in
+    if Serve_journal.crc32 s <> reference_crc32 s then Alcotest.failf "crc32 differs from the bytewise reference at length %d" len
+  done
 
 let test_frame_roundtrip () =
   let payload = jpayload 7 in
