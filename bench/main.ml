@@ -940,24 +940,20 @@ let section_guard () =
 
 (* ---------------------------------------------------------------- *)
 (* KERNEL: single-core throughput of the unboxed solver hot paths
-   (PR7).  The kernel section plus four single-workload sections, all
+   (PR7).  The kernel section plus three single-workload sections, all
    gated by bench/baseline.json:
 
      kernel_flow_cold   cold-start Flow.solve_budget per budget —
-                        the flow-budget microbench on the new
+                        the flow-budget microbench on the
                         Scratch-arena eval-only path
      kernel_flow_warm   the same budgets warm-chained in 16-point
                         chunks (the Flow_frontier.curve discipline)
-     kernel_flow_legacy the same cold workload on Kernel_ref.Legacy,
-                        the frozen PR6-era solver — so the artifact
-                        carries its own before/after ratio, measured
-                        in-process on the same machine
      kernel_frontier    Frontier.build + a makespan_at query storm on
                         the unboxed segment arrays
 
-   The kernel section fails unless cold runs at least 3x legacy and
-   warm within 1.2x of cold; test/test_kernel.ml holds the allocation
-   relation on the same workload. *)
+   The kernel section fails unless warm runs within 1.2x of cold;
+   test/test_kernel.ml bounds the words per solve and certifies every
+   budget of the same workload. *)
 
 let kernel_inst = lazy (Workload.equal_work ~seed:7 ~n:64 ~work:1.0 (Workload.Poisson 1.0))
 let kernel_budgets = 192
@@ -979,13 +975,6 @@ let run_kernel_flow_warm () =
     ignore (Sys.opaque_identity sol)
   done
 
-let run_kernel_flow_legacy () =
-  let inst = Lazy.force kernel_inst in
-  for i = 0 to kernel_budgets - 1 do
-    ignore
-      (Sys.opaque_identity (Kernel_ref.Legacy.solve_budget ~alpha:3.0 ~energy:(kernel_budget i) inst))
-  done
-
 let kernel_frontier_inst = lazy (Workload.equal_work ~seed:13 ~n:2048 ~work:1.0 (Workload.Poisson 1.0))
 let kernel_frontier_queries = 100_000
 
@@ -1000,15 +989,11 @@ let run_kernel_frontier () =
   done;
   ignore (Sys.opaque_identity !acc)
 
-(* allocated words across [f ()], same accounting as Obs_bench *)
+(* words allocated across [f ()]: the exact minor-heap meter *)
 let kernel_allocs f =
-  let stat () =
-    let g = Gc.quick_stat () in
-    g.Gc.minor_words +. g.Gc.major_words -. g.Gc.promoted_words
-  in
-  let a0 = stat () in
+  let w0 = Gc.minor_words () in
   f ();
-  stat () -. a0
+  Gc.minor_words () -. w0
 
 let section_kernel () =
   header "KERNEL  unboxed single-core hot paths (Scratch arena, PR7)";
@@ -1016,42 +1001,20 @@ let section_kernel () =
   Printf.printf "flow-budget microbench: n=64 equal-work, %d budgets per pass\n\n" solves;
   (* warm the per-domain arena so growth doesn't land in a measured pass *)
   run_kernel_flow_cold ();
-  run_kernel_flow_legacy ();
-  let t_legacy = time_best ~reps:3 run_kernel_flow_legacy in
   let t_cold = time_best ~reps:3 run_kernel_flow_cold in
   let t_warm = time_best ~reps:3 run_kernel_flow_warm in
-  let a_legacy = kernel_allocs run_kernel_flow_legacy /. float_of_int solves in
   let a_cold = kernel_allocs run_kernel_flow_cold /. float_of_int solves in
   let a_warm = kernel_allocs run_kernel_flow_warm /. float_of_int solves in
-  let row label t a speedup =
-    Printf.printf "%-26s %-12.4f %-12.0f %-16.0f %-10s\n" label t
-      (float_of_int solves /. t)
-      a speedup
+  let row label t a =
+    Printf.printf "%-26s %-12.4f %-12.0f %-16.0f\n" label t (float_of_int solves /. t) a
   in
-  Printf.printf "%-26s %-12s %-12s %-16s %-10s\n" "path" "seconds" "solves/sec" "allocs/solve (w)"
-    "speedup";
-  row "PR6-era (legacy), cold" t_legacy a_legacy "1.00x (baseline)";
-  row "unboxed, cold" t_cold a_cold (Printf.sprintf "%.2fx" (t_legacy /. t_cold));
-  row "unboxed, warm-chained" t_warm a_warm (Printf.sprintf "%.2fx" (t_legacy /. t_warm));
-  (* the speedup must never cost a single ulp: the public results are
-     bitwise identical to the boxed reference *)
-  let inst = Lazy.force kernel_inst in
-  let e_lo = kernel_budget 0 and e_hi = kernel_budget (kernel_budgets - 1) in
-  let c_new = Flow_frontier.curve ~jobs:1 ~alpha:3.0 inst ~e_lo ~e_hi ~n:64 in
-  let c_ref = Kernel_ref.curve ~alpha:3.0 inst ~e_lo ~e_hi ~n:64 in
-  Printf.printf "\ncurve bitwise-identical to boxed reference: %b\n" (c_new = c_ref);
-  let model = Power_model.alpha 3.0 in
-  let fr_new = Frontier.build model inst in
-  let fr_ref = Kernel_ref.frontier_build model inst in
-  let s_new = Frontier.sample ~jobs:1 fr_new ~lo:e_lo ~hi:e_hi ~n:256 in
-  let s_ref = Kernel_ref.sample fr_ref ~lo:e_lo ~hi:e_hi ~n:256 in
-  Printf.printf "frontier sample bitwise-identical to boxed reference: %b\n" (s_new = s_ref);
+  Printf.printf "%-26s %-12s %-12s %-16s\n" "path" "seconds" "solves/sec" "allocs/solve (w)";
+  row "unboxed, cold" t_cold a_cold;
+  row "unboxed, warm-chained" t_warm a_warm;
   let t_frontier = time_best ~reps:3 run_kernel_frontier in
   Printf.printf "\nfrontier: build n=2048 + %d queries: %.4fs (%.0f queries/sec)\n"
     kernel_frontier_queries t_frontier
     (float_of_int kernel_frontier_queries /. t_frontier);
-  if t_legacy /. t_cold < 3.0 then
-    failwith (Printf.sprintf "kernel bench: cold is %.2fx legacy, below 3x" (t_legacy /. t_cold));
   if t_warm > 1.2 *. t_cold then
     failwith (Printf.sprintf "kernel bench: warm %.4fs slower than 1.2x cold %.4fs" t_warm t_cold)
 
@@ -1161,7 +1124,6 @@ let sections =
     ("kernel", section_kernel);
     ("kernel_flow_cold", run_kernel_flow_cold);
     ("kernel_flow_warm", run_kernel_flow_warm);
-    ("kernel_flow_legacy", run_kernel_flow_legacy);
     ("kernel_frontier", run_kernel_frontier);
     ("trace", section_trace);
   ]

@@ -127,10 +127,16 @@ let solve model levels ~energy inst =
         if cost_at !lo > energy then
           invalid_arg "Discrete_makespan.solve: budget below the discrete energy floor"
         else begin
-          let b = Rootfind.bisect ~f:(fun b -> cost_at b -. energy) ~lo:!lo ~hi:energy () in
-          (* bisection tolerance may land a hair over; back off if so *)
-          let rec settle b k = if k = 0 || cost_at b <= energy then b else settle (b *. 0.999) (k - 1) in
-          settle b 20
+          (* bisect keeping the feasible end: cost_at lo <= energy <
+             cost_at hi throughout, so lo never exceeds the budget and
+             ends within 1e-12 of where the plan's cost crosses it *)
+          let hi = ref energy in
+          while !hi -. !lo > 1e-12 *. !hi do
+            Fault.tick ();
+            let mid = 0.5 *. (!lo +. !hi) in
+            if cost_at mid <= energy then lo := mid else hi := mid
+          done;
+          !lo
         end
       end
     in

@@ -6,7 +6,7 @@
    problem is one safeguarded Newton on the energy equation over an
    a-priori bracket ([solve_in_range]), its derivative priced by the
    same pass as the energy; the server problem is a bracketed Brent
-   search on total flow. *)
+   search on total flow over log s. *)
 
 let c_runs = Obs.counter "flow.runs_formed"
 let c_run_merges = Obs.counter "flow.run_merges"
@@ -59,10 +59,10 @@ let validate ~alpha inst =
    depend on the call's arguments only, never on what the domain
    solved before.
 
-   Kernel_ref mirrors this arithmetic operation for operation on boxed
-   storage — the [kernel:*] fuzz properties compare the two bitwise —
-   while Kernel_ref.Legacy preserves the pre-scratch algorithm for
-   tolerance comparison and the before/after benchmark. *)
+   The solver is checked by its output: a budget spent to 1e-9
+   together with Theorem 1 certifies the root (the [flow_budget]
+   property), and [kernel:curve-certified] holds warm-started solves
+   to that certificate. *)
 type env = {
   alpha : float;
   inv_a : float;  (* 1.0 /. alpha *)
@@ -475,35 +475,54 @@ let solve_flow_target ?(eps = 1e-12) ~alpha ~flow inst =
   else begin
     validate ~alpha inst;
     let env = make_env ~alpha ~w:(common_work inst) inst in
-    let g s = eval_flow env s -. flow in
-    (* flow(s) is decreasing: large s -> tiny flows *)
-    let lo = ref 1e-6 in
+    (* flow(s) is decreasing: large s -> tiny flows.  The search runs on
+       x = log s, so Brent's step test, absolute below 1, is relative
+       in s at every scale *)
+    let g x = eval_flow env (Float.exp x) -. flow in
+    let lo = ref (Float.log 1e-6) in
     let glo = ref (g !lo) in
-    while !glo < 0.0 && !lo > 1e-300 do
+    while !glo < 0.0 && !lo > Float.log 1e-300 do
       Fault.tick ();
-      lo := !lo /. 16.0;
+      lo := !lo -. Float.log 16.0;
       glo := g !lo
     done;
-    let hi = ref 1.0 in
+    let hi = ref 0.0 in
     let ghi = ref (g !hi) in
-    while !ghi > 0.0 && !hi < 1e300 do
+    while !ghi > 0.0 && !hi < Float.log 1e300 do
       Fault.tick ();
-      hi := !hi *. 2.0;
+      hi := !hi +. Float.log 2.0;
       ghi := g !hi
     done;
-    let s = Rootfind.brent ~f:g ~lo:!lo ~hi:!hi ~flo:!glo ~fhi:!ghi ~eps ~max_iter:300 () in
-    solve_full env s
+    let x = Rootfind.brent ~f:g ~lo:!lo ~hi:!hi ~flo:!glo ~fhi:!ghi ~eps ~max_iter:300 () in
+    let sol = solve_full env (Float.exp x) in
+    (* eval_flow's closed form can cancel at extreme scales: check the
+       materialized flow rather than trust the root *)
+    if not (Float.abs (sol.flow -. flow) <= 1e-9 *. flow) then
+      invalid_arg
+        (Printf.sprintf "Flow.solve_flow_target: the solution's flow %.17g misses the target %.17g"
+           sol.flow flow);
+    sol
   end
 
+(* Starts are taken the way [solve_full] built the completions: a
+   run's first job starts at its release, every other job at its
+   predecessor's completion, so start + w/sigma is the stored
+   completion bit for bit.  (completion - w/sigma loses a positive
+   release to rounding once completions pass about 1e8.)  The list is
+   built back to front, runs and jobs alike. *)
 let schedule inst sol =
-  let n = Instance.n inst in
-  let entries = ref [] in
-  for k = n - 1 downto 0 do
-    let j = Instance.job inst k in
-    let start = sol.completions.(k) -. (j.Job.work /. sol.speeds.(k)) in
-    entries := { Schedule.job = j; proc = 0; start; speed = sol.speeds.(k) } :: !entries
-  done;
-  Schedule.of_entries !entries
+  let entry k start acc =
+    { Schedule.job = Instance.job inst k; proc = 0; start; speed = sol.speeds.(k) } :: acc
+  in
+  Schedule.of_entries
+    (List.fold_right
+       (fun run acc ->
+         let acc = ref acc in
+         for k = run.last downto run.first + 1 do
+           acc := entry k sol.completions.(k - 1) !acc
+         done;
+         entry run.first (Instance.job inst run.first).Job.release !acc)
+       sol.runs [])
 
 (* Scale-free: speeds enter as ratios to the last speed, so the α-th
    powers stay near 1 at any budget, and each completion is compared

@@ -73,10 +73,18 @@ val solve_budget :
 
 val solve_flow_target : ?eps:float -> alpha:float -> flow:float -> Instance.t -> solution
 (** Server problem: least energy whose optimal flow meets the target.
-    @raise Invalid_argument when the target is below the infimum flow
-    (sum of work-over-infinite-speed terms, i.e. not achievable). *)
+    A bracketed Brent search on [log s], so its step test ([eps],
+    default 1e-12) is relative to the last speed at every scale.
+    @raise Invalid_argument when the target is not positive, or when
+    the solution found misses the target flow by more than [1e-9]
+    relative (the flow evaluation loses precision at extreme budgets,
+    e.g. [alpha = 3] around [E = 1e100]). *)
 
 val schedule : Instance.t -> solution -> Schedule.t
+(** The solution as a schedule on processor 0: each run's first job
+    starts at its release and every other job at its predecessor's
+    completion, so each job's start plus its duration is its stored
+    completion exactly. *)
 
 val theorem1_holds : ?tol:float -> alpha:float -> Instance.t -> solution -> bool
 (** Checks every adjacent pair against the three Theorem 1 relations —

@@ -27,7 +27,7 @@ type t
 val build : Power_model.t -> Instance.t -> t
 (** Enumerate all configurations.  Linear in [n] once sorted: every
     configuration shares one window-block array, and prefix work/energy
-    sums ({!Incmerge.prefix_sums}) price each split in O(1). *)
+    sums ({!Incmerge.prefix_sums_fa}) price each split in O(1). *)
 
 val breakpoints : t -> float list
 (** Budgets at which the optimal configuration changes, increasing

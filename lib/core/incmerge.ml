@@ -149,30 +149,15 @@ let window_into inst ~upto (soa : Block.Soa.t) =
 let window_soa inst ~upto =
   Obs.span "incmerge.window_blocks" @@ fun () ->
   let n = Instance.n inst in
-  if upto >= n - 1 || upto < -1 then invalid_arg "Incmerge.window_blocks: upto out of range";
+  if upto >= n - 1 || upto < -1 then invalid_arg "Incmerge.window_soa: upto out of range";
   let soa = Scratch.block_soa (Scratch.get ()) ~slot:1 (Int.max (upto + 1) 1) in
   window_into inst ~upto soa;
   soa
 
-let window_blocks inst ~upto = Block.Soa.to_list (window_soa inst ~upto)
-
-let prefix_sums model bs =
-  let m = Array.length bs in
-  let cum_work = Array.make (m + 1) 0.0 in
-  let cum_energy = Array.make (m + 1) 0.0 in
-  for j = 0 to m - 1 do
-    let b = bs.(j) in
-    cum_work.(j + 1) <- cum_work.(j) +. b.Block.work;
-    (* transient infinite-speed blocks carry infinite energy; they never
-       survive into an emitted configuration, so counting them as 0 keeps
-       the sums finite (same convention as the [blocks] stack cells) *)
-    cum_energy.(j + 1) <-
-      (cum_energy.(j) +. if Float.is_finite b.Block.speed then Block.energy model b else 0.0)
-  done;
-  (cum_work, cum_energy)
-
 (* unboxed prefix sums over a SoA store: freshly allocated (they are
-   retained by Frontier.t well past the scratch validity window) *)
+   retained by Frontier.t well past the scratch validity window);
+   transient infinite-speed blocks count as zero energy, as in the
+   [blocks] stack cells *)
 let prefix_sums_fa model (soa : Block.Soa.t) =
   let m = soa.Block.Soa.len in
   let cum_work = Float.Array.make (m + 1) 0.0 in

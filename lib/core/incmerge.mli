@@ -30,33 +30,23 @@ val energy_used : Power_model.t -> Block.t list -> float
 (** Total energy of a block decomposition — for a budget [E] this is
     [E] up to rounding (the last block exhausts the budget). *)
 
-val prefix_sums : Power_model.t -> Block.t array -> float array * float array
-(** [prefix_sums model bs] is [(cum_work, cum_energy)], both of length
-    [Array.length bs + 1], where [cum_work.(j)] sums the work of
-    [bs.(0..j-1)] and [cum_energy.(j)] sums their energies, counting
-    transient infinite-speed blocks as zero energy (they never appear in
-    an emitted configuration).  Built once, these let {!Frontier} price
-    any prefix/suffix split in O(1) instead of re-walking the blocks. *)
-
-val window_blocks : Instance.t -> upto:int -> Block.t list
+val window_soa : Instance.t -> upto:int -> Block.Soa.t
 (** The merge phase of IncMerge with window-determined speeds only, on
     jobs [0..upto]: the block structure of the first configuration in
     {!Frontier} (every block priced against the next job's release,
-    budget ignored).  The window of job [upto]'s block ends at release
-    [upto + 1], which must exist.
-    @raise Invalid_argument when [upto >= n - 1] or [upto < -1]. *)
-
-val window_soa : Instance.t -> upto:int -> Block.Soa.t
-(** {!window_blocks} without the boxed materialization: the block
-    structure as a scratch-backed {!Block.Soa.t}.  The store is valid
-    only until the next kernel call on the calling domain — callers
-    ({!Frontier.build}) copy what they retain.
+    budget ignored), as a scratch-backed {!Block.Soa.t}.  The window of
+    job [upto]'s block ends at release [upto + 1], which must exist.
+    The store is valid only until the next kernel call on the calling
+    domain — callers ({!Frontier.build}) copy what they retain.
     @raise Invalid_argument when [upto >= n - 1] or [upto < -1]. *)
 
 val prefix_sums_fa : Power_model.t -> Block.Soa.t -> floatarray * floatarray
-(** {!prefix_sums} over a struct-of-arrays store, producing unboxed
-    [floatarray]s directly (length [len + 1], same zero-energy
-    convention for transient infinite-speed blocks).  Freshly
-    allocated — safe to retain past the scratch validity window, which
-    is how {!Frontier} keeps them for {!Frontier.segment_at} binary
+(** [prefix_sums_fa model soa] is [(cum_work, cum_energy)], both of
+    length [len + 1], where [cum_work.(j)] sums the work of rows
+    [0..j-1] and [cum_energy.(j)] sums their energies, counting
+    transient infinite-speed blocks as zero energy (they never appear
+    in an emitted configuration).  Built once, these let {!Frontier}
+    price any prefix/suffix split in O(1) instead of re-walking the
+    blocks.  Freshly allocated — safe to retain past the scratch
+    validity window, which is how {!Frontier} keeps them for its binary
     searches without re-boxing. *)

@@ -28,9 +28,8 @@
     Determinism: arenas affect only {e where} intermediates live,
     never their values, so results are independent of which domain
     (hence which arena) evaluates a call — the {!Par} jobs-invariance
-    contract is preserved, and the [kernel:*] fuzz properties check it
-    bitwise against the boxed reference implementation
-    ({!Kernel_ref}). *)
+    contract is preserved, and [test_kernel] checks it bitwise across
+    jobs widths on interleaved instance sizes. *)
 
 type t
 (** One domain's arena.  Obtain with {!get}; never share across

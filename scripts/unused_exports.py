@@ -21,8 +21,8 @@ them do not count.
 
 Each such value is either deleted or dropped from its .mli, where the
 compiler's unused-value warning then flags it if it becomes dead.
-The ALLOWED list below names the exceptions, one reason each.  Prints
-one line per offending value and exits 1 if there is any, else 0.
+Prints one line per offending value and exits 1 if there is any,
+else 0.
 
 The tree is scanned once: every file's qualified tokens and opens are
 collected in one pass, so the check takes well under a second.
@@ -33,12 +33,6 @@ import re
 import sys
 
 SCAN_DIRS = ["lib", "bin", "bench", "test", "perfbench", "examples"]
-
-# (module, value): reason the export stays without an outside caller
-ALLOWED = {
-    ("Kernel_ref", "solve_budget"): "the reference mirror of Flow.solve_budget; the bitwise tests compare Flow against it through Kernel_ref.curve",
-    ("Kernel_ref", "makespan_at"): "the reference mirror of Frontier.makespan_at; the bitwise tests compare Frontier against it through Kernel_ref.sample",
-}
 
 IDENT = r"[A-Za-z0-9_']"
 QUALIFIED = re.compile(r"(?<![\w.'])([A-Z]" + IDENT + r"*)\.([a-z_]" + IDENT + r"*)")
@@ -180,19 +174,11 @@ def main():
             for mod in opened:
                 used.update((mod, v) for v in exports[mod] if v in bare)
 
-    unused = [
-        (mod, v)
-        for mod in sorted(exports)
-        for v in exports[mod]
-        if (mod, v) not in used and (mod, v) not in ALLOWED
-    ]
+    unused = [(mod, v) for mod in sorted(exports) for v in exports[mod] if (mod, v) not in used]
     for mod, v in unused:
         print(f"{mli_of[mod]}: {mod}.{v} has no caller outside its own module")
-    stale = sorted(k for k in ALLOWED if k in used or k[1] not in exports.get(k[0], []))
-    for mod, v in stale:
-        print(f"unused_exports.py: allowlisted {mod}.{v} is no longer an unused export; drop it from ALLOWED")
-    if unused or stale:
-        print(f"{len(unused)} unused export(s), {len(stale)} stale allowlist entr(ies)")
+    if unused:
+        print(f"{len(unused)} unused export(s)")
         return 1
     return 0
 

@@ -64,19 +64,29 @@ let test_discrete_below_floor_rejected () =
     (Invalid_argument "Discrete_makespan.solve: budget below the discrete energy floor")
     (fun () -> ignore (Discrete_makespan.solve cube levels ~energy:4.0 Instance.figure1))
 
+(* refining the level set converges to the continuous optimum *)
+let discrete_converges (seed, e) =
+  let inst = Workload.uniform_work ~seed ~n:6 ~lo:0.5 ~hi:2.0 (Workload.Poisson 1.0) in
+  let continuous = Incmerge.makespan cube ~energy:e inst in
+  let coarse = Discrete_makespan.makespan cube (fine_levels 8 5.0) ~energy:e inst in
+  let fine = Discrete_makespan.makespan cube (fine_levels 128 5.0) ~energy:e inst in
+  coarse >= continuous -. 1e-9
+  && fine >= continuous -. 1e-9
+  && fine <= coarse +. 1e-9
+  && fine <= continuous *. 1.02
+
 let prop_discrete_convergence =
-  (* refining the level set converges to the continuous optimum *)
   QCheck.Test.make ~count:40 ~name:"discrete makespan converges to continuous"
     QCheck.(pair (int_range 0 1000) (float_range 8.0 30.0))
+    discrete_converges
+
+(* budgets where a solve that stops short of spending its budget lets
+   the 8-level plan beat the 128-level one *)
+let test_discrete_converges_recorded () =
+  List.iter
     (fun (seed, e) ->
-      let inst = Workload.uniform_work ~seed ~n:6 ~lo:0.5 ~hi:2.0 (Workload.Poisson 1.0) in
-      let continuous = Incmerge.makespan cube ~energy:e inst in
-      let coarse = Discrete_makespan.makespan cube (fine_levels 8 5.0) ~energy:e inst in
-      let fine = Discrete_makespan.makespan cube (fine_levels 128 5.0) ~energy:e inst in
-      coarse >= continuous -. 1e-9
-      && fine >= continuous -. 1e-9
-      && fine <= coarse +. 1e-9
-      && fine <= continuous *. 1.02)
+      check_bool (Printf.sprintf "seed %d, E = %.13g" seed e) true (discrete_converges (seed, e)))
+    [ (480, 28.35022052496); (9, 16.46395859416); (69, 28.60175578616) ]
 
 let prop_discrete_budget_respected =
   QCheck.Test.make ~count:60 ~name:"discrete plans stay within budget"
@@ -240,6 +250,7 @@ let () =
           Alcotest.test_case "figure1 instance" `Quick test_discrete_solve_figure1;
           Alcotest.test_case "work conserved" `Quick test_discrete_work_conserved;
           Alcotest.test_case "below floor rejected" `Quick test_discrete_below_floor_rejected;
+          Alcotest.test_case "converges on recorded cases" `Quick test_discrete_converges_recorded;
           qt prop_discrete_convergence;
           qt prop_discrete_budget_respected;
         ] );

@@ -125,6 +125,26 @@ let test_huge_budgets_rescaled () =
       check_bool (what ^ " feasible") true (Validate.is_feasible inst (Flow.schedule inst sol)))
     [ 1e250; 1e300; 1e308 ]
 
+(* The server problem on budget-solve round trips at extreme scales:
+   the search runs on log s, so a tiny budget's flow is met exactly;
+   where the flow evaluation itself cancels (alpha = 3, E = 1e100) the
+   solver raises rather than answer a wrong flow. *)
+let flow_target_round_trip ~alpha ~energy =
+  let inst = Instance.of_pairs [ (0.0, 1.0); (0.5, 1.0); (1.0, 1.0) ] in
+  let sol = Flow.solve_budget ~alpha ~energy inst in
+  (sol, Flow.solve_flow_target ~alpha ~flow:sol.Flow.flow inst)
+
+let test_flow_target_tiny_budget () =
+  let sol, back = flow_target_round_trip ~alpha:1.5 ~energy:1e-6 in
+  check_rel "flow meets the target" ~tol:1e-9 sol.Flow.flow back.Flow.flow;
+  check_rel "energy is the budget" ~tol:1e-9 1e-6 back.Flow.energy
+
+let test_flow_target_raises_off_target () =
+  check_bool "alpha = 3, E = 1e100 raises" true
+    (match flow_target_round_trip ~alpha:3.0 ~energy:1e100 with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 (* ---------- the theorem-8 instance across its three configurations ---------- *)
 
 let test_thm8_all_busy_at_9 () =
@@ -264,7 +284,7 @@ let prop_flow_target_inverse =
       let sol = Flow.solve_budget ~alpha:3.0 ~energy:e inst in
       QCheck.assume (sol.Flow.flow > 1e-6);
       let back = Flow.solve_flow_target ~alpha:3.0 ~flow:sol.Flow.flow inst in
-      Float.abs (back.Flow.energy -. e) <= 1e-5 *. (1.0 +. e))
+      Float.abs (back.Flow.energy -. e) <= 1e-9 *. e)
 
 let prop_other_alphas =
   QCheck.Test.make ~count:80 ~name:"theorem 1 relations hold for alpha = 2"
@@ -426,6 +446,8 @@ let () =
           Alcotest.test_case "tiny budget, three jobs" `Quick test_tiny_budget_three_jobs;
           Alcotest.test_case "tiny budget, 64 Poisson jobs" `Quick test_tiny_budget_poisson64;
           Alcotest.test_case "huge budgets rescaled" `Quick test_huge_budgets_rescaled;
+          Alcotest.test_case "flow target, tiny budget" `Quick test_flow_target_tiny_budget;
+          Alcotest.test_case "flow target raises off target" `Quick test_flow_target_raises_off_target;
         ] );
       ( "theorem8-instance",
         [

@@ -223,6 +223,15 @@ let test_flow_huge_budgets () =
         (Float.abs (energy -. budget) <= 1e-9 *. budget))
     [ "1e250"; "1e300"; "1e308" ]
 
+(* completions near 1e250: each start is the release or the previous
+   completion, not completion - work/speed, which rounds a release away *)
+let test_flow_tiny_budget_schedule () =
+  let args = "solve --objective flow --alpha 2 --jobs 0.5:1,1:1 --energy 1e-250" in
+  let code, out, err = run_cli args in
+  Alcotest.(check int) (Printf.sprintf "%s exits 0 (stderr: %s)" args err) 0 code;
+  Alcotest.(check bool) (args ^ " answers through flow") true
+    (contains ~needle:"# flow flow/" (List.hd (lines out)))
+
 (* speeds of ~1e-601 have no float: a typed usage error naming the
    budget, before any output *)
 let test_flow_unrepresentable_budget () =
@@ -317,7 +326,9 @@ let test_serve_stdin () =
    ok payloads were pre-encoded (all but the speed_cap and levels pairs
    of serve_replies.txt, which record the routing that honours them),
    so these cases pin the reply, journal and checkpoint bytes across
-   changes to the writer. *)
+   changes to the writer.  Two replies were re-captured since for
+   solver fixes: flow64's starts, now taken from the run structure,
+   and levels, whose discrete plan now spends its whole budget. *)
 
 (* a golden of interleaved lines: request, then its reply *)
 let request_reply_pairs name =
@@ -437,6 +448,7 @@ let () =
           Alcotest.test_case "usage errors print nothing" `Quick test_usage_error_before_output;
           Alcotest.test_case "flow answers through its fallback" `Quick test_flow_fallback;
           Alcotest.test_case "flow solves huge budgets" `Quick test_flow_huge_budgets;
+          Alcotest.test_case "flow schedules a tiny budget" `Quick test_flow_tiny_budget_schedule;
           Alcotest.test_case "unrepresentable flow budget exits 2" `Quick
             test_flow_unrepresentable_budget;
           Alcotest.test_case "infeasible target exits 3" `Quick test_infeasible_exit;
