@@ -3,7 +3,7 @@
    The streaming pipeline re-derives results the materialized stack
    already computes, so every claim here is differential:
 
-   - the pooled Event_queue drains in (time, insertion) order whatever
+   - the Event_queue drains in (time, insertion) order whatever
      the interleaving of adds and pops;
    - Streaming_metrics agrees with a direct fold over the same
      observations to 1e-9;
@@ -32,11 +32,11 @@ let queue_drain c =
     let t = Float.of_int (int_of_float (8.0 *. Oracle.aux_float c ~salt:0x51e4 ~index:i)) in
     Event_queue.add q t i;
     added := (t, i) :: !added;
-    (* interleaved pops drive the entry-pooling path *)
-    if Oracle.aux_float c ~salt:0x9051 ~index:i < 0.4 then
-      match Event_queue.pop q with
-      | Some e -> popped := e :: !popped
-      | None -> ()
+    (* interleaved pops move entries through every heap level *)
+    if Oracle.aux_float c ~salt:0x9051 ~index:i < 0.4 && not (Event_queue.is_empty q) then begin
+      let t = Event_queue.min_time q in
+      popped := (t, Event_queue.pop q) :: !popped
+    end
   done;
   let tail = Event_queue.drain q in
   let all = List.rev !popped @ tail in

@@ -1,6 +1,6 @@
 (** Fuzz properties for the trace-scale streaming simulation stack.
 
-    - [sim:queue-drain] — the pooled {!Event_queue} drains sorted by
+    - [sim:queue-drain] — the {!Event_queue} drains sorted by
       time with insertion order breaking ties, under a fuzzed add/pop
       interleaving;
     - [sim:metrics-exact] — {!Streaming_metrics} count/total/mean/max

@@ -6,11 +6,19 @@
    with five markers.  The exact aggregates (count, sum, min, max,
    makespan, energy) agree with [Metrics] over a materialized schedule
    to float rounding; the P² quantiles are estimates and are exact only
-   while the observation count is at most five. *)
+   while the observation count is at most five.
+
+   [observe] allocates nothing once P² is past its bootstrap: all state
+   is float-only storage (Welford's record, P²'s marker arrays, the
+   totals), and the Welford and P² updates are inlined into it, so the
+   flow never crosses a function boundary boxed. *)
 
 module Welford = struct
+  (* Float-only, so every update stores unboxed (a float field of a
+     record that also holds an int is boxed on each store).  The count
+     is exact as a float up to 2^53. *)
   type t = {
-    mutable n : int;
+    mutable n : float;
     mutable mean : float;
     mutable m2 : float;
     mutable min : float;
@@ -19,20 +27,20 @@ module Welford = struct
   }
 
   let create () =
-    { n = 0; mean = 0.0; m2 = 0.0; min = Float.infinity; max = Float.neg_infinity; sum = 0.0 }
+    { n = 0.0; mean = 0.0; m2 = 0.0; min = Float.infinity; max = Float.neg_infinity; sum = 0.0 }
 
   let clear w =
-    w.n <- 0;
+    w.n <- 0.0;
     w.mean <- 0.0;
     w.m2 <- 0.0;
     w.min <- Float.infinity;
     w.max <- Float.neg_infinity;
     w.sum <- 0.0
 
-  let add w x =
-    w.n <- w.n + 1;
+  let[@inline] add w x =
+    w.n <- w.n +. 1.0;
     let d = x -. w.mean in
-    w.mean <- w.mean +. (d /. float_of_int w.n);
+    w.mean <- w.mean +. (d /. w.n);
     (* d uses the pre-update mean, the second factor the post-update
        one: that cross term is what keeps m2 non-negative *)
     w.m2 <- w.m2 +. (d *. (x -. w.mean));
@@ -40,13 +48,13 @@ module Welford = struct
     if x < w.min then w.min <- x;
     if x > w.max then w.max <- x
 
-  let count w = w.n
-  let mean w = if w.n = 0 then 0.0 else w.mean
+  let count w = int_of_float w.n
+  let mean w = if w.n = 0.0 then 0.0 else w.mean
   let sum w = w.sum
-  let variance w = if w.n < 2 then 0.0 else w.m2 /. float_of_int (w.n - 1)
+  let variance w = if w.n < 2.0 then 0.0 else w.m2 /. (w.n -. 1.0)
   let stddev w = sqrt (variance w)
-  let minimum w = if w.n = 0 then 0.0 else w.min
-  let maximum w = if w.n = 0 then 0.0 else w.max
+  let minimum w = if w.n = 0.0 then 0.0 else w.min
+  let maximum w = if w.n = 0.0 then 0.0 else w.max
 end
 
 module P2 = struct
@@ -74,66 +82,69 @@ module P2 = struct
       n = 0;
     }
 
-  let parabolic t i d =
-    let h = t.heights and p = t.pos in
-    h.(i)
-    +. (d /. (p.(i + 1) -. p.(i - 1))
-       *. (((p.(i) -. p.(i - 1) +. d) *. (h.(i + 1) -. h.(i)) /. (p.(i + 1) -. p.(i)))
-          +. ((p.(i + 1) -. p.(i) -. d) *. (h.(i) -. h.(i - 1)) /. (p.(i) -. p.(i - 1)))))
+  (* the first five observations, kept sorted: the exact quantile's
+     buffer *)
+  let bootstrap t x =
+    t.heights.(t.n - 1) <- x;
+    let sub = Array.sub t.heights 0 t.n in
+    Array.sort compare sub;
+    Array.blit sub 0 t.heights 0 t.n
 
-  let linear t i d =
-    let h = t.heights and p = t.pos in
-    let j = i + int_of_float d in
-    h.(i) +. (d *. (h.(j) -. h.(i)) /. (p.(j) -. p.(i)))
+  (* Indices are marker numbers 0..4 into the five-element arrays
+     [create] makes, so marker accesses skip bounds checks. *)
+  let[@inline] get (a : float array) i = Array.unsafe_get a i
+  let[@inline] set (a : float array) i (x : float) = Array.unsafe_set a i x
 
-  let add t x =
+  (* Inlined, and the marker step is computed in place rather than
+     returned from a helper: a float passed to or returned from a
+     function that is not inlined is boxed. *)
+  let[@inline] add t x =
     t.n <- t.n + 1;
-    if t.n <= 5 then begin
-      (* bootstrap: insertion-sort the first five observations *)
-      t.heights.(t.n - 1) <- x;
-      let sub = Array.sub t.heights 0 t.n in
-      Array.sort compare sub;
-      Array.blit sub 0 t.heights 0 t.n
-    end
+    if t.n <= 5 then bootstrap t x
     else begin
-      let h = t.heights and p = t.pos in
+      let h = t.heights and p = t.pos and want = t.want and dwant = t.dwant in
+      (* the cell of x: the last marker at or below it, 0 below the
+         minimum and 3 at or above the maximum *)
       let k =
-        if x < h.(0) then begin
-          h.(0) <- x;
+        if x < get h 0 then begin
+          set h 0 x;
           0
         end
-        else if x >= h.(4) then begin
-          h.(4) <- x;
+        else if x >= get h 4 then begin
+          set h 4 x;
           3
         end
-        else begin
-          let k = ref 0 in
-          for i = 1 to 3 do
-            if x >= h.(i) then k := i
-          done;
-          !k
-        end
+        else if x >= get h 3 then 3
+        else if x >= get h 2 then 2
+        else if x >= get h 1 then 1
+        else 0
       in
       for i = k + 1 to 4 do
-        p.(i) <- p.(i) +. 1.0
+        set p i (get p i +. 1.0)
       done;
-      for i = 0 to 4 do
-        t.want.(i) <- t.want.(i) +. t.dwant.(i)
-      done;
-      (* move the three middle markers toward their ideal positions *)
+      (* the end markers' desired positions are never read *)
       for i = 1 to 3 do
-        let d = t.want.(i) -. p.(i) in
-        if
-          (d >= 1.0 && p.(i + 1) -. p.(i) > 1.0)
-          || (d <= -1.0 && p.(i - 1) -. p.(i) < -1.0)
-        then begin
+        set want i (get want i +. get dwant i)
+      done;
+      (* move the three middle markers toward their desired positions:
+         the piecewise-parabolic prediction, or the linear one when the
+         parabola would cross a neighbour *)
+      for i = 1 to 3 do
+        let pi = get p i and pl = get p (i - 1) and pr = get p (i + 1) in
+        let d = get want i -. pi in
+        if (d >= 1.0 && pr -. pi > 1.0) || (d <= -1.0 && pl -. pi < -1.0) then begin
           let d = if d >= 0.0 then 1.0 else -1.0 in
-          let candidate = parabolic t i d in
-          let candidate =
-            if h.(i - 1) < candidate && candidate < h.(i + 1) then candidate else linear t i d
+          let hi = get h i and hl = get h (i - 1) and hr = get h (i + 1) in
+          let parabolic =
+            hi
+            +. (d /. (pr -. pl)
+               *. (((pi -. pl +. d) *. (hr -. hi) /. (pr -. pi))
+                  +. ((pr -. pi -. d) *. (hi -. hl) /. (pi -. pl))))
           in
-          h.(i) <- candidate;
-          p.(i) <- p.(i) +. d
+          if hl < parabolic && parabolic < hr then set h i parabolic
+          else if d > 0.0 then set h i (hi +. (d *. (hr -. hi) /. (pr -. pi)))
+          else set h i (hi +. (d *. (hl -. hi) /. (pl -. pi)));
+          set p i (pi +. d)
         end
       done
     end
@@ -153,15 +164,9 @@ module P2 = struct
     else t.heights.(2)
 end
 
-type t = {
-  flow : Welford.t;
-  p50 : P2.t;
-  p95 : P2.t;
-  p99 : P2.t;
-  mutable makespan : float;
-  mutable energy : float;
-  mutable released_work : float;
-}
+type totals = { mutable makespan : float; mutable energy : float; mutable released_work : float }
+
+type t = { flow : Welford.t; p50 : P2.t; p95 : P2.t; p99 : P2.t; totals : totals }
 
 type snapshot = {
   jobs : int;
@@ -183,9 +188,7 @@ let create () =
     p50 = P2.create 0.50;
     p95 = P2.create 0.95;
     p99 = P2.create 0.99;
-    makespan = 0.0;
-    energy = 0.0;
-    released_work = 0.0;
+    totals = { makespan = 0.0; energy = 0.0; released_work = 0.0 };
   }
 
 let observe (t : t) ~release ~completion =
@@ -196,11 +199,9 @@ let observe (t : t) ~release ~completion =
   P2.add t.p50 flow;
   P2.add t.p95 flow;
   P2.add t.p99 flow;
-  if completion > t.makespan then t.makespan <- completion
+  if completion > t.totals.makespan then t.totals.makespan <- completion
 
-let add_energy (t : t) e = t.energy <- t.energy +. e
-let add_released_work (t : t) w = t.released_work <- t.released_work +. w
-
+let totals (t : t) = t.totals
 let jobs (t : t) = Welford.count t.flow
 
 let snapshot (t : t) : snapshot =
@@ -213,7 +214,7 @@ let snapshot (t : t) : snapshot =
     flow_p50 = P2.quantile t.p50;
     flow_p95 = P2.quantile t.p95;
     flow_p99 = P2.quantile t.p99;
-    makespan = t.makespan;
-    energy = t.energy;
-    released_work = t.released_work;
+    makespan = t.totals.makespan;
+    energy = t.totals.energy;
+    released_work = t.totals.released_work;
   }

@@ -67,11 +67,19 @@ val create : unit -> t
 
 val observe : t -> release:float -> completion:float -> unit
 (** Record one completed job: feeds flow [completion - release] into
-    the running statistics and advances the makespan.
+    the running statistics and advances the makespan.  Allocates
+    nothing (its float arguments are boxed by a caller in another
+    module unless they already are, e.g. fields of a {!Job.t}).
     @raise Invalid_argument when [completion < release]. *)
 
-val add_energy : t -> float -> unit
-val add_released_work : t -> float -> unit
+type totals = { mutable makespan : float; mutable energy : float; mutable released_work : float }
+(** The running aggregates beside the flow statistics, float-only so
+    stores are unboxed.  [observe] advances [makespan]; a simulator
+    adds to [energy] and [released_work] in place, which allocates
+    nothing, where a function taking the increment would box it. *)
+
+val totals : t -> totals
+(** The metrics' own totals record (not a copy). *)
 
 val jobs : t -> int
 

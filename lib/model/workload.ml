@@ -75,16 +75,28 @@ module Stream = struct
     | Staircase_process step ->
       if step < 0.0 then invalid_arg "Workload.Stream: step < 0"
 
-  let draw_size rng = function
+  (* The pull path allocates only the job it returns: the [Some], the
+     record and its two boxed floats, 10 words.  Without flambda a float
+     in a [ref] captured by a closure, or passed to or returned from a
+     function that is not inlined, is boxed; so the arrival clock lives
+     in a float-only record that each process advances in place, and
+     the draws below are inlined and take their bits from
+     [Rng.bits53], which returns an immediate int. *)
+  type clock = { mutable now : float; mutable phase_end : float }
+
+  (* uniform in [0, 1): the value [Rng.float rng 1.0] returns *)
+  let[@inline] unit_draw rng = float_of_int (Rng.bits53 rng) *. 0x1.0p-53
+
+  let[@inline] draw_size rng = function
     | Fixed_size w -> w
-    | Uniform_size { lo; hi } -> lo +. Rng.float rng (hi -. lo)
+    | Uniform_size { lo; hi } -> lo +. (unit_draw rng *. (hi -. lo))
     | Pareto { shape; scale } ->
-      let u = 1.0 -. Rng.float rng 1.0 in
+      let u = 1.0 -. unit_draw rng in
       scale /. (u ** (1.0 /. shape))
 
   (* exponential inter-event time; the 1-u transform keeps log's
      argument in (0, 1] *)
-  let draw_exp rng rate = -.Float.log (1.0 -. Rng.float rng 1.0) /. rate
+  let[@inline] draw_exp rng rate = -.Float.log (1.0 -. unit_draw rng) /. rate
 
   let make ~seed ?limit ~size process =
     check_size size;
@@ -96,41 +108,44 @@ module Stream = struct
        process never perturbs the size sequence, and vice versa *)
     let arr_rng = Rng.of_pair seed 0 in
     let size_rng = Rng.of_pair seed 1 in
-    let now = ref 0.0 in
-    let next_release =
+    let clock = { now = 0.0; phase_end = 0.0 } in
+    (* each process moves [clock.now] to the next release *)
+    let advance =
       match process with
-      | Poisson_process rate ->
-        fun () ->
-          now := !now +. draw_exp arr_rng rate;
-          !now
+      | Poisson_process rate -> fun () -> clock.now <- clock.now +. draw_exp arr_rng rate
       | Diurnal { base; amplitude; period } ->
         (* sinusoid-modulated Poisson by thinning: candidates arrive at
            the peak rate and survive with probability rate(t)/peak *)
         let peak = base *. (1.0 +. amplitude) in
         let two_pi = 8.0 *. Float.atan 1.0 in
+        (* the rate at sin = -1: rounding is monotone, so no computed
+           rate is below it and a candidate under it survives without
+           the sine (a squeeze test; the sine draws no randomness) *)
+        let trough = base *. (1.0 -. amplitude) in
         let rec candidate () =
-          now := !now +. draw_exp arr_rng peak;
-          let rate = base *. (1.0 +. (amplitude *. Float.sin (two_pi *. !now /. period))) in
-          if Rng.float arr_rng 1.0 *. peak <= rate then !now else candidate ()
+          clock.now <- clock.now +. draw_exp arr_rng peak;
+          let v = unit_draw arr_rng *. peak in
+          if
+            not
+              (v <= trough
+              || v <= base *. (1.0 +. (amplitude *. Float.sin (two_pi *. clock.now /. period))))
+          then candidate ()
         in
         candidate
       | Mmpp { rate_on; rate_off; mean_on; mean_off } ->
         (* two-phase Markov-modulated Poisson: exponential on/off
            sojourns, arrivals at the phase's rate (rate_off may be 0) *)
         let on = ref true in
-        let phase_end = ref (draw_exp arr_rng (1.0 /. mean_on)) in
+        clock.phase_end <- draw_exp arr_rng (1.0 /. mean_on);
         let rec arrival () =
           let rate = if !on then rate_on else rate_off in
           let gap = if rate > 0.0 then draw_exp arr_rng rate else Float.infinity in
-          if !now +. gap <= !phase_end then begin
-            now := !now +. gap;
-            !now
-          end
+          if clock.now +. gap <= clock.phase_end then clock.now <- clock.now +. gap
           else begin
-            now := !phase_end;
+            clock.now <- clock.phase_end;
             on := not !on;
             let mean = if !on then mean_on else mean_off in
-            phase_end := !now +. draw_exp arr_rng (1.0 /. mean);
+            clock.phase_end <- clock.now +. draw_exp arr_rng (1.0 /. mean);
             arrival ()
           end
         in
@@ -139,15 +154,15 @@ module Stream = struct
         let k = ref (-1) in
         fun () ->
           incr k;
-          float_of_int !k *. step
+          clock.now <- float_of_int !k *. step
     in
     let pull s =
       match limit with
       | Some n when s.produced >= n -> None
       | _ ->
-        let release = next_release () in
+        advance ();
         let work = draw_size size_rng size in
-        let j = Job.make ~id:s.produced ~release ~work in
+        let j = Job.make ~id:s.produced ~release:clock.now ~work in
         s.produced <- s.produced + 1;
         Some j
     in

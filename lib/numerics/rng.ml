@@ -1,14 +1,23 @@
 (* SplitMix64 after Steele, Lea & Flood (OOPSLA'14).  The state walks an
    arithmetic sequence with odd step [gamma]; outputs are a bijective
    mix of the state, and [split] derives a child whose (state, gamma)
-   come from two further draws of the parent, mixed independently. *)
+   come from two further draws of the parent, mixed independently.
 
-type t = { mutable state : int64; gamma : int64 }
+   The state lives in an 8-byte buffer, not a mutable [int64] field:
+   without flambda every store to such a field boxes a fresh [Int64]
+   (3 words), while the bytes primitives read and write it unboxed.
+   With the mixers inlined, a [bits53] or [int] draw allocates
+   nothing. *)
+
+type t = { state : Bytes.t; gamma : int64 }
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
 let golden_gamma = 0x9e3779b97f4a7c15L
 
 (* Stafford's "variant 13" 64-bit finalizer. *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -20,25 +29,33 @@ let mix_gamma z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xc4ceb9fe1a85ec53L in
   Int64.logor z 1L
 
-let next_state t =
-  t.state <- Int64.add t.state t.gamma;
-  t.state
+let[@inline] next_state t =
+  let s = Int64.add (get64 t.state 0) t.gamma in
+  set64 t.state 0 s;
+  s
 
-let bits64 t = mix64 (next_state t)
+let[@inline] bits64 t = mix64 (next_state t)
 
-let make seed = { state = mix64 (Int64.of_int seed); gamma = golden_gamma }
+let create state gamma =
+  let b = Bytes.create 8 in
+  set64 b 0 state;
+  { state = b; gamma }
+
+let make seed = create (mix64 (Int64.of_int seed)) golden_gamma
 
 let of_pair seed index =
   let t = make seed in
   (* absorb the index as one extra state step of index-dependent size *)
-  { state = mix64 (Int64.add t.state (mix64 (Int64.of_int index))); gamma = golden_gamma }
+  create (mix64 (Int64.add (get64 t.state 0) (mix64 (Int64.of_int index)))) golden_gamma
 
 let split t =
   let s = bits64 t in
   let g = mix_gamma (next_state t) in
-  { state = s; gamma = g }
+  create s g
 
-let copy t = { state = t.state; gamma = t.gamma }
+let copy t = create (get64 t.state 0) t.gamma
+
+let bits53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -46,6 +63,6 @@ let int t bound =
      test-generation bounds (« 2^62) *)
   Int64.to_int (Int64.rem (Int64.shift_right_logical (bits64 t) 1) (Int64.of_int bound))
 
-let float t bound =
-  let u = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) *. 0x1.0p-53 in
-  u *. bound
+(* a 53-bit int converts exactly: the same float as Int64.to_float of
+   those bits, so every seeded stream keeps its values *)
+let float t bound = float_of_int (bits53 t) *. 0x1.0p-53 *. bound

@@ -26,9 +26,16 @@ val copy : t -> t
 val bits64 : t -> int64
 (** Next 64 raw bits; advances the state. *)
 
+val bits53 : t -> int
+(** The top 53 of the next 64 bits, in [[0, 2^53)]: a unit-interval
+    draw as an integer, so a hot loop in another module can scale it
+    by [0x1.0p-53] without the boxed float that {!float} returns.
+    Allocates nothing. *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform in [[0, bound)].
     @raise Invalid_argument when [bound <= 0]. *)
 
 val float : t -> float -> float
-(** [float t bound] is uniform in [[0, bound)] (53-bit resolution). *)
+(** [float t bound] is uniform in [[0, bound)] (53-bit resolution):
+    [float_of_int (bits53 t) *. 0x1.0p-53 *. bound]. *)

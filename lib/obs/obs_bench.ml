@@ -5,7 +5,14 @@ type result = {
   counters : (string * int) list;
 }
 
-let allocated_words (g : Gc.stat) = g.Gc.minor_words +. g.Gc.major_words -. g.Gc.promoted_words
+(* Words allocated straight into the major heap: its words less those
+   promoted from the minor heap.  [Gc.counters] and [Gc.minor_words]
+   are exact; on OCaml 5 [Gc.quick_stat] advances its counts only at
+   collections, a minor heap at a time.  The minor words are read
+   around [f] alone, so the tuple [Gc.counters] returns is not counted. *)
+let direct_major_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
 
 let counter_delta before after =
   (* both snapshots are sorted by name; keep counters that moved *)
@@ -19,13 +26,15 @@ let counter_delta before after =
 
 let measure ~name f =
   let snap_before = (Obs_metrics.snapshot ()).Obs_metrics.counters in
-  let gc_before = Gc.quick_stat () in
+  let major_before = direct_major_words () in
   let sw = Obs_clock.start () in
+  let minor_before = Gc.minor_words () in
   f ();
+  let minor = Gc.minor_words () -. minor_before in
   let wall_s = Obs_clock.elapsed_s sw in
-  let gc_after = Gc.quick_stat () in
+  let major = direct_major_words () -. major_before in
   let snap_after = (Obs_metrics.snapshot ()).Obs_metrics.counters in
-  let words = allocated_words gc_after -. allocated_words gc_before in
+  let words = minor +. major in
   {
     name;
     wall_s;

@@ -1,8 +1,9 @@
 (** Machine-readable benchmark artifacts ([BENCH.json]).
 
     Wraps a benchmark section in wall-clock ({!Obs_clock}) and
-    allocation ([Gc.quick_stat]) measurement plus a counter-delta
-    snapshot, and serializes the results in the fixed schema
+    allocation ([Gc.minor_words] and [Gc.counters], both exact)
+    measurement and a counter-delta snapshot, and
+    serializes the results in the fixed schema
 
     {v
 { "commit": "<sha>", "date": "<iso8601>",
@@ -21,7 +22,9 @@ type result = {
   wall_s : float;  (** wall-clock seconds, monotonic clock *)
   allocs_mb : float;
       (** megabytes allocated on the OCaml heap during the section:
-          minor + major − promoted words, times the word size *)
+          minor + major − promoted words, times the word size.  The
+          count is exact: a section that allocates one block of [k]
+          words reads [k] *)
   counters : (string * int) list;
       (** {!Obs_metrics} counters that changed during the section,
           as deltas; empty when instrumentation is disabled *)

@@ -1,31 +1,24 @@
-(* Binary min-heap on (time, seq) with pooled entries.
+(* Binary min-heap on (time, seq) over parallel arrays.
 
-   Entry records are mutable and recycled: a pop parks the evicted
-   record in the slot it vacates, and the next add overwrites that
-   record's fields instead of allocating.  Steady-state add/pop traffic
-   therefore allocates nothing, which is what keeps the trace simulator
-   constant-memory at 10^6+ events.  Slots [0, pooled) hold distinct
-   reusable records; slots beyond [pooled] may alias (Array.make /
-   grow filler) and are never read. *)
+   Times sit unboxed in a float array, payloads are ints and [pop]
+   returns the payload alone, so steady-state add/pop traffic allocates
+   nothing and moves no pointer through the write barrier; that is what
+   keeps the trace simulator constant-memory and fast at 10^6+ events. *)
 
-type 'a entry = { mutable time : float; mutable seq : int; mutable value : 'a }
-
-type 'a t = {
-  mutable heap : 'a entry array;
+type t = {
+  mutable times : float array;
+  mutable seqs : int array;
+  mutable values : int array;
   mutable len : int;
-  mutable pooled : int;
   mutable next_seq : int;
-  init_cap : int;
 }
-
-let create () = { heap = [||]; len = 0; pooled = 0; next_seq = 0; init_cap = 8 }
 
 let of_capacity n =
   if n < 0 then invalid_arg "Event_queue.of_capacity: negative capacity";
-  (* allocation is deferred to the first add, so an unused queue costs
-     one record whatever the hint *)
-  { heap = [||]; len = 0; pooled = 0; next_seq = 0; init_cap = Stdlib.max n 8 }
+  let cap = Stdlib.max n 8 in
+  { times = Array.make cap 0.0; seqs = Array.make cap 0; values = Array.make cap 0; len = 0; next_seq = 0 }
 
+let create () = of_capacity 0
 let is_empty q = q.len = 0
 let size q = q.len
 
@@ -33,81 +26,72 @@ let clear q =
   q.len <- 0;
   q.next_seq <- 0
 
-let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+(* Cold path: the arrays are full. *)
+let grow q =
+  let extend a filler =
+    let b = Array.make (2 * Array.length a) filler in
+    Array.blit a 0 b 0 q.len;
+    b
+  in
+  q.times <- extend q.times 0.0;
+  q.seqs <- extend q.seqs 0;
+  q.values <- extend q.values 0
 
-(* Cold path: called only when the heap array is full (including the
-   empty-heap bootstrap, cap = 0).  Allocates the new entry itself so
-   Array.make has a filler of type ['a entry]. *)
-let grow_and_append q time seq value =
-  let e = { time; seq; value } in
-  let cap = Array.length q.heap in
-  let ncap = if cap = 0 then q.init_cap else 2 * cap in
-  let nh = Array.make ncap e in
-  Array.blit q.heap 0 nh 0 q.len;
-  q.heap <- nh;
-  (* slot [len] already holds [e] via the Array.make fill *)
-  q.pooled <- q.len + 1
+let move q ~src ~dst =
+  q.times.(dst) <- q.times.(src);
+  q.seqs.(dst) <- q.seqs.(src);
+  q.values.(dst) <- q.values.(src)
 
-let sift_up q i =
-  let i = ref i in
-  while !i > 0 && before q.heap.(!i) q.heap.((!i - 1) / 2) do
-    let p = (!i - 1) / 2 in
-    let t = q.heap.(p) in
-    q.heap.(p) <- q.heap.(!i);
-    q.heap.(!i) <- t;
-    i := p
-  done
+let earlier q a b = q.times.(a) < q.times.(b) || (q.times.(a) = q.times.(b) && q.seqs.(a) < q.seqs.(b))
 
 let add q time value =
+  if q.len = Array.length q.times then grow q;
   let seq = q.next_seq in
   q.next_seq <- seq + 1;
-  if q.len = Array.length q.heap then grow_and_append q time seq value
-  else if q.len < q.pooled then begin
-    (* hot path: recycle the parked record in place *)
-    let e = q.heap.(q.len) in
-    e.time <- time;
-    e.seq <- seq;
-    e.value <- value
-  end
-  else begin
-    q.heap.(q.len) <- { time; seq; value };
-    q.pooled <- q.pooled + 1
-  end;
-  q.len <- q.len + 1;
-  sift_up q (q.len - 1)
+  (* sift a hole up from the end; the new entry has the largest seq,
+     so it rises only past strictly later times *)
+  let i = ref q.len in
+  while !i > 0 && time < q.times.((!i - 1) / 2) do
+    let p = (!i - 1) / 2 in
+    move q ~src:p ~dst:!i;
+    i := p
+  done;
+  q.times.(!i) <- time;
+  q.seqs.(!i) <- seq;
+  q.values.(!i) <- value;
+  q.len <- q.len + 1
 
-let peek q = if q.len = 0 then None else Some (q.heap.(0).time, q.heap.(0).value)
+let min_time q =
+  if q.len = 0 then invalid_arg "Event_queue.min_time: empty queue";
+  q.times.(0)
 
 let pop q =
-  if q.len = 0 then None
-  else begin
-    let top = q.heap.(0) in
-    let time = top.time and value = top.value in
-    q.len <- q.len - 1;
-    if q.len > 0 then begin
-      q.heap.(0) <- q.heap.(q.len);
-      (* park the evicted record for reuse by the next add *)
-      q.heap.(q.len) <- top;
-      (* sift down *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < q.len && before q.heap.(l) q.heap.(!smallest) then smallest := l;
-        if r < q.len && before q.heap.(r) q.heap.(!smallest) then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          let t = q.heap.(!smallest) in
-          q.heap.(!smallest) <- q.heap.(!i);
-          q.heap.(!i) <- t;
-          i := !smallest
-        end
-      done
-    end;
-    Some (time, value)
-  end
+  if q.len = 0 then invalid_arg "Event_queue.pop: empty queue";
+  let top = q.values.(0) in
+  let n = q.len - 1 in
+  q.len <- n;
+  if n > 0 then begin
+    (* sift the last entry down from the root through a hole *)
+    let time = q.times.(n) and seq = q.seqs.(n) in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      let c = if l + 1 < n && earlier q (l + 1) l then l + 1 else l in
+      if c < n && (q.times.(c) < time || (q.times.(c) = time && q.seqs.(c) < seq)) then begin
+        move q ~src:c ~dst:!i;
+        i := c
+      end
+      else sifting := false
+    done;
+    move q ~src:n ~dst:!i
+  end;
+  top
 
 let drain q =
-  let rec go acc = match pop q with None -> List.rev acc | Some e -> go (e :: acc) in
+  let rec go acc =
+    if q.len = 0 then List.rev acc
+    else
+      let time = q.times.(0) in
+      go ((time, pop q) :: acc)
+  in
   go []

@@ -3,37 +3,38 @@
     Ties are broken by insertion order, which makes simulator runs
     deterministic regardless of heap layout.
 
-    Entry records are pooled: popping parks the record for the next
-    [add] to overwrite, so steady-state add/pop traffic allocates
-    nothing — the property the trace-scale simulator relies on.  A
-    consequence is that a popped value stays reachable from the pool
-    until its slot is recycled; payloads are expected to be small
-    (the simulator uses [int]). *)
+    Payloads are ints (the simulator's event ids).  Times, tie-break
+    counters and payloads live in parallel arrays, and [pop] returns the
+    payload alone, so steady-state add/pop traffic allocates nothing —
+    the property the trace-scale simulator relies on. *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
+val create : unit -> t
 
-val of_capacity : int -> 'a t
-(** [of_capacity n] sizes the first allocation for [n] simultaneous
-    events (growth beyond that still doubles).  The backing array is
-    allocated lazily on the first [add].
+val of_capacity : int -> t
+(** [of_capacity n] sizes the backing arrays for [n] simultaneous
+    events (at least 8; growth beyond that doubles).
     @raise Invalid_argument when [n < 0]. *)
 
-val is_empty : 'a t -> bool
-val size : 'a t -> int
+val is_empty : t -> bool
+val size : t -> int
 
-val clear : 'a t -> unit
+val clear : t -> unit
 (** Forget all pending events (and reset the tie-break counter) while
-    keeping the backing array and record pool for reuse. *)
+    keeping the backing arrays for reuse. *)
 
-val add : 'a t -> float -> 'a -> unit
-(** [add q time v] schedules [v] at [time]. *)
+val add : t -> float -> int -> unit
+(** [add q time v] schedules the event [v] at [time]. *)
 
-val peek : 'a t -> (float * 'a) option
+val min_time : t -> float
+(** Time of the earliest event.
+    @raise Invalid_argument when the queue is empty. *)
 
-val pop : 'a t -> (float * 'a) option
-(** Earliest event; among equal times, the one added first. *)
+val pop : t -> int
+(** Remove the earliest event (among equal times, the one added first)
+    and return its payload; read {!min_time} first for its time.
+    @raise Invalid_argument when the queue is empty. *)
 
-val drain : 'a t -> (float * 'a) list
+val drain : t -> (float * int) list
 (** Pop everything, in order. *)

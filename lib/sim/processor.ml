@@ -10,9 +10,12 @@ type t = {
   mutable segments : Speed_profile.segment list; (* reversed *)
 }
 
-let create ?(switch_time = 0.0) ?(switch_energy = 0.0) model id =
+let check_overhead ~switch_time ~switch_energy =
   if switch_time < 0.0 || switch_energy < 0.0 then
-    invalid_arg "Processor.create: negative switch overhead";
+    invalid_arg "Processor.create: negative switch overhead"
+
+let create ?(switch_time = 0.0) ?(switch_energy = 0.0) model id =
+  check_overhead ~switch_time ~switch_energy;
   {
     id;
     model;

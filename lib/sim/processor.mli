@@ -12,6 +12,11 @@ val create : ?switch_time:float -> ?switch_energy:float -> Power_model.t -> int 
     speed between two work segments.
     @raise Invalid_argument on negative overheads. *)
 
+val check_overhead : switch_time:float -> switch_energy:float -> unit
+(** The overhead check of [create], for simulators that keep their own
+    processor state.
+    @raise Invalid_argument on negative overheads. *)
+
 val energy : t -> float
 val switches : t -> int
 (** Number of speed transitions that incurred overhead. *)

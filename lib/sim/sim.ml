@@ -128,78 +128,103 @@ type stream_report = {
 (* FIFO multi-server dispatch over a pull-based job source.
 
    Constant-memory by construction: the event queue never holds more
-   than [procs] completions plus the single stashed arrival (pooled
-   entries, so steady state allocates nothing), pending jobs live in a
-   growable float ring buffer sized by peak backlog — a property of the
-   load, not the trace length — and metrics are streamed.  No per-job
-   result is retained. *)
+   than [procs] completions plus the single stashed arrival, pending
+   jobs live in a growable ring buffer sized by peak backlog — a
+   property of the load, not the trace length — and metrics are
+   streamed.  No per-job result is retained.
+
+   Per job it allocates two boxed floats: the [~backlog] argument of
+   [policy.choose], and the completion time, which the event queue and
+   then [Streaming_metrics.observe] receive as one box.  Without
+   flambda a float is boxed when it is stored in a float field of a
+   mixed record, in a [ref] captured by a closure, or passed to or
+   returned from a function that is not inlined (every call into
+   another module under dune's dev profile, which compiles with
+   -opaque).  So the scalar state is a float-only record, event times
+   come from the stashed job and the processor slots rather than from
+   the queue, releases and works reach [observe] and the totals as the
+   boxed fields of the pulled [Job.t], and the power of a speed is
+   computed again only when the speed changes. *)
+
+type stream_state = {
+  mutable now : float;
+  mutable horizon : float;
+  mutable backlog : float;  (* remaining work of released, undispatched jobs *)
+  mutable speed : float;  (* the speed [power] was computed for; 0 before any *)
+  mutable power : float;
+  mutable peak_temp : float;
+}
+
+(* A processor's running job.  Mixed on purpose: [done_at] holds the
+   boxed completion time, stored once at dispatch and handed as is to
+   the event queue and then to [Streaming_metrics.observe]. *)
+type running = { mutable current : Job.t; mutable done_at : float }
+
+(* filler for empty ring-buffer and processor slots; never observed *)
+let no_job = Job.make ~id:(-1) ~release:0.0 ~work:1.0
+
 let run_stream ?(config = default_stream_config) ?watermark model policy pull =
   if config.procs < 1 then
     invalid_arg (Printf.sprintf "Sim.run_stream: procs must be >= 1, got %d" config.procs);
+  Processor.check_overhead ~switch_time:config.base.switch_time
+    ~switch_energy:config.base.switch_energy;
+  Option.iter (fun (heating, cooling) -> Thermal.check_params ~heating ~cooling) config.thermal;
   Obs.span "sim.run_stream" @@ fun () ->
   let nprocs = config.procs in
   let levels = config.base.levels in
   let switch_time = config.base.switch_time and switch_energy = config.base.switch_energy in
   let metrics = Streaming_metrics.create () in
-  let q : int Event_queue.t = Event_queue.of_capacity (nprocs + 1) in
-  (* ring buffer of released-but-undispatched (release, work) pairs *)
-  let rb_rel = ref (Array.make 64 0.0) in
-  let rb_wrk = ref (Array.make 64 0.0) in
+  let totals = Streaming_metrics.totals metrics in
+  let st = { now = 0.0; horizon = 0.0; backlog = 0.0; speed = 0.0; power = 0.0; peak_temp = 0.0 } in
+  let q = Event_queue.of_capacity (nprocs + 1) in
+  (* ring buffer of released-but-undispatched jobs; the capacity stays
+     a power of two, so wrapping is a mask *)
+  let rb = ref (Array.make 64 no_job) in
   let rb_head = ref 0 and rb_count = ref 0 in
   let max_backlog = ref 0 in
-  let backlog_work = ref 0.0 in
-  let rb_push r w =
-    let cap = Array.length !rb_rel in
+  let rb_push (j : Job.t) =
+    let cap = Array.length !rb in
     if !rb_count = cap then begin
-      let ncap = 2 * cap in
-      let nr = Array.make ncap 0.0 and nw = Array.make ncap 0.0 in
+      let nb = Array.make (2 * cap) no_job in
       for i = 0 to cap - 1 do
-        let s = (!rb_head + i) mod cap in
-        nr.(i) <- !rb_rel.(s);
-        nw.(i) <- !rb_wrk.(s)
+        nb.(i) <- !rb.((!rb_head + i) land (cap - 1))
       done;
-      rb_rel := nr;
-      rb_wrk := nw;
+      rb := nb;
       rb_head := 0
     end;
-    let slot = (!rb_head + !rb_count) mod Array.length !rb_rel in
-    !rb_rel.(slot) <- r;
-    !rb_wrk.(slot) <- w;
+    !rb.((!rb_head + !rb_count) land (Array.length !rb - 1)) <- j;
     incr rb_count;
     if !rb_count > !max_backlog then max_backlog := !rb_count;
-    backlog_work := !backlog_work +. w
+    st.backlog <- st.backlog +. j.Job.work
   in
   let rb_pop () =
-    let r = !rb_rel.(!rb_head) and w = !rb_wrk.(!rb_head) in
-    rb_head := (!rb_head + 1) mod Array.length !rb_rel;
+    let j = !rb.(!rb_head) in
+    (* a dispatched job must not stay reachable from its old slot: a
+       minor collection would promote every job the ring still holds *)
+    !rb.(!rb_head) <- no_job;
+    rb_head := (!rb_head + 1) land (Array.length !rb - 1);
     decr rb_count;
-    backlog_work := !backlog_work -. w;
-    (r, w)
+    st.backlog <- st.backlog -. j.Job.work;
+    j
   in
   (* per-processor state; [cur_speed] persists across idle gaps like
      Processor.last_speed (0 when never run: idle-to-work is a switch) *)
   let busy = Array.make nprocs false in
-  let cur_rel = Array.make nprocs 0.0 in
+  let slots = Array.init nprocs (fun _ -> { current = no_job; done_at = 0.0 }) in
   let cur_speed = Array.make nprocs 0.0 in
   let switches = ref 0 in
   let clamps = ref 0 in
   (* thermal: closed-form Newton segments, extremes at endpoints *)
   let temp = Array.make nprocs 0.0 in
   let temp_at = Array.make nprocs 0.0 in
-  let peak_temp = ref 0.0 in
-  let horizon = ref 0.0 in
-  (* the single stashed arrival: one look-ahead job keeps queue size O(procs) *)
-  let stash = ref None in
-  let pull_next () =
-    match pull () with
-    | None -> stash := None
-    | Some (j : Job.t) ->
-      stash := Some j;
-      Event_queue.add q j.Job.release (-1)
+  let schedule_arrival = function
+    | None -> ()
+    | Some (j : Job.t) -> Event_queue.add q j.Job.release (-1)
   in
-  let dispatch_one now p =
-    let release, work = rb_pop () in
-    let requested = policy.choose ~queued:(!rb_count + 1) ~backlog:(!backlog_work +. work) in
+  let dispatch_one p =
+    let j = rb_pop () in
+    let work = j.Job.work in
+    let requested = policy.choose ~queued:(!rb_count + 1) ~backlog:(st.backlog +. work) in
     if requested <= 0.0 || not (Float.is_finite requested) then
       invalid_arg
         (Printf.sprintf "Sim.run_stream: policy %s returned speed %g with pending work"
@@ -212,83 +237,96 @@ let run_stream ?(config = default_stream_config) ?watermark model policy pull =
         | Some s -> s
         | None ->
           (* above the top level: forced slower than requested *)
-          Obs.incr c_clamped;
           incr clamps;
           Discrete_levels.max_speed lv)
     in
     let start =
       if Float.abs (speed -. cur_speed.(p)) > 1e-12 then begin
         incr switches;
-        Streaming_metrics.add_energy metrics switch_energy;
-        now +. switch_time
+        totals.energy <- totals.energy +. switch_energy;
+        st.now +. switch_time
       end
-      else now
+      else st.now
     in
     let dur = work /. speed in
-    let completion = start +. dur in
+    (* Power_model.power is pure: an unchanged speed keeps its power *)
+    if speed <> st.speed then begin
+      st.speed <- speed;
+      st.power <- Power_model.power model speed
+    end;
     (* energy is committed at dispatch, so watermarks carry a running
        total rather than 0 until the end *)
-    Streaming_metrics.add_energy metrics (dur *. Power_model.power model speed);
+    totals.energy <- totals.energy +. (dur *. st.power);
+    let slot = slots.(p) in
+    slot.current <- j;
+    slot.done_at <- start +. dur;
     (match config.thermal with
     | None -> ()
     | Some (heating, cooling) ->
       (* cool toward 0 over the idle gap, then run the segment *)
       let t0 = temp.(p) *. Float.exp (-.cooling *. (start -. temp_at.(p))) in
-      let target = heating *. Power_model.power model speed /. cooling in
+      let target = heating *. st.power /. cooling in
       let t1 = target +. ((t0 -. target) *. Float.exp (-.cooling *. dur)) in
       temp.(p) <- t1;
-      temp_at.(p) <- completion;
-      if t1 > !peak_temp then peak_temp := t1);
+      temp_at.(p) <- slot.done_at;
+      if t1 > st.peak_temp then st.peak_temp <- t1);
     busy.(p) <- true;
-    cur_rel.(p) <- release;
     cur_speed.(p) <- speed;
-    Event_queue.add q completion p
+    Event_queue.add q slot.done_at p
   in
-  let dispatch now =
+  let dispatch () =
     let p = ref 0 in
     while !rb_count > 0 && !p < nprocs do
-      if not busy.(!p) then dispatch_one now !p;
+      if not busy.(!p) then dispatch_one !p;
       incr p
     done
   in
-  pull_next ();
-  let running = ref true in
-  while !running do
-    match Event_queue.pop q with
-    | None -> running := false
-    | Some (now, v) ->
-      Obs.incr c_events;
-      if now > !horizon then horizon := now;
-      if v < 0 then begin
-        (* arrival of the stashed job *)
-        (match !stash with
-        | None -> assert false
-        | Some j ->
-          rb_push j.Job.release j.Job.work;
-          Streaming_metrics.add_released_work metrics j.Job.work);
-        pull_next ();
-        dispatch now
-      end
-      else begin
-        (* completion on processor [v] *)
-        Streaming_metrics.observe metrics ~release:cur_rel.(v) ~completion:now;
-        busy.(v) <- false;
-        (match watermark with
-        | Some f
-          when config.watermark_every > 0
-               && Streaming_metrics.jobs metrics mod config.watermark_every = 0 ->
-          f (Streaming_metrics.snapshot metrics)
-        | _ -> ());
-        dispatch now
-      end
+  (* the single stashed arrival, as pulled: one look-ahead job keeps
+     queue size O(procs) *)
+  let stash = ref (pull ()) in
+  schedule_arrival !stash;
+  let events = ref 0 in
+  while not (Event_queue.is_empty q) do
+    let v = Event_queue.pop q in
+    incr events;
+    if v < 0 then begin
+      (* arrival of the stashed job *)
+      match !stash with
+      | None -> assert false
+      | Some j ->
+        st.now <- j.Job.release;
+        if st.now > st.horizon then st.horizon <- st.now;
+        rb_push j;
+        totals.released_work <- totals.released_work +. j.Job.work;
+        stash := pull ();
+        schedule_arrival !stash;
+        dispatch ()
+    end
+    else begin
+      (* completion on processor [v] *)
+      let slot = slots.(v) in
+      st.now <- slot.done_at;
+      if st.now > st.horizon then st.horizon <- st.now;
+      Streaming_metrics.observe metrics ~release:slot.current.Job.release ~completion:slot.done_at;
+      busy.(v) <- false;
+      (match watermark with
+      | Some f
+        when config.watermark_every > 0
+             && Streaming_metrics.jobs metrics mod config.watermark_every = 0 ->
+        f (Streaming_metrics.snapshot metrics)
+      | _ -> ());
+      dispatch ()
+    end
   done;
+  Obs.add c_events !events;
+  Obs.add c_clamped !clamps;
   Obs.add c_switches !switches;
   {
     metrics = Streaming_metrics.snapshot metrics;
     stream_switches = !switches;
     clamps = !clamps;
-    peak_temperature = (match config.thermal with None -> None | Some _ -> Some !peak_temp);
-    horizon = !horizon;
+    peak_temperature = (match config.thermal with None -> None | Some _ -> Some st.peak_temp);
+    horizon = st.horizon;
     max_backlog = !max_backlog;
   }
 

@@ -44,10 +44,11 @@ val run : ?config:config -> Power_model.t -> Instance.t -> Schedule.t -> report
     [run_stream] consumes a pull-based job source instead and retains
     nothing per job: metrics are streamed ({!Streaming_metrics}), the
     event queue holds at most [procs] completions plus one stashed
-    arrival (pooled entries — steady state allocates nothing), and
-    pending jobs live in a float ring buffer sized by peak backlog.
-    Peak live memory is therefore a function of the offered load, not
-    the trace length. *)
+    arrival, and pending jobs live in a ring buffer sized by peak
+    backlog.  Peak live memory is therefore a function of the offered
+    load, not the trace length.  Per job it allocates two boxed floats
+    (the policy's [~backlog] argument and the completion time), beside
+    whatever the source and the policy allocate. *)
 
 type stream_config = {
   base : config;  (** levels / switch overhead, as for [run] *)
@@ -109,8 +110,11 @@ val run_stream :
     rounded up to a discrete level when levels are configured; speed
     changes (including idle-to-work, matching [Processor]) pay the
     configured switch overhead.
-    @raise Invalid_argument if [config.procs < 1], or if the policy
-    returns a non-positive or non-finite speed. *)
+    @raise Invalid_argument before the first pull if [config.procs < 1],
+    if a switch overhead is negative (as {!Processor.create} does) or
+    if the thermal heating or cooling is [<= 0] (as {!Thermal} does);
+    and during the run if the policy returns a non-positive or
+    non-finite speed. *)
 
 val agrees_with_plan : ?tol:float -> report -> Power_model.t -> Schedule.t -> bool
 (** True when simulated completions and energy match the plan's analytic

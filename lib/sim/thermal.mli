@@ -11,6 +11,10 @@
 
 type sample = { time : float; temperature : float }
 
+val check_params : heating:float -> cooling:float -> unit
+(** The parameter check every function below makes.
+    @raise Invalid_argument when [heating <= 0] or [cooling <= 0]. *)
+
 val steady_state : Power_model.t -> heating:float -> cooling:float -> float -> float
 (** Temperature a constant speed converges to. *)
 

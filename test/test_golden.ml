@@ -80,6 +80,43 @@ let golden_props =
 
 let lines s = String.split_on_char '\n' s
 
+(* `pasched sim` under five configurations, captured before the
+   simulator's state was unboxed.  Each section of sim_stream.txt is a
+   "$ pasched ARGS" line followed by that command's stdout: watermarks
+   that print every snapshot field at 17 digits, so the P² markers,
+   Welford moments, energy and makespan are pinned bit for bit, then
+   the summary lines. *)
+let sim_stream_configs =
+  [
+    "";
+    "--procs 3 --policy load:1 --thermal 0.3,0.1";
+    "--levels 0.5,1,2.5 --policy avr:0.8,5 --switch-time 0.01 --switch-energy 0.2";
+    "--kind mmpp";
+    "--kind poisson --size uniform:0.5,2";
+  ]
+
+let sim_stream_args extra = "sim -n 20000 --watermark 5000" ^ if extra = "" then "" else " " ^ extra
+
+let sim_stream_section args =
+  let header = "$ pasched " ^ args in
+  let rec find = function
+    | [] -> Alcotest.failf "sim_stream.txt has no section %S" header
+    | l :: rest when l = header -> body [] rest
+    | _ :: rest -> find rest
+  and body acc = function
+    | l :: rest when not (String.length l >= 2 && String.sub l 0 2 = "$ ") && not (l = "" && rest = []) ->
+      body ((l ^ "\n") :: acc) rest
+    | _ -> String.concat "" (List.rev acc)
+  in
+  find (lines (read_file (golden "sim_stream.txt")))
+
+let check_sim_stream extra () =
+  let args = sim_stream_args extra in
+  let code, got, err = run_cli args in
+  Alcotest.(check int) (Printf.sprintf "pasched %s exits 0 (stderr: %s)" args err) 0 code;
+  Alcotest.(check string) (Printf.sprintf "pasched %s output is byte-identical" args)
+    (sim_stream_section args) got
+
 let test_fuzz_list_prefix () =
   let expected = lines (read_file (golden "fuzz_list.txt")) in
   (* drop the trailing "" from the final newline *)
@@ -189,6 +226,16 @@ let test_usage_error_before_output () =
       ("deadline -n 0", "must be >= 1");
       ("precedence --edge-prob 2", "must be in [0, 1]");
       ("sim -n 5 --watermark=-1", "must be >= 0");
+      (* Sim.run_stream checks these the way Thermal and Processor.create
+         do, before its first pull; unchecked they ran to wrong reports
+         (a peak temperature of 0 or 3e45, energy lowered by a negative
+         switch cost, jobs started before their dispatch) *)
+      ("sim -n 1000 --thermal 0.3,0", "heating and cooling must be positive");
+      ("sim -n 1000 --thermal=-1,0.1", "heating and cooling must be positive");
+      ("sim -n 1000 --thermal=0.3,-0.1", "heating and cooling must be positive");
+      ("sim -n 1000 --switch-energy=-1", "negative switch overhead");
+      ("sim -n 1000 --switch-time=-0.01 --policy load:1", "negative switch overhead");
+      ("sim -n 1000 --switch-time=-1", "negative switch overhead");
     ]
 
 (* an injected fault in the flow solver makes Guard answer through
@@ -427,6 +474,10 @@ let () =
         List.map
           (fun (file, args) -> Alcotest.test_case args `Quick (check_golden (file, args)))
           subcommands );
+      ( "sim-stream",
+        List.map
+          (fun extra -> Alcotest.test_case (sim_stream_args extra) `Quick (check_sim_stream extra))
+          sim_stream_configs );
       ( "fuzz",
         [
           Alcotest.test_case "--list golden prefix" `Quick test_fuzz_list_prefix;

@@ -459,18 +459,15 @@ let test_render_outputs () =
 let test_event_queue_order () =
   let q = Event_queue.create () in
   check_bool "empty" true (Event_queue.is_empty q);
-  Event_queue.add q 3.0 "c";
-  Event_queue.add q 1.0 "a";
-  Event_queue.add q 2.0 "b";
-  Event_queue.add q 1.0 "a2";
+  Event_queue.add q 3.0 0;
+  Event_queue.add q 1.0 1;
+  Event_queue.add q 2.0 2;
+  Event_queue.add q 1.0 3;
   check_int "size" 4 (Event_queue.size q);
-  (match Event_queue.peek q with
-  | Some (t, v) ->
-    checkf "peek time" 1.0 t;
-    Alcotest.(check string) "peek value" "a" v
-  | None -> Alcotest.fail "peek");
+  checkf "earliest time" 1.0 (Event_queue.min_time q);
+  check_int "earliest event" 1 (Event_queue.pop q);
   let order = List.map snd (Event_queue.drain q) in
-  Alcotest.(check (list string)) "fifo among ties" [ "a"; "a2"; "b"; "c" ] order;
+  Alcotest.(check (list int)) "fifo among ties" [ 3; 2; 0 ] order;
   check_bool "drained" true (Event_queue.is_empty q)
 
 let prop_event_queue_sorts =
@@ -478,7 +475,7 @@ let prop_event_queue_sorts =
     QCheck.(list_of_size (Gen.int_range 0 100) (float_range 0.0 100.0))
     (fun times ->
       let q = Event_queue.create () in
-      List.iter (fun t -> Event_queue.add q t t) times;
+      List.iteri (fun i t -> Event_queue.add q t i) times;
       let drained = List.map fst (Event_queue.drain q) in
       drained = List.sort compare times)
 

@@ -1,4 +1,4 @@
-(* Tests for the trace-scale streaming stack: the pooled event queue,
+(* Tests for the trace-scale streaming stack: the event queue,
    constant-memory metrics, pull-based workload streams, and the
    streaming simulators' agreement with the materialized ones. *)
 
@@ -25,21 +25,30 @@ let test_queue_of_capacity () =
 
 let test_queue_clear () =
   let q = Event_queue.create () in
-  Event_queue.add q 2.0 "b";
-  Event_queue.add q 1.0 "a";
+  Event_queue.add q 2.0 1;
+  Event_queue.add q 1.0 0;
   Event_queue.clear q;
   check_bool "cleared" true (Event_queue.is_empty q);
   check_int "size 0" 0 (Event_queue.size q);
-  Alcotest.(check (option (pair (float 0.0) string))) "peek none" None (Event_queue.peek q);
+  Alcotest.check_raises "no earliest time" (Invalid_argument "Event_queue.min_time: empty queue")
+    (fun () -> ignore (Event_queue.min_time q));
   (* the tie-break counter restarts too: insertion order is fresh *)
-  Event_queue.add q 5.0 "x";
-  Event_queue.add q 5.0 "y";
-  Alcotest.(check (list string)) "fresh order" [ "x"; "y" ]
+  Event_queue.add q 5.0 1;
+  Event_queue.add q 5.0 0;
+  Alcotest.(check (list int)) "fresh order" [ 1; 0 ]
     (List.map snd (Event_queue.drain q))
 
+(* allocated minor words of [f ()], exactly *)
+let words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
 let test_queue_pooling_no_alloc () =
-  (* steady-state add/pop must not allocate: pooled entries are
-     recycled in place.  Warm the pool first, then measure. *)
+  (* steady-state add plus pop allocates nothing: times sit unboxed in
+     the heap's arrays and pop returns the payload alone.  The times are
+     boxed once up front (a list's floats are), so the loop measures the
+     queue, not the boxing of its arguments. *)
   let q = Event_queue.of_capacity 16 in
   for i = 0 to 15 do
     Event_queue.add q (float_of_int i) i
@@ -47,20 +56,16 @@ let test_queue_pooling_no_alloc () =
   for _ = 0 to 7 do
     ignore (Event_queue.pop q)
   done;
-  let before = Gc.minor_words () in
-  for i = 0 to 9_999 do
-    Event_queue.add q (float_of_int (i mod 97)) i;
-    ignore (Event_queue.pop q)
-  done;
-  let allocated = Gc.minor_words () -. before in
-  (* pop's [Some (time, value)] return and the boxed float field cost
-     ~7 short-lived words per add/pop pair; what pooling eliminates is
-     the persistent 4-word entry record per add (~12 words/op total
-     unpooled).  10 words/op cleanly separates the two. *)
-  check_bool
-    (Printf.sprintf "steady-state allocation (%.0f words for 10k ops)" allocated)
-    true
-    (allocated < 10.0 *. 10_000.0)
+  let times = List.init 97 float_of_int in
+  let rec go k = function
+    | [] -> if k > 0 then go k times
+    | t :: rest ->
+      Event_queue.add q t k;
+      ignore (Event_queue.pop q);
+      go (k - 1) rest
+  in
+  let allocated = words (fun () -> go 10_000 times) in
+  Alcotest.(check (float 0.0)) "words for 10k add/pop pairs" 0.0 allocated
 
 let prop_queue_interleaved =
   QCheck.Test.make ~count:300 ~name:"pooled queue: interleaved add/pop preserves order and content"
@@ -76,9 +81,8 @@ let prop_queue_interleaved =
           added := (float_of_int t, !k) :: !added;
           incr k;
           if do_pop then
-            match Event_queue.pop q with
-            | Some e -> popped := e :: !popped
-            | None -> ())
+            let t = Event_queue.min_time q in
+            popped := (t, Event_queue.pop q) :: !popped)
         ops;
       let tail = Event_queue.drain q in
       let all = List.rev !popped @ tail in
@@ -104,17 +108,16 @@ let prop_queue_heap_property =
           Event_queue.add q t i;
           live := t :: !live;
           if i mod 3 = 0 then begin
-            match Event_queue.pop q with
-            | None -> ok := false
-            | Some (got, _) ->
-              let m = List.fold_left Float.min Float.infinity !live in
-              if got <> m then ok := false;
-              live :=
-                (let rec drop = function
-                   | [] -> []
-                   | x :: rest -> if x = m then rest else x :: drop rest
-                 in
-                 drop !live)
+            let got = Event_queue.min_time q in
+            ignore (Event_queue.pop q);
+            let m = List.fold_left Float.min Float.infinity !live in
+            if got <> m then ok := false;
+            live :=
+              (let rec drop = function
+                 | [] -> []
+                 | x :: rest -> if x = m then rest else x :: drop rest
+               in
+               drop !live)
           end)
         times;
       !ok)
@@ -152,6 +155,23 @@ let test_p2_small_exact () =
   Alcotest.check_raises "q out of range"
     (Invalid_argument "Streaming_metrics.P2.create: q outside [0, 1]") (fun () ->
       ignore (Streaming_metrics.P2.create 1.5))
+
+let test_observe_no_alloc () =
+  (* past the five-observation bootstrap, observing allocates nothing;
+     release and completion arrive boxed, as a Job.t's fields do *)
+  let rng = Rng.make 5 in
+  let obs =
+    List.init 1000 (fun i ->
+        let release = float_of_int i in
+        (release, release +. Rng.float rng 4.0))
+  in
+  let m = Streaming_metrics.create () in
+  let observe (release, completion) = Streaming_metrics.observe m ~release ~completion in
+  let feed () = List.iter observe obs in
+  feed ();
+  Alcotest.(check (float 0.0)) "words for 10k observations" 0.0
+    (words (fun () -> for _ = 1 to 10 do feed () done));
+  check_int "all observed" 11_000 (Streaming_metrics.jobs m)
 
 let prop_p2_bracketed =
   QCheck.Test.make ~count:200 ~name:"P2 estimate stays within observed range"
@@ -211,6 +231,41 @@ let test_stream_deterministic () =
   check_bool "same seed, same jobs" true (List.for_all2 Job.equal a b);
   check_bool "different seed, different jobs" true
     (not (List.for_all2 Job.equal a c))
+
+let bench_size = Workload.Stream.Pareto { shape = 2.2; scale = 0.5 }
+let bench_process = Workload.Stream.Diurnal { base = 1.0; amplitude = 0.8; period = 1000.0 }
+let bench_stream ~seed n = Workload.Stream.make ~seed ~limit:n ~size:bench_size bench_process
+
+(* minor words per job of pulling [s] dry *)
+let pull_words n s =
+  let rec drain () = match Workload.Stream.next s with None -> () | Some _ -> drain () in
+  words drain /. float_of_int n
+
+let test_stream_pull_alloc () =
+  (* a pull allocates the job it returns and nothing else: the Some,
+     the record and its two boxed floats, 10 words; a fixed size is
+     shared, 8 *)
+  let n = 20_000 in
+  Alcotest.(check (float 0.0)) "words per job on the bench trace" 10.0
+    (pull_words n (bench_stream ~seed:42 n));
+  List.iter
+    (fun process ->
+      List.iter
+        (fun size ->
+          let w = pull_words n (Workload.Stream.make ~seed:3 ~limit:n ~size process) in
+          check_bool (Printf.sprintf "at most 10 words per job (%.3f)" w) true (w <= 10.0))
+        [
+          Workload.Stream.Fixed_size 1.0;
+          Workload.Stream.Uniform_size { lo = 0.5; hi = 2.0 };
+          Workload.Stream.Pareto { shape = 1.5; scale = 1.0 };
+        ])
+    [
+      Workload.Stream.Poisson_process 2.0;
+      Workload.Stream.Diurnal { base = 1.0; amplitude = 0.9; period = 20.0 };
+      Workload.Stream.Mmpp { rate_on = 5.0; rate_off = 0.0; mean_on = 4.0; mean_off = 16.0 };
+      Workload.Stream.Mmpp { rate_on = 4.0; rate_off = 0.2; mean_on = 20.0; mean_off = 80.0 };
+      Workload.Stream.Staircase_process 0.5;
+    ]
 
 let test_stream_monotone_releases () =
   List.iter
@@ -341,6 +396,30 @@ let test_run_stream_rejects_no_procs () =
       | exception Invalid_argument _ -> ())
     [ 0; -1 ]
 
+let test_run_stream_rejects_bad_overheads () =
+  (* negative switch costs and non-positive thermal constants are
+     refused before the source is pulled, with the messages of
+     Processor.create and Thermal *)
+  let pulled = ref false in
+  let pull () =
+    pulled := true;
+    None
+  in
+  let base = Sim.default_stream_config in
+  List.iter
+    (fun (config, msg) ->
+      Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+          ignore (Sim.run_stream ~config Power_model.cube (Sim.constant_policy 2.0) pull)))
+    [
+      ( { base with Sim.base = { Sim.default_config with Sim.switch_time = -0.01 } },
+        "Processor.create: negative switch overhead" );
+      ( { base with Sim.base = { Sim.default_config with Sim.switch_energy = -1.0 } },
+        "Processor.create: negative switch overhead" );
+      ({ base with Sim.thermal = Some (0.3, 0.0) }, "Thermal: heating and cooling must be positive");
+      ({ base with Sim.thermal = Some (-1.0, 0.1) }, "Thermal: heating and cooling must be positive");
+    ];
+  check_bool "the source was never pulled" false !pulled
+
 let test_run_stream_levels_and_switches () =
   let inst = Instance.of_pairs [ (0.0, 1.0); (0.5, 1.0); (4.0, 1.0) ] in
   let config =
@@ -422,6 +501,35 @@ let test_run_stream_bench_trace () =
   check_int "all jobs complete" 100_000 r.Sim.metrics.Streaming_metrics.jobs;
   check_int "two events per job" 200_000 (Obs_metrics.value events - before)
 
+let test_run_stream_alloc () =
+  (* Sim.run_stream boxes two floats a job: the policy's ~backlog and
+     the completion time shared by the event queue and observe.  Its
+     words are the run's minus the pulls' (exactly 10 a job, pinned
+     above); the difference of two trace lengths cancels the set-up,
+     since both traces peak within one ring-buffer doubling *)
+  let sim_words n =
+    let r = ref None in
+    let w =
+      words (fun () ->
+          r :=
+            Some
+              (Sim.run_stream Power_model.cube (Sim.constant_policy 2.0)
+                 (Workload.Stream.pull_fn (bench_stream ~seed:42 n))))
+    in
+    match !r with
+    | Some r ->
+      check_int "all jobs complete" n r.Sim.metrics.Streaming_metrics.jobs;
+      check_bool
+        (Printf.sprintf "peak backlog %d needs exactly one doubling" r.Sim.max_backlog)
+        true
+        (r.Sim.max_backlog > 64 && r.Sim.max_backlog <= 128);
+      w -. (10.0 *. float_of_int n)
+    | None -> assert false
+  in
+  let n = 100_000 in
+  let short = sim_words n and long = sim_words (2 * n) in
+  Alcotest.(check (float 0.0)) "words per job" 4.0 ((long -. short) /. float_of_int n)
+
 let test_avr_policy () =
   (* the floor: an idle-ish backlog never drops the speed below base *)
   let p = Sim.avr_policy ~base:1.5 ~window:10.0 in
@@ -484,6 +592,7 @@ let () =
           Alcotest.test_case "welford exact" `Quick test_welford_exact;
           Alcotest.test_case "p2 small exact" `Quick test_p2_small_exact;
           Alcotest.test_case "aggregate vs driver" `Quick test_aggregate_metrics_exact;
+          Alcotest.test_case "observe allocation" `Quick test_observe_no_alloc;
         ] );
       qsuite "streaming-metrics-fuzz" [ prop_p2_bracketed; prop_p2_accuracy ];
       ( "workload-stream",
@@ -495,16 +604,19 @@ let () =
             test_array_generators_on_stream_path;
           Alcotest.test_case "deadline arrays agree" `Quick test_deadline_arrays_agree;
           Alcotest.test_case "stream deadlines" `Quick test_stream_with_deadlines;
+          Alcotest.test_case "pull allocation" `Quick test_stream_pull_alloc;
         ] );
       ( "run-stream",
         [
           Alcotest.test_case "agrees with online driver" `Quick test_run_stream_agrees_with_driver;
           Alcotest.test_case "multi-proc conservation" `Quick test_run_stream_multiproc_conserves;
           Alcotest.test_case "procs < 1 rejected" `Quick test_run_stream_rejects_no_procs;
+          Alcotest.test_case "bad overheads rejected" `Quick test_run_stream_rejects_bad_overheads;
           Alcotest.test_case "levels, switches, thermal" `Quick test_run_stream_levels_and_switches;
           Alcotest.test_case "watermarks" `Quick test_run_stream_watermarks;
           Alcotest.test_case "seed fan-out jobs-invariant" `Quick test_run_stream_jobs_invariant;
           Alcotest.test_case "bench trace event count" `Quick test_run_stream_bench_trace;
+          Alcotest.test_case "per-job allocation" `Quick test_run_stream_alloc;
           Alcotest.test_case "avr policy" `Quick test_avr_policy;
           Alcotest.test_case "compete measure_stream" `Quick test_compete_measure_stream;
         ] );
