@@ -1,17 +1,17 @@
-(* Benchmark & reproduction harness.
+(* Reproduction harness.
 
    Regenerates every figure of the paper (it has three figures and no
-   tables) plus one section per theorem-level claim, and times the
-   algorithms with Bechamel.  Usage:
+   tables) plus one section per theorem-level claim, the simulator and
+   extension ablations, and two trace-scale runs whose [failwith]
+   checks guard constant memory and the daemon under load.  Usage:
 
-     dune exec bench/main.exe            # everything
+     dune exec bench/main.exe            # every section, in the order below
      dune exec bench/main.exe fig1 perf  # selected sections
 
-   Sections: fig1 fig2 fig3 thm1 thm8 thm10 thm11 perf sim online ext fuzz registry
-
-   The [registry] section is not hand-listed: it enumerates the
-   pasched.engine solver registry, so newly registered solvers are
-   benchmarked without touching this file. *)
+   Sections: trace fig1 fig2 fig3 thm1 thm8 thm10 thm11 perf sim online
+   ext serve_soak_100k.  [trace] comes first so that a bare run measures
+   its peak heap on a fresh process.  An unknown section exits 2 before
+   anything runs. *)
 
 let cube = Power_model.cube
 let fig1_instance = Instance.figure1
@@ -384,641 +384,6 @@ let section_ext () =
     ]
 
 (* ---------------------------------------------------------------- *)
-(* FUZZ: throughput of the property-based differential tester. *)
-
-let section_fuzz () =
-  header "FUZZ  pasched.check throughput (cases and property-checks per second)";
-  (* warm-up covers any lazy initialization *)
-  ignore (Runner.run ~seed:1 ~runs:20 ());
-  let campaign runs =
-    let t0 = Unix.gettimeofday () in
-    let s = Runner.run ~seed:42 ~runs () in
-    let dt = Unix.gettimeofday () -. t0 in
-    (s, dt)
-  in
-  Printf.printf "%-8s %-10s %-12s %-14s %-14s %-10s\n" "runs" "checks" "seconds" "cases/s" "checks/s" "failures";
-  List.iter
-    (fun runs ->
-      let s, dt = campaign runs in
-      Printf.printf "%-8d %-10d %-12.4f %-14.0f %-14.0f %-10d\n" runs s.Runner.checks dt
-        (float_of_int s.Runner.cases /. dt)
-        (float_of_int s.Runner.checks /. dt)
-        (List.length s.Runner.failures))
-    [ 100; 500; 2000 ];
-  (* per-property cost at a fixed campaign *)
-  Printf.printf "\nper-property time, 300 cases each:\n";
-  Printf.printf "%-26s %-12s %-12s\n" "property" "seconds" "checks/s";
-  List.iter
-    (fun (p : Oracle.property) ->
-      let t0 = Unix.gettimeofday () in
-      let s = Runner.run ~props:[ p.Oracle.name ] ~seed:42 ~runs:300 () in
-      let dt = Unix.gettimeofday () -. t0 in
-      Printf.printf "%-26s %-12.4f %-12.0f\n" p.Oracle.name dt (float_of_int s.Runner.checks /. dt))
-    (Properties.registered ())
-
-(* ---------------------------------------------------------------- *)
-(* PAR: the multicore execution layer.  The table times
-
-     curve cold jobs=1   per-point cold-start solve_budget (no warm
-                         speed), sequential
-     curve warm jobs=1   warm-started Flow_frontier.curve, 1 domain
-     curve warm jobs=4   the same curve at 4 domains
-     fuzz jobs=1/4       the fuzz campaign at 1 vs 4 domains
-
-   warm vs cold isolates the algorithmic win (same core count; the
-   rootfind.newton_iters line shows the per-point iteration drop);
-   jobs 4 vs jobs 1 isolates the parallel win, which requires a
-   multi-core machine to show a speedup. *)
-
-let par_curve_inst = lazy (Workload.equal_work ~seed:11 ~n:48 ~work:1.0 (Workload.Poisson 1.0))
-
-let par_curve_args = (40.0, 400.0, 240)
-
-let run_curve_cold ~jobs () =
-  let inst = Lazy.force par_curve_inst in
-  let e_lo, e_hi, n = par_curve_args in
-  ignore
-    (Sys.opaque_identity
-       (Par.init ~jobs n (fun i ->
-            let e = e_lo +. ((e_hi -. e_lo) *. float_of_int i /. float_of_int (n - 1)) in
-            (Flow.solve_budget ~alpha:3.0 ~energy:e inst).Flow.flow)))
-
-let run_curve ~jobs () =
-  let inst = Lazy.force par_curve_inst in
-  let e_lo, e_hi, n = par_curve_args in
-  ignore (Sys.opaque_identity (Flow_frontier.curve ~jobs ~alpha:3.0 inst ~e_lo ~e_hi ~n))
-
-let run_fuzz ~jobs () = ignore (Sys.opaque_identity (Runner.run ~jobs ~seed:42 ~runs:150 ()))
-
-let section_par () =
-  header "PAR  multicore execution layer (pasched.par)";
-  Printf.printf "backend: %s   recommended jobs: %d   default jobs: %d\n" Par.backend
-    (Par.recommended_jobs ()) (Par.default_jobs ());
-  let t_cold = time_best ~reps:3 (run_curve_cold ~jobs:1) in
-  let t_c1 = time_best ~reps:3 (run_curve ~jobs:1) in
-  let t_c4 = time_best ~reps:3 (run_curve ~jobs:4) in
-  let t_f1 = time_best ~reps:2 (run_fuzz ~jobs:1) in
-  let t_f4 = time_best ~reps:2 (run_fuzz ~jobs:4) in
-  let _, _, npts = par_curve_args in
-  Printf.printf "\n%-34s %-12s %-10s\n" "workload" "seconds" "speedup";
-  Printf.printf "%-34s %-12.4f %-10s\n"
-    (Printf.sprintf "curve n=%d cold jobs=1" npts)
-    t_cold "1.00x (baseline)";
-  Printf.printf "%-34s %-12.4f %-10s\n"
-    (Printf.sprintf "curve n=%d warm jobs=1" npts)
-    t_c1
-    (Printf.sprintf "%.2fx vs cold" (t_cold /. t_c1));
-  Printf.printf "%-34s %-12.4f %-10s\n"
-    (Printf.sprintf "curve n=%d warm jobs=4" npts)
-    t_c4
-    (Printf.sprintf "%.2fx vs jobs=1" (t_c1 /. t_c4));
-  Printf.printf "%-34s %-12.4f %-10s\n" "fuzz runs=150 jobs=1" t_f1 "1.00x (baseline)";
-  Printf.printf "%-34s %-12.4f %-10s\n" "fuzz runs=150 jobs=4" t_f4
-    (Printf.sprintf "%.2fx vs jobs=1" (t_f1 /. t_f4));
-  (* determinism spot checks: byte-identical results at any width *)
-  let inst = Lazy.force par_curve_inst in
-  let e_lo, e_hi, n = par_curve_args in
-  let c1 = Flow_frontier.curve ~jobs:1 ~alpha:3.0 inst ~e_lo ~e_hi ~n in
-  let c4 = Flow_frontier.curve ~jobs:4 ~alpha:3.0 inst ~e_lo ~e_hi ~n in
-  let f1 = Runner.run ~jobs:1 ~seed:42 ~runs:150 () in
-  let f4 = Runner.run ~jobs:4 ~seed:42 ~runs:150 () in
-  Printf.printf "\ncurve jobs=1 equals jobs=4 (bitwise): %b\n" (c1 = c4);
-  Printf.printf "fuzz summary jobs=1 equals jobs=4: %b\n" (f1 = f4);
-  (* warm-start effect in Newton iterations (the outer search and the
-     pinned windows alike), via the obs counters *)
-  let was_on = Obs.enabled () in
-  Obs.set_enabled true;
-  let newton_iters = Obs.counter "rootfind.newton_iters" in
-  let iters_of f =
-    let v0 = Obs_metrics.value newton_iters in
-    f ();
-    Obs_metrics.value newton_iters - v0
-  in
-  let it_cold = iters_of (run_curve_cold ~jobs:1) in
-  let it_warm = iters_of (run_curve ~jobs:1) in
-  Obs.set_enabled was_on;
-  Printf.printf "\nrootfind.newton_iters over %d points: cold=%d (%.1f/pt)  warm=%d (%.1f/pt)\n" npts
-    it_cold
-    (float_of_int it_cold /. float_of_int npts)
-    it_warm
-    (float_of_int it_warm /. float_of_int npts)
-
-(* ---------------------------------------------------------------- *)
-(* REGISTRY: time every solver in the pasched.engine registry on a
-   capability-matched instance.  Nothing here names a solver: the
-   instance, problem and timing are derived from the registered
-   capability, so a newly registered solver shows up on the next run. *)
-
-let section_registry () =
-  header "REGISTRY  every pasched.engine solver, capability-matched instance";
-  Builtin.init ();
-  let alpha = 3.0 in
-  let requires cap r = List.mem r cap.Capability.requires in
-  let bench_one solver =
-    let cap = Engine.capability_of solver in
-    let procs = match cap.Capability.settings with Capability.Uni_only -> 1 | _ -> 2 in
-    let n =
-      List.fold_left
-        (fun acc -> function Capability.Max_jobs k -> Stdlib.min acc k | _ -> acc)
-        64 cap.Capability.requires
-    in
-    let inst =
-      if requires cap Capability.Equal_work then
-        Workload.equal_work ~seed:17 ~n ~work:1.0 (Workload.Poisson 1.0)
-      else Workload.uniform_work ~seed:17 ~n ~lo:0.5 ~hi:2.0 (Workload.Poisson 1.0)
-    in
-    let inst =
-      if requires cap Capability.Common_release then
-        Instance.of_pairs
-          (Array.to_list (Array.map (fun (j : Job.t) -> (0.0, j.Job.work)) (Instance.jobs inst)))
-      else inst
-    in
-    let energy = 1.5 *. float_of_int n in
-    let mode =
-      match cap.Capability.modes with
-      | Capability.Target_mode :: _ ->
-        Problem.Target (Incmerge.makespan (Power_model.alpha alpha) ~energy inst)
-      | Capability.Feasible_mode :: _ -> Problem.Feasible
-      | _ -> Problem.Budget energy
-    in
-    let speed_cap = if requires cap Capability.Needs_speed_cap then Some 2.0 else None in
-    let levels =
-      if requires cap Capability.Needs_levels then
-        Some (List.init 8 (fun i -> 0.5 *. float_of_int (i + 1)))
-      else None
-    in
-    let weights =
-      if requires cap Capability.Needs_weights then
-        Some (Array.init n (fun i -> 1.0 +. float_of_int (i mod 3)))
-      else None
-    in
-    let deadlines =
-      if requires cap Capability.Needs_deadlines then
-        Some
-          (Array.map
-             (fun (j : Job.t) -> j.Job.release +. (3.0 *. j.Job.work))
-             (Instance.jobs inst))
-      else None
-    in
-    let problem =
-      Problem.make ~procs ?speed_cap ?levels ?weights ?deadlines
-        ~objective:cap.Capability.objective ~mode ~alpha ()
-    in
-    (* per-solve time of the one solve entry point, best of 3 passes
-       of 4 solves *)
-    let solves = 4 in
-    let t =
-      time_best ~reps:3 (fun () ->
-          for _ = 1 to solves do
-            ignore (Sys.opaque_identity (Engine.solve_with solver problem inst))
-          done)
-      /. float_of_int solves
-    in
-    let r = Engine.solve_with solver problem inst in
-    let value =
-      match r.Solve_result.pareto with
-      | Some p -> p.Solve_result.value_at energy
-      | None -> r.Solve_result.value
-    in
-    Printf.sprintf "%-18s %-9s %-6d %-3d %-14.6f %-14.6f %-12.6f\n" (Engine.name_of solver)
-      (Problem.objective_to_string cap.Capability.objective)
-      n procs value r.Solve_result.energy t
-  in
-  Printf.printf "%-18s %-9s %-6s %-3s %-14s %-14s %-12s\n" "solver" "class" "n" "m" "value" "energy"
-    "seconds";
-  (* rows are computed across domains (row text is a pure function of
-     the solver) and printed in registry order afterwards; note that at
-     jobs > 1 the per-row timings share cores and so overstate each
-     other — treat them as per-solver sanity numbers, not absolutes *)
-  List.iter print_string (Par.list_map bench_one (Engine.all ()))
-
-(* ---------------------------------------------------------------- *)
-(* SERVE: the scheduling service.  Each row times 4 passes of a
-   64-request batch through one session of a one-shard Serve_shard (the
-   daemon's default).  Session setup, the warm rows' priming pass and
-   shutdown run outside the timed region:
-
-     cold cache   every pass carries fresh budgets, so the LRU never
-                  hits — pure batched-solve throughput through the
-                  daemon path
-     warm cache   every pass repeats the primed batch — pure cache-hit
-                  throughput, 256 hits and no solver call
-
-   warm vs cold isolates the cache win; jobs 4 vs jobs 1 isolates the
-   pool win (needs a multi-core machine — widths are clamped to the
-   hardware recommendation).  test/test_serve.ml pins the counters of
-   this workload. *)
-
-let serve_batchsize = 64
-let serve_passes = 4
-
-let serve_jobs_json =
-  lazy
-    (let inst = Workload.equal_work ~seed:29 ~n:64 ~work:1.0 (Workload.Poisson 1.0) in
-     let pair (j : Job.t) = Printf.sprintf "[%.17g,%.17g]" j.Job.release j.Job.work in
-     "["
-     ^ String.concat "," (Array.to_list (Array.map pair (Instance.jobs inst)))
-     ^ "]")
-
-(* flow-under-budget requests: each one runs the rootfinding solver,
-   so per-request solver work dwarfs protocol decode/encode — that is
-   what the cache elides.  The budget varies per request and per pass,
-   so cold passes never repeat a cache key. *)
-let serve_request ~pass i =
-  Printf.sprintf {|{"id":%d,"objective":"flow","budget":%.17g,"jobs":%s}|} i
-    (40.0 +. (0.25 *. float_of_int i) +. (100.0 *. float_of_int pass))
-    (Lazy.force serve_jobs_json)
-
-let serve_batch_lines pass = List.init serve_batchsize (serve_request ~pass)
-
-(* best of two sessions, timing the passes only *)
-let time_serve ~jobs ~warm =
-  let batches =
-    List.init serve_passes (fun p -> serve_batch_lines (if warm then 0 else p + 1))
-  in
-  let session () =
-    let t = Serve_shard.create ~jobs ~cache_capacity:(2 * serve_batchsize) () in
-    if warm then ignore (Serve_shard.handle_batch t (serve_batch_lines 0));
-    let t0 = Unix.gettimeofday () in
-    List.iter (fun b -> ignore (Sys.opaque_identity (Serve_shard.handle_batch t b))) batches;
-    let dt = Unix.gettimeofday () -. t0 in
-    Serve_shard.shutdown t;
-    dt
-  in
-  Float.min (session ()) (session ())
-
-let section_serve () =
-  header "SERVE  scheduling-as-a-service (pasched.serve)";
-  Builtin.init ();
-  let solves = serve_batchsize * serve_passes in
-  Printf.printf "batch=%d passes=%d timed requests/row=%d   pool backend: %s\n\n" serve_batchsize
-    serve_passes solves Par.backend;
-  Printf.printf "%-26s %-12s %-14s\n" "configuration" "seconds" "requests/sec";
-  List.iter
-    (fun (label, jobs, warm) ->
-      let t = time_serve ~jobs ~warm in
-      Printf.printf "%-26s %-12.4f %-14.0f\n" label t (float_of_int solves /. t))
-    [
-      ("cold cache, jobs=1", 1, false);
-      ("cold cache, jobs=4", 4, false);
-      ("warm cache, jobs=1", 1, true);
-      ("warm cache, jobs=4", 4, true);
-    ];
-  (* cache behaviour sanity: a warm section's measured passes are all
-     hits, and replies are independent of the pool width *)
-  let t1 = Serve_shard.create ~jobs:1 ~cache_capacity:(2 * serve_batchsize) () in
-  let t4 = Serve_shard.create ~jobs:4 ~cache_capacity:(2 * serve_batchsize) () in
-  let cold1 = Serve_shard.handle_batch t1 (serve_batch_lines 0) in
-  let cold4 = Serve_shard.handle_batch t4 (serve_batch_lines 0) in
-  let warm1 = Serve_shard.handle_batch t1 (serve_batch_lines 0) in
-  let st = Serve_shard.stats t1 in
-  Serve_shard.shutdown t1;
-  Serve_shard.shutdown t4;
-  Printf.printf "\nwarm pass served from cache: %b (hits=%d misses=%d)\n"
-    (st.Serve_shard.cache.Serve_cache.hits = serve_batchsize)
-    st.Serve_shard.cache.Serve_cache.hits st.Serve_shard.cache.Serve_cache.misses;
-  Printf.printf "warm replies byte-identical to cold: %b\n" (cold1 = warm1);
-  Printf.printf "replies jobs=1 equal jobs=4: %b\n" (cold1 = cold4)
-
-(* ---------------------------------------------------------------- *)
-(* SERVE_SHARD: the sharded front end (PR9).  Sections gated by
-   bench/baseline.json:
-
-     serve_shard_{1,2,4}  the serve workload (4 cold passes of a
-                          64-request flow-budget batch, plus one warm
-                          repeat) through Serve_shard at 1/2/4 shards —
-                          shard routing and per-shard caches must not
-                          cost throughput on a single box
-
-   and one run by the same CI step:
-
-     serve_soak_100k      10^5 emitted-trace requests through 2 shards
-                          with admission control: latency percentiles,
-                          shed counts, and liveness asserted
-
-   test/test_serve.ml pins the cache and shed counters of these
-   workloads. *)
-
-let run_serve_shard ~shards () =
-  let t = Serve_shard.create ~jobs:1 ~shards ~cache_capacity:(2 * serve_batchsize) () in
-  for p = 1 to serve_passes do
-    ignore (Sys.opaque_identity (Serve_shard.handle_batch t (serve_batch_lines p)))
-  done;
-  (* one warm repeat: the cache must answer regardless of shard count *)
-  ignore (Sys.opaque_identity (Serve_shard.handle_batch t (serve_batch_lines serve_passes)));
-  Serve_shard.shutdown t
-
-(* the serve-daemon soak input: `pasched sim --count 500000
-   --emit-requests 5` *)
-let soak_request_lines =
-  lazy
-    (List.of_seq
-       (Serve_client.trace_requests ~alpha:3.0 ~batch:5
-          (Workload.Stream.make ~seed:42 ~limit:500_000
-             ~size:(Workload.Stream.Pareto { shape = 2.2; scale = 0.5 })
-             (Workload.Stream.Diurnal { base = 1.0; amplitude = 0.8; period = 1000.0 }))))
-
-let run_serve_soak_100k () =
-  let lines = Lazy.force soak_request_lines in
-  let n = List.length lines in
-  if n < 100_000 then failwith "serve_soak: trace emitted fewer than 10^5 requests";
-  let t = Serve_shard.create ~jobs:1 ~shards:2 ~max_inflight:24 ~cache_capacity:1024 () in
-  let { Serve_client.ok; busy; errors = err; latency = s; wall_s = wall; _ } =
-    Serve_client.soak ~window:64 ~exchange:(Serve_shard.handle_batch t) lines
-  in
-  let alive =
-    Serve_protocol.reply_status (Serve_shard.handle_line t {|{"op":"ping"}|}) = Some "ok"
-  in
-  let st = Serve_shard.stats t in
-  Serve_shard.shutdown t;
-  Printf.printf "soak: requests %d ok %d busy %d error %d shed %d\n" n ok busy err
-    st.Serve_shard.shed;
-  Printf.printf "soak: latency_s p50 %.6g p95 %.6g p99 %.6g max %.6g mean %.6g\n"
-    s.Streaming_metrics.flow_p50 s.Streaming_metrics.flow_p95 s.Streaming_metrics.flow_p99
-    s.Streaming_metrics.flow_max s.Streaming_metrics.flow_mean;
-  Printf.printf "soak: wall_s %.3f throughput_rps %.1f\n" wall (float_of_int n /. wall);
-  if ok + busy + err <> n then failwith "serve_soak: requests went unanswered";
-  if err > 0 then failwith "serve_soak: error replies under clean load";
-  if busy = 0 then failwith "serve_soak: admission control never shed at max_inflight 24";
-  if ok = 0 then failwith "serve_soak: nothing was admitted";
-  if not (Float.is_finite s.Streaming_metrics.flow_p99) then
-    failwith "serve_soak: p99 latency is not finite";
-  if not alive then failwith "serve_soak: daemon dead after the soak"
-
-let section_serve_shard () =
-  header "SERVE_SHARD  multi-shard dispatch, admission control, soak (PR9)";
-  Builtin.init ();
-  let solves = serve_batchsize * (serve_passes + 1) in
-  Printf.printf "batch=%d passes=%d+1 warm   jump-hash routing on the canonical key\n\n"
-    serve_batchsize serve_passes;
-  Printf.printf "%-26s %-12s %-14s\n" "configuration" "seconds" "requests/sec";
-  List.iter
-    (fun shards ->
-      let t = time_best ~reps:2 (run_serve_shard ~shards) in
-      Printf.printf "%-26s %-12.4f %-14.0f\n"
-        (Printf.sprintf "shards=%d" shards)
-        t
-        (float_of_int solves /. t))
-    [ 1; 2; 4 ];
-  (* shard transparency: byte-identical replies at every shard count,
-     repeats hit the cache *)
-  let run_replies shards =
-    let t = Serve_shard.create ~jobs:1 ~shards ~cache_capacity:(2 * serve_batchsize) () in
-    let cold = Serve_shard.handle_batch t (serve_batch_lines 0) in
-    let warm = Serve_shard.handle_batch t (serve_batch_lines 0) in
-    let st = Serve_shard.stats t in
-    Serve_shard.shutdown t;
-    (cold, warm, st)
-  in
-  let c1, w1, st1 = run_replies 1 in
-  let c4, w4, st4 = run_replies 4 in
-  Printf.printf "\nreplies shards=1 equal shards=4: %b\n" (c1 = c4 && w1 = w4);
-  Printf.printf "warm pass served from cache at both counts: %b (hits %d and %d)\n"
-    (st1.Serve_shard.cache.Serve_cache.hits = serve_batchsize
-    && st4.Serve_shard.cache.Serve_cache.hits = serve_batchsize)
-    st1.Serve_shard.cache.Serve_cache.hits st4.Serve_shard.cache.Serve_cache.hits;
-  (* snapshot round-trip: persist at 1 shard, warm at 4 *)
-  let file = Filename.temp_file "pasched_bench" ".cache" in
-  let t1 = Serve_shard.create ~jobs:1 ~shards:1 ~cache_capacity:256 ~cache_file:file () in
-  ignore (Serve_shard.handle_batch t1 (serve_batch_lines 0));
-  Serve_shard.shutdown t1;
-  let t4 = Serve_shard.create ~jobs:1 ~shards:4 ~cache_capacity:256 ~cache_file:file () in
-  ignore (Serve_shard.handle_batch t4 (serve_batch_lines 0));
-  let warmed = (Serve_shard.stats t4).Serve_shard.cache.Serve_cache.hits in
-  Serve_shard.shutdown t4;
-  Sys.remove file;
-  Printf.printf "snapshot 1 shard -> warm 4 shards: %d/%d hits: %b\n" warmed serve_batchsize
-    (warmed = serve_batchsize);
-  if c1 <> c4 || w1 <> w4 then failwith "serve_shard: replies differ across shard counts";
-  if warmed <> serve_batchsize then failwith "serve_shard: snapshot failed to warm the restart"
-
-(* ---------------------------------------------------------------- *)
-(* SERVE_RECOVERY: crash-safe persistence (PR10).  Sections gated by
-   bench/baseline.json:
-
-     serve_recovery_replay  append 10^4 entries to a journal, then
-                            replay them into a fresh LRU — the write
-                            path and the startup cost of warm recovery
-                            in one deterministic loop
-     serve_recovery_cold    the run_serve workload through a journaled
-                            Serve_shard, ended by abort (no
-                            compaction) — prices the per-batch
-                            append+flush overhead against the
-                            unjournaled serve_shard sections
-     serve_recovery_warm    restart over exactly that crash debris:
-                            replay the journal, serve the same batch —
-                            every request must hit the recovered cache,
-                            with zero solver re-entry
-
-   test/test_serve.ml pins the journal counters of the cold workload. *)
-
-let recovery_entries = 10_000
-
-let with_recovery_store f =
-  let path = Filename.temp_file "pasched_bench_recovery" ".cache" in
-  Sys.remove path;
-  let cleanup () =
-    List.iter
-      (fun file -> try Sys.remove file with Sys_error _ -> ())
-      [ path; path ^ ".journal"; path ^ ".tmp" ]
-  in
-  Fun.protect ~finally:cleanup (fun () -> f path)
-
-let run_serve_recovery_replay () =
-  with_recovery_store @@ fun path ->
-  let payload i =
-    [ ("status", Obs_json.String "ok"); ("value", Obs_json.Float (float_of_int i)) ]
-  in
-  let j = Serve_journal.open_ ~compact_every:0 ~path () in
-  for i = 0 to recovery_entries - 1 do
-    Serve_journal.append j ~canon:(Printf.sprintf "bench-key-%d" i) (payload i)
-  done;
-  (* close without compaction: the on-disk state a SIGKILL leaves *)
-  Serve_journal.close j;
-  let j2 = Serve_journal.open_ ~compact_every:0 ~path () in
-  let cache = Serve_cache.create ~capacity:recovery_entries in
-  Serve_journal.replay j2 (fun ~canon payload ->
-      Serve_cache.insert cache ~hash:(Serve_key.hash canon) ~canon payload);
-  let st = Serve_journal.stats j2 in
-  Serve_journal.close j2;
-  if st.Serve_journal.replayed <> recovery_entries then
-    failwith "serve_recovery_replay: journal lost entries";
-  if st.Serve_journal.skipped_corrupt <> 0 then
-    failwith "serve_recovery_replay: clean journal read as corrupt";
-  if (Serve_cache.stats cache).Serve_cache.size <> recovery_entries then
-    failwith "serve_recovery_replay: replay did not fill the cache"
-
-let run_serve_recovery_cold () =
-  with_recovery_store @@ fun path ->
-  let t =
-    Serve_shard.create ~jobs:1 ~shards:2 ~cache_capacity:(2 * serve_batchsize)
-      ~cache_file:path ()
-  in
-  for p = 1 to serve_passes do
-    ignore (Sys.opaque_identity (Serve_shard.handle_batch t (serve_batch_lines p)))
-  done;
-  Serve_shard.abort t
-
-let run_serve_recovery_warm () =
-  with_recovery_store @@ fun path ->
-  let t =
-    Serve_shard.create ~jobs:1 ~shards:2 ~cache_capacity:(2 * serve_batchsize)
-      ~cache_file:path ()
-  in
-  ignore (Serve_shard.handle_batch t (serve_batch_lines 0));
-  Serve_shard.abort t;
-  (* the restart: journal-only recovery (abort never checkpoints) *)
-  let t2 =
-    Serve_shard.create ~jobs:1 ~shards:2 ~cache_capacity:(2 * serve_batchsize)
-      ~cache_file:path ()
-  in
-  (match Serve_shard.journal_stats t2 with
-  | Some js when js.Serve_journal.replayed = serve_batchsize -> ()
-  | Some js ->
-    Serve_shard.shutdown t2;
-    failwith
-      (Printf.sprintf "serve_recovery_warm: replayed %d of %d entries"
-         js.Serve_journal.replayed serve_batchsize)
-  | None ->
-    Serve_shard.shutdown t2;
-    failwith "serve_recovery_warm: no journal stats");
-  ignore (Sys.opaque_identity (Serve_shard.handle_batch t2 (serve_batch_lines 0)));
-  let hits = (Serve_shard.stats t2).Serve_shard.cache.Serve_cache.hits in
-  Serve_shard.shutdown t2;
-  if hits <> serve_batchsize then
-    failwith
-      (Printf.sprintf "serve_recovery_warm: %d/%d post-crash hits" hits serve_batchsize)
-
-(* ---------------------------------------------------------------- *)
-(* GUARD: supervision overhead of pasched.guard.  The guard-off path
-   adds one disarmed-hook load per instrumented-loop iteration plus a
-   constant-size wrapper per call, so a supervised solve must time
-   within noise of the raw Engine.solve_with it wraps.  A ratio that
-   drifts well past ~1.05 on the hot solvers is a regression in the
-   Fault hook or in the Guard wrapper itself.  test/test_guard.ml
-   checks that the default policy solves these cases cleanly. *)
-
-let section_guard () =
-  header "GUARD  supervision overhead (Guard.solve_with vs raw Engine.solve_with)";
-  Builtin.init ();
-  let alpha = 3.0 in
-  let inst = Workload.equal_work ~seed:23 ~n:48 ~work:1.0 (Workload.Poisson 1.0) in
-  let energy = 1.5 *. float_of_int (Instance.n inst) in
-  let cases =
-    [
-      ("incmerge", Problem.make ~objective:Problem.Makespan ~mode:(Problem.Budget energy) ~alpha ());
-      ("flow", Problem.make ~objective:Problem.Total_flow ~mode:(Problem.Budget energy) ~alpha ());
-    ]
-  in
-  let reps = 5 and inner = 20 in
-  Printf.printf "%-12s %-12s %-12s %-8s\n" "solver" "raw_s" "guarded_s" "ratio";
-  List.iter
-    (fun (name, problem) ->
-      let solver =
-        match Engine.find name with
-        | Some s -> s
-        | None -> failwith ("guard bench: unknown solver " ^ name)
-      in
-      let raw () =
-        for _ = 1 to inner do
-          ignore (Sys.opaque_identity (Engine.solve_with solver problem inst))
-        done
-      in
-      let guarded () =
-        for _ = 1 to inner do
-          ignore (Sys.opaque_identity (Guard.solve_with ~policy:Guard.off solver problem inst))
-        done
-      in
-      (* warm-up covers lazy caches on both paths *)
-      raw ();
-      guarded ();
-      let t_raw = time_best ~reps raw in
-      let t_guard = time_best ~reps guarded in
-      Printf.printf "%-12s %-12.6f %-12.6f %-8.3f\n" name (t_raw /. float_of_int inner)
-        (t_guard /. float_of_int inner) (t_guard /. t_raw))
-    cases
-
-(* ---------------------------------------------------------------- *)
-(* KERNEL: single-core throughput of the unboxed solver hot paths
-   (PR7).  The kernel section plus three single-workload sections, all
-   gated by bench/baseline.json:
-
-     kernel_flow_cold   cold-start Flow.solve_budget per budget —
-                        the flow-budget microbench on the
-                        Scratch-arena eval-only path
-     kernel_flow_warm   the same budgets warm-chained in 16-point
-                        chunks (the Flow_frontier.curve discipline)
-     kernel_frontier    Frontier.build + a makespan_at query storm on
-                        the unboxed segment arrays
-
-   The kernel section fails unless warm runs within 1.2x of cold;
-   test/test_kernel.ml bounds the words per solve and certifies every
-   budget of the same workload. *)
-
-let kernel_inst = lazy (Workload.equal_work ~seed:7 ~n:64 ~work:1.0 (Workload.Poisson 1.0))
-let kernel_budgets = 192
-let kernel_budget i = 50.0 +. (2.5 *. float_of_int i)
-
-let run_kernel_flow_cold () =
-  let inst = Lazy.force kernel_inst in
-  for i = 0 to kernel_budgets - 1 do
-    ignore (Sys.opaque_identity (Flow.solve_budget ~alpha:3.0 ~energy:(kernel_budget i) inst))
-  done
-
-let run_kernel_flow_warm () =
-  let inst = Lazy.force kernel_inst in
-  let warm = ref None in
-  for i = 0 to kernel_budgets - 1 do
-    if i mod 16 = 0 then warm := None;
-    let sol = Flow.solve_budget ?warm:!warm ~alpha:3.0 ~energy:(kernel_budget i) inst in
-    warm := Some sol.Flow.last_speed;
-    ignore (Sys.opaque_identity sol)
-  done
-
-let kernel_frontier_inst = lazy (Workload.equal_work ~seed:13 ~n:2048 ~work:1.0 (Workload.Poisson 1.0))
-let kernel_frontier_queries = 100_000
-
-let run_kernel_frontier () =
-  let inst = Lazy.force kernel_frontier_inst in
-  let model = Power_model.alpha 3.0 in
-  let f = Frontier.build model inst in
-  let acc = ref 0.0 in
-  for i = 0 to kernel_frontier_queries - 1 do
-    let e = 10.0 +. (0.05 *. float_of_int i) in
-    acc := !acc +. Frontier.makespan_at f e
-  done;
-  ignore (Sys.opaque_identity !acc)
-
-(* words allocated across [f ()]: the exact minor-heap meter *)
-let kernel_allocs f =
-  let w0 = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. w0
-
-let section_kernel () =
-  header "KERNEL  unboxed single-core hot paths (Scratch arena, PR7)";
-  let solves = kernel_budgets in
-  Printf.printf "flow-budget microbench: n=64 equal-work, %d budgets per pass\n\n" solves;
-  (* warm the per-domain arena so growth doesn't land in a measured pass *)
-  run_kernel_flow_cold ();
-  let t_cold = time_best ~reps:3 run_kernel_flow_cold in
-  let t_warm = time_best ~reps:3 run_kernel_flow_warm in
-  let a_cold = kernel_allocs run_kernel_flow_cold /. float_of_int solves in
-  let a_warm = kernel_allocs run_kernel_flow_warm /. float_of_int solves in
-  let row label t a =
-    Printf.printf "%-26s %-12.4f %-12.0f %-16.0f\n" label t (float_of_int solves /. t) a
-  in
-  Printf.printf "%-26s %-12s %-12s %-16s\n" "path" "seconds" "solves/sec" "allocs/solve (w)";
-  row "unboxed, cold" t_cold a_cold;
-  row "unboxed, warm-chained" t_warm a_warm;
-  let t_frontier = time_best ~reps:3 run_kernel_frontier in
-  Printf.printf "\nfrontier: build n=2048 + %d queries: %.4fs (%.0f queries/sec)\n"
-    kernel_frontier_queries t_frontier
-    (float_of_int kernel_frontier_queries /. t_frontier);
-  if t_warm > 1.2 *. t_cold then
-    failwith (Printf.sprintf "kernel bench: warm %.4fs slower than 1.2x cold %.4fs" t_warm t_cold)
-
-(* ---------------------------------------------------------------- *)
 (* TRACE: trace-scale streaming simulation (constant-memory sweep over
    synthetic arrival processes, plus windowed competitive ratios). *)
 
@@ -1037,8 +402,42 @@ let run_trace ~n kind () =
   Sim.run_stream cube (Sim.constant_policy 2.0)
     (Workload.Stream.pull_fn (trace_stream ~seed:42 ~n kind))
 
+let top_heap_words () = (Gc.quick_stat ()).Gc.top_heap_words
+
+(* the mark as the runtime starts it, before any section runs: 0 on
+   OCaml 5, the initial major heap chunk on 4.14 *)
+let top_heap_at_startup = top_heap_words ()
+
 let section_trace () =
-  header "TRACE  streaming simulation over synthetic traces (PR8)";
+  header "TRACE  streaming simulation over synthetic traces";
+  (* constant-memory assertion: a 10x longer trace must not grow the
+     peak heap.  If live memory scaled with trace length, 10^6 jobs
+     would need at least two floats per job (~4M words); the budget of
+     1M extra words over the 10^5-job peak cleanly separates constant
+     from linear behaviour.  [top_heap_words] is a process-wide
+     high-water mark, so this runs before anything else in the section
+     and fails when earlier work raised the mark above the 10^5-job
+     run's peak: growth up to that mark would not show. *)
+  let peak_start = top_heap_words () in
+  ignore (Sys.opaque_identity (run_trace ~n:100_000 `Diurnal ()));
+  Gc.compact ();
+  let peak_small = top_heap_words () in
+  if peak_small <= peak_start && peak_start > top_heap_at_startup then
+    failwith
+      (Printf.sprintf
+         "trace bench: earlier work left the heap high-water mark at %d words, above the \
+          10^5-job run's peak, so growth cannot be seen; run this section first, in its own \
+          process"
+         peak_start);
+  ignore (Sys.opaque_identity (run_trace ~n:1_000_000 `Diurnal ()));
+  let peak_large = top_heap_words () in
+  let delta = peak_large - peak_small in
+  let budget = 1_000_000 in
+  Printf.printf
+    "constant-memory: top_heap %d -> %d words over 1e5 diurnal jobs, growth 1e5 -> 1e6 = %d \
+     words (budget %d): %b\n\n"
+    peak_start peak_small delta budget (delta < budget);
+  if delta >= budget then failwith "trace bench: peak heap grew with trace length";
   Printf.printf "Pareto(2.2, 0.5) sizes, constant-2.0 policy, seed 42\n\n";
   Printf.printf "%-10s %-10s %-12s %-12s %-10s %-12s %-12s\n" "process" "jobs" "seconds"
     "jobs/sec" "flow mean" "flow p99" "backlog max";
@@ -1052,23 +451,6 @@ let section_trace () =
         (float_of_int n /. t)
         m.Streaming_metrics.flow_mean m.Streaming_metrics.flow_p99 r.Sim.max_backlog)
     [ ("poisson", `Poisson); ("diurnal", `Diurnal); ("mmpp", `Mmpp) ];
-  (* constant-memory assertion: a 10x longer trace must not grow the
-     peak heap.  If live memory scaled with trace length, 10^6 jobs
-     would need at least two floats per job (~4M words); the budget of
-     1M extra words over the 10^5-job peak cleanly separates constant
-     from linear behaviour.  The measurement is part of the artifact:
-     run this section under --json and diff the printed delta. *)
-  ignore (Sys.opaque_identity (run_trace ~n:100_000 `Diurnal ()));
-  Gc.compact ();
-  let peak_small = (Gc.quick_stat ()).Gc.top_heap_words in
-  ignore (Sys.opaque_identity (run_trace ~n:1_000_000 `Diurnal ()));
-  let peak_large = (Gc.quick_stat ()).Gc.top_heap_words in
-  let delta = peak_large - peak_small in
-  let budget = 1_000_000 in
-  Printf.printf
-    "\nconstant-memory: top_heap growth 1e5 -> 1e6 diurnal jobs = %d words (budget %d): %b\n"
-    delta budget (delta < budget);
-  if delta >= budget then failwith "trace bench: peak heap grew with trace length";
   (* trace-scale wall-clock budget: 10^7 jobs must stream through in
      bounded time.  The budget (60 s) is ~10x the typical container
      wall clock, so it only trips on a complexity regression (the sweep
@@ -1095,8 +477,52 @@ let section_trace () =
     (Compete.measure_stream ~seed:42 ~windows:20 ~window:64 ~alpha:3.0
        (trace_stream ~seed:42 ~n:2000 `Diurnal))
 
+(* ---------------------------------------------------------------- *)
+(* SERVE_SOAK_100K: 10^5 emitted-trace requests through a 2-shard
+   Serve_shard with admission control, in process: latency
+   percentiles, shed counts, and liveness asserted.  The input is
+   `pasched sim --count 500000 --emit-requests 5`. *)
+
+let soak_request_lines =
+  lazy
+    (List.of_seq
+       (Serve_client.trace_requests ~alpha:3.0 ~batch:5
+          (Workload.Stream.make ~seed:42 ~limit:500_000
+             ~size:(Workload.Stream.Pareto { shape = 2.2; scale = 0.5 })
+             (Workload.Stream.Diurnal { base = 1.0; amplitude = 0.8; period = 1000.0 }))))
+
+let section_serve_soak_100k () =
+  header "SERVE_SOAK_100K  10^5 trace requests through 2 shards, max_inflight 24";
+  Builtin.init ();
+  let lines = Lazy.force soak_request_lines in
+  let n = List.length lines in
+  if n < 100_000 then failwith "serve_soak: trace emitted fewer than 10^5 requests";
+  let t = Serve_shard.create ~jobs:1 ~shards:2 ~max_inflight:24 ~cache_capacity:1024 () in
+  let { Serve_client.ok; busy; errors = err; latency = s; wall_s = wall; _ } =
+    Serve_client.soak ~window:64 ~exchange:(Serve_shard.handle_batch t) lines
+  in
+  let alive =
+    Serve_protocol.reply_status (Serve_shard.handle_line t {|{"op":"ping"}|}) = Some "ok"
+  in
+  let st = Serve_shard.stats t in
+  Serve_shard.shutdown t;
+  Printf.printf "soak: requests %d ok %d busy %d error %d shed %d\n" n ok busy err
+    st.Serve_shard.shed;
+  Printf.printf "soak: latency_s p50 %.6g p95 %.6g p99 %.6g max %.6g mean %.6g\n"
+    s.Streaming_metrics.flow_p50 s.Streaming_metrics.flow_p95 s.Streaming_metrics.flow_p99
+    s.Streaming_metrics.flow_max s.Streaming_metrics.flow_mean;
+  Printf.printf "soak: wall_s %.3f throughput_rps %.1f\n" wall (float_of_int n /. wall);
+  if ok + busy + err <> n then failwith "serve_soak: requests went unanswered";
+  if err > 0 then failwith "serve_soak: error replies under clean load";
+  if busy = 0 then failwith "serve_soak: admission control never shed at max_inflight 24";
+  if ok = 0 then failwith "serve_soak: nothing was admitted";
+  if not (Float.is_finite s.Streaming_metrics.flow_p99) then
+    failwith "serve_soak: p99 latency is not finite";
+  if not alive then failwith "serve_soak: daemon dead after the soak"
+
 let sections =
   [
+    ("trace", section_trace);
     ("fig1", section_fig1);
     ("fig2", section_fig2);
     ("fig3", section_fig3);
@@ -1108,76 +534,15 @@ let sections =
     ("sim", section_sim);
     ("online", section_online);
     ("ext", section_ext);
-    ("fuzz", section_fuzz);
-    ("par", section_par);
-    ("registry", section_registry);
-    ("guard", section_guard);
-    ("serve", section_serve);
-    ("serve_shard", section_serve_shard);
-    ("serve_shard_1", run_serve_shard ~shards:1);
-    ("serve_shard_2", run_serve_shard ~shards:2);
-    ("serve_shard_4", run_serve_shard ~shards:4);
-    ("serve_soak_100k", run_serve_soak_100k);
-    ("serve_recovery_replay", run_serve_recovery_replay);
-    ("serve_recovery_cold", run_serve_recovery_cold);
-    ("serve_recovery_warm", run_serve_recovery_warm);
-    ("kernel", section_kernel);
-    ("kernel_flow_cold", run_kernel_flow_cold);
-    ("kernel_flow_warm", run_kernel_flow_warm);
-    ("kernel_frontier", run_kernel_frontier);
-    ("trace", section_trace);
+    ("serve_soak_100k", section_serve_soak_100k);
   ]
 
 (* ---------------------------------------------------------------- *)
-(* Entry point.  Plain arguments select sections (an unknown name
-   exits 2 before anything runs); two flags control the
-   machine-readable artifact:
-
-     --json PATH   write a BENCH.json artifact (schema in Obs_bench)
-     --obs         enable pasched.obs counters so the artifact's
-                   per-section counter deltas are populated
-
-   Without --obs the instrumentation stays compiled-away-cheap and the
-   wall_s numbers are directly comparable to historical runs. *)
-
-let git_commit () =
-  match Sys.getenv_opt "GITHUB_SHA" with
-  | Some sha when sha <> "" -> sha
-  | _ -> (
-    try
-      let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
-      let line = try input_line ic with End_of_file -> "" in
-      match (Unix.close_process_in ic, line) with
-      | Unix.WEXITED 0, sha when sha <> "" -> sha
-      | _ -> "unknown"
-    with _ -> "unknown")
-
-let iso8601_now () =
-  let t = Unix.gmtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.Unix.tm_year + 1900) (t.Unix.tm_mon + 1)
-    t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min t.Unix.tm_sec
+(* Entry point: every argument names a section, run in the order given
+   (all of them when there is none). *)
 
 let () =
-  let json_path = ref None in
-  let obs = ref false in
-  let requested = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "--json" :: path :: rest ->
-      json_path := Some path;
-      parse rest
-    | [ "--json" ] ->
-      prerr_endline "--json requires a PATH argument";
-      exit 2
-    | "--obs" :: rest ->
-      obs := true;
-      parse rest
-    | name :: rest ->
-      requested := name :: !requested;
-      parse rest
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let requested = List.rev !requested in
+  let requested = List.tl (Array.to_list Sys.argv) in
   (match List.filter (fun name -> not (List.mem_assoc name sections)) requested with
   | [] -> ()
   | unknown ->
@@ -1185,13 +550,7 @@ let () =
       (String.concat " " (List.map fst sections));
     exit 2);
   let chosen =
-    if requested = [] then sections
-    else List.map (fun name -> (name, List.assoc name sections)) requested
+    if requested = [] then List.map snd sections
+    else List.map (fun name -> List.assoc name sections) requested
   in
-  if !obs then Obs.set_enabled true;
-  let results = List.map (fun (name, f) -> Obs_bench.measure ~name f) chosen in
-  match !json_path with
-  | None -> ()
-  | Some path ->
-    Obs_bench.write_file ~path ~commit:(git_commit ()) ~date:(iso8601_now ()) results;
-    Printf.eprintf "bench: wrote %d section result(s) to %s\n%!" (List.length results) path
+  List.iter (fun f -> f ()) chosen

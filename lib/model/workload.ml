@@ -51,29 +51,33 @@ module Stream = struct
     | Mmpp of { rate_on : float; rate_off : float; mean_on : float; mean_off : float }
     | Staircase_process of float
 
+  (* every test is written so that NaN fails it: a NaN rate or phase
+     mean never advances the arrival clock, and the draw loops spin *)
   let check_size = function
-    | Fixed_size w -> if w <= 0.0 then invalid_arg "Workload.Stream: fixed work <= 0"
+    | Fixed_size w ->
+      if not (w > 0.0) then invalid_arg "Workload.Stream: fixed work must be positive"
     | Uniform_size { lo; hi } ->
-      if lo <= 0.0 || hi < lo then invalid_arg "Workload.Stream: need 0 < lo <= hi"
+      if not (lo > 0.0 && hi >= lo) then invalid_arg "Workload.Stream: need 0 < lo <= hi"
     | Pareto { shape; scale } ->
-      if shape <= 0.0 || scale <= 0.0 then
+      if not (shape > 0.0 && scale > 0.0) then
         invalid_arg "Workload.Stream: need positive shape/scale"
 
   let check_process = function
     | Poisson_process rate ->
-      if rate <= 0.0 then invalid_arg "Workload.Stream: rate <= 0"
+      if not (rate > 0.0) then invalid_arg "Workload.Stream: rate must be positive"
     | Diurnal { base; amplitude; period } ->
-      if base <= 0.0 then invalid_arg "Workload.Stream: base rate <= 0";
-      if amplitude < 0.0 || amplitude >= 1.0 then
+      if not (base > 0.0) then invalid_arg "Workload.Stream: base rate must be positive";
+      if not (amplitude >= 0.0 && amplitude < 1.0) then
         invalid_arg "Workload.Stream: amplitude outside [0, 1)";
-      if period <= 0.0 then invalid_arg "Workload.Stream: period <= 0"
+      if not (period > 0.0) then invalid_arg "Workload.Stream: period must be positive"
     | Mmpp { rate_on; rate_off; mean_on; mean_off } ->
-      if rate_on <= 0.0 then invalid_arg "Workload.Stream: rate_on <= 0";
-      if rate_off < 0.0 then invalid_arg "Workload.Stream: rate_off < 0";
-      if mean_on <= 0.0 || mean_off <= 0.0 then
+      if not (rate_on > 0.0) then invalid_arg "Workload.Stream: rate_on must be positive";
+      if not (rate_off >= 0.0) then invalid_arg "Workload.Stream: rate_off must be >= 0";
+      if not (mean_on > 0.0 && mean_off > 0.0) then
         invalid_arg "Workload.Stream: phase means must be positive"
     | Staircase_process step ->
-      if step < 0.0 then invalid_arg "Workload.Stream: step < 0"
+      if not (step >= 0.0 && step < Float.infinity) then
+        invalid_arg "Workload.Stream: step must be finite and >= 0"
 
   (* The pull path allocates only the job it returns: the [Some], the
      record and its two boxed floats, 10 words.  Without flambda a float

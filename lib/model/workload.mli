@@ -68,7 +68,10 @@ module Stream : sig
       two independent SplitMix64 sub-streams of [seed], stopping after
       [limit] jobs (unbounded when omitted — consumers must impose
       their own horizon).
-      @raise Invalid_argument on out-of-range parameters. *)
+      @raise Invalid_argument on out-of-range parameters: a size or
+      rate that is not positive, a negative [rate_off], an [amplitude]
+      outside [[0, 1)], a [step] that is negative or infinite, or any
+      NaN parameter. *)
 
   val next : t -> Job.t option
   (** Pull the next job; [None] once the stream is exhausted.  Job ids

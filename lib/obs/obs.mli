@@ -39,8 +39,8 @@
     only, while counters aggregate across all domains.
 
     See {!Obs_metrics} for instrument semantics, {!Obs_trace} for the
-    span model and Chrome export, {!Obs_report} for the text report,
-    and {!Obs_bench} for benchmark artifacts. *)
+    span model and Chrome export, and {!Obs_report} for the text
+    report. *)
 
 val enabled : unit -> bool
 (** [enabled ()] is the current state of the global switch. *)

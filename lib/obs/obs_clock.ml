@@ -4,14 +4,4 @@
 
 let now_ns = Monotonic_clock.now
 
-let ns_to_s ns = Int64.to_float ns /. 1e9
-
 let ns_to_us ns = Int64.to_float ns /. 1e3
-
-type stopwatch = int64
-
-let start () = now_ns ()
-
-let elapsed_ns sw = Int64.sub (now_ns ()) sw
-
-let elapsed_s sw = ns_to_s (elapsed_ns sw)

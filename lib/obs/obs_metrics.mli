@@ -100,7 +100,7 @@ type snapshot = {
 
 val snapshot : unit -> snapshot
 (** [snapshot ()] copies the registry.  O(instruments); safe to call
-    repeatedly (e.g. for before/after deltas in {!Obs_bench}). *)
+    repeatedly (e.g. for before/after counter deltas). *)
 
 val reset : unit -> unit
 (** [reset ()] zeroes every registered instrument without forgetting

@@ -1,8 +1,8 @@
 (** Human-readable rendering of an observability snapshot.
 
-    Counterpart to the machine-readable exports ({!Obs_trace.to_json},
-    {!Obs_bench.write_file}): a fixed-width text report meant for a
-    terminal, printed by [pasched --metrics]. *)
+    Counterpart to the machine-readable export ({!Obs_trace.to_json}):
+    a fixed-width text report meant for a terminal, printed by
+    [pasched --metrics]. *)
 
 val render : Obs_metrics.snapshot -> Obs_trace.event list -> string
 (** [render snapshot events] formats the nonzero counters, the touched

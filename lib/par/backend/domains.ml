@@ -24,7 +24,6 @@
    sequential before the clamp.  Results are unaffected: [jobs] is a
    performance knob only, never a semantic one. *)
 
-let backend = "domains"
 let recommended () = Domain.recommended_domain_count ()
 
 let worker_key = Domain.DLS.new_key (fun () -> false)

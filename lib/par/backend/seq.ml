@@ -4,7 +4,6 @@
    the determinism contract of [Par] holds trivially.  The resident
    pool degenerates to a record tracking the shutdown flag. *)
 
-let backend = "sequential"
 let recommended () = 1
 let on_worker_domain () = false
 

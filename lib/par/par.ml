@@ -4,7 +4,6 @@
    register, argument validation — lives here so the two backends stay
    small and obviously equivalent. *)
 
-let backend = Par_pool.backend
 let recommended_jobs () = Par_pool.recommended ()
 let on_worker_domain () = Par_pool.on_worker_domain ()
 

@@ -42,23 +42,18 @@
 
     {2 Clamping}
 
-    The effective worker count never exceeds {!recommended_jobs}: OCaml 5
-    minor collections are stop-the-world across domains, so widths above
-    the core count make every minor GC wait on descheduled domains and
-    run dramatically {e slower} (measured ~5x on a single core).  Since
-    [jobs] is a performance knob and never a semantic one (see the
-    determinism contract), clamping changes no result. *)
-
-val backend : string
-(** ["domains"] (OCaml 5 build) or ["sequential"] (4.x fallback). *)
-
-val recommended_jobs : unit -> int
-(** [Domain.recommended_domain_count ()] on the domains backend; [1] on
-    the sequential backend. *)
+    The effective worker count never exceeds the recommended count,
+    [Domain.recommended_domain_count ()] (1 on the sequential 4.x
+    build): OCaml 5 minor collections are stop-the-world across domains,
+    so widths above the core count make every minor GC wait on
+    descheduled domains and run dramatically {e slower} (measured ~5x
+    on a single core).  Since [jobs] is a performance knob and never a
+    semantic one (see the determinism contract), clamping changes no
+    result. *)
 
 val default_jobs : unit -> int
 (** The pool width used when [?jobs] is omitted: the last value given
-    to {!set_default_jobs}, or {!recommended_jobs} if never set. *)
+    to {!set_default_jobs}, or the recommended count if never set. *)
 
 val set_default_jobs : int -> unit
 (** Process-wide default, set once at the CLI boundary ([--jobs]).
@@ -102,15 +97,15 @@ val try_init : ?jobs:int -> int -> (int -> 'a) -> ('a, exn) result array
 
     All contracts of the per-call API hold unchanged: determinism in the
     element order, lowest-index exception propagation, sequential
-    degradation when called from a worker domain, and clamping to
-    {!recommended_jobs}.  A pool is driven from one domain at a time —
+    degradation when called from a worker domain, and clamping to the
+    recommended count.  A pool is driven from one domain at a time —
     it is a fork-join accelerator, not a concurrent task queue. *)
 module Pool : sig
   type t
 
   val create : ?jobs:int -> unit -> t
   (** Spawn a resident pool of up to [jobs] workers (defaulting to
-      [{!default_jobs} ()], clamped to {!recommended_jobs}).  Created
+      [{!default_jobs} ()], clamped to the recommended count).  Created
       from a worker domain, the pool is sequential (width 1): domains
       are never spawned from domains.
       @raise Invalid_argument when [jobs < 1]. *)

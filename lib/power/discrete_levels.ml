@@ -2,7 +2,12 @@ type t = float array (* sorted increasing, strictly positive, distinct *)
 
 let create speeds =
   if speeds = [] then invalid_arg "Discrete_levels.create: empty";
-  List.iter (fun s -> if s <= 0.0 then invalid_arg "Discrete_levels.create: non-positive level") speeds;
+  (* NaN passes the sign test, so the finiteness test must follow it *)
+  List.iter
+    (fun s ->
+      if s <= 0.0 then invalid_arg "Discrete_levels.create: non-positive level";
+      if not (Float.is_finite s) then invalid_arg "Discrete_levels.create: level must be finite")
+    speeds;
   let sorted = List.sort_uniq compare speeds in
   Array.of_list sorted
 

@@ -12,9 +12,10 @@
 type t
 
 val create : float list -> t
-(** Build a level set from strictly positive speeds; duplicates are
-    dropped and levels are sorted increasing.
-    @raise Invalid_argument on an empty list or non-positive level. *)
+(** Build a level set from strictly positive, finite speeds; duplicates
+    are dropped and levels are sorted increasing.
+    @raise Invalid_argument on an empty list, or a level that is not
+    positive, infinite or NaN. *)
 
 val athlon64 : t
 (** The AMD Athlon 64 levels from the paper's introduction, normalized

@@ -24,6 +24,8 @@ let c_appends = Obs.counter "serve.journal.appends"
 let c_replayed = Obs.counter "serve.journal.replayed"
 let c_skipped = Obs.counter "serve.journal.skipped_corrupt"
 let c_compactions = Obs.counter "serve.journal.compactions"
+let c_flushes = Obs.counter "serve.journal.flushes"
+let c_fsyncs = Obs.counter "serve.journal.fsyncs"
 
 (* ---------------- CRC-32 (IEEE 802.3) ---------------- *)
 
@@ -142,8 +144,15 @@ let decode_line line =
    power cut after the rename can leave the new name pointing at
    zero-length contents; without the second the rename itself may not
    have reached the directory.  (Best-effort on the dir: some
-   filesystems refuse O_RDONLY-fsync on directories.) *)
+   filesystems refuse O_RDONLY-fsync on directories.)  Every fsync is
+   counted as attempted, so a store's count is the same on every
+   filesystem. *)
+let fsync fd =
+  Obs.incr c_fsyncs;
+  Unix.fsync fd
+
 let fsync_dir path =
+  Obs.incr c_fsyncs;
   match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 with
   | exception Unix.Unix_error _ -> ()
   | dfd ->
@@ -160,7 +169,7 @@ let write_checkpoint ~path ~entries =
          output_char oc '\n')
        entries;
      flush oc;
-     Unix.fsync (Unix.descr_of_out_channel oc);
+     fsync (Unix.descr_of_out_channel oc);
      close_out oc
    with e ->
      close_out_noerr oc;
@@ -227,8 +236,9 @@ let append t ~canon payload =
 let flush t =
   if t.dirty then begin
     flush t.oc;
-    if t.fsync then Unix.fsync (Unix.descr_of_out_channel t.oc);
-    t.dirty <- false
+    if t.fsync then fsync (Unix.descr_of_out_channel t.oc);
+    t.dirty <- false;
+    Obs.incr c_flushes
   end
 
 let needs_compact t = t.compact_every > 0 && t.lag >= t.compact_every

@@ -76,7 +76,9 @@ val append : t -> canon:string -> (string * Obs_json.t) list -> unit
 
 val flush : t -> unit
 (** Push buffered appends to the OS (plus fsync when the store was
-    opened with [fsync:true]).  Call once per served batch. *)
+    opened with [fsync:true]).  Call once per served batch.  A flush
+    with appends to push counts one [serve.journal.flushes]; every
+    fsync, here or in a checkpoint, counts one [serve.journal.fsyncs]. *)
 
 val needs_compact : t -> bool
 (** True when the journal lag has reached [compact_every]. *)

@@ -10,9 +10,12 @@ type t = {
   mutable segments : Speed_profile.segment list; (* reversed *)
 }
 
+(* NaN passes the sign test, so the finiteness test must follow it *)
 let check_overhead ~switch_time ~switch_energy =
   if switch_time < 0.0 || switch_energy < 0.0 then
-    invalid_arg "Processor.create: negative switch overhead"
+    invalid_arg "Processor.create: negative switch overhead";
+  if not (Float.is_finite switch_time && Float.is_finite switch_energy) then
+    invalid_arg "Processor.create: switch overhead must be finite"
 
 let create ?(switch_time = 0.0) ?(switch_energy = 0.0) model id =
   check_overhead ~switch_time ~switch_energy;

@@ -10,12 +10,12 @@ val create : ?switch_time:float -> ?switch_energy:float -> Power_model.t -> int 
 (** [create model id] with optional per-transition costs: the processor
     stalls [switch_time] and burns [switch_energy] whenever it changes
     speed between two work segments.
-    @raise Invalid_argument on negative overheads. *)
+    @raise Invalid_argument on a negative, infinite or NaN overhead. *)
 
 val check_overhead : switch_time:float -> switch_energy:float -> unit
 (** The overhead check of [create], for simulators that keep their own
     processor state.
-    @raise Invalid_argument on negative overheads. *)
+    @raise Invalid_argument on a negative, infinite or NaN overhead. *)
 
 val energy : t -> float
 val switches : t -> int

@@ -1,7 +1,11 @@
 type sample = { time : float; temperature : float }
 
+(* NaN passes the sign test, so the finiteness test must follow it *)
 let check_params ~heating ~cooling =
-  if heating <= 0.0 || cooling <= 0.0 then invalid_arg "Thermal: heating and cooling must be positive"
+  if heating <= 0.0 || cooling <= 0.0 then
+    invalid_arg "Thermal: heating and cooling must be positive";
+  if not (Float.is_finite heating && Float.is_finite cooling) then
+    invalid_arg "Thermal: heating and cooling must be finite"
 
 let steady_state model ~heating ~cooling speed =
   check_params ~heating ~cooling;

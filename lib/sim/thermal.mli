@@ -13,7 +13,8 @@ type sample = { time : float; temperature : float }
 
 val check_params : heating:float -> cooling:float -> unit
 (** The parameter check every function below makes.
-    @raise Invalid_argument when [heating <= 0] or [cooling <= 0]. *)
+    @raise Invalid_argument unless [heating] and [cooling] are both
+    positive and finite (so NaN fails too). *)
 
 val steady_state : Power_model.t -> heating:float -> cooling:float -> float -> float
 (** Temperature a constant speed converges to. *)

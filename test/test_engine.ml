@@ -19,8 +19,8 @@ let max_jobs cap =
     (fun acc -> function Capability.Max_jobs k -> Stdlib.min acc k | _ -> acc)
     max_int cap.Capability.requires
 
-(* a capability-matched (problem, instance) pair for a solver — the
-   same derivation the bench registry section uses *)
+(* a capability-matched (problem, instance) pair for a solver, derived
+   from its registered capability alone *)
 let case_for solver =
   let cap = Engine.capability_of solver in
   let procs = match cap.Capability.settings with Capability.Uni_only -> 1 | _ -> 2 in

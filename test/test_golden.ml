@@ -24,8 +24,9 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* run the CLI, returning (exit code, stdout, stderr) *)
-let run_cli args =
+(* run the CLI, returning (exit code, stdout, stderr); under [timeout]
+   a run still going after that many seconds exits 124 *)
+let run_cli ?timeout args =
   let out = Filename.temp_file "pasched_golden" ".out" in
   let err = Filename.temp_file "pasched_golden" ".err" in
   Fun.protect
@@ -34,8 +35,9 @@ let run_cli args =
       try Sys.remove err with Sys_error _ -> ())
     (fun () ->
       let cmd =
-        Printf.sprintf "%s %s > %s 2> %s" (Filename.quote exe) args (Filename.quote out)
-          (Filename.quote err)
+        Printf.sprintf "%s%s %s > %s 2> %s"
+          (match timeout with Some s -> Printf.sprintf "timeout %d " s | None -> "")
+          (Filename.quote exe) args (Filename.quote out) (Filename.quote err)
       in
       let code = Sys.command cmd in
       (code, read_file out, read_file err))
@@ -237,6 +239,51 @@ let test_usage_error_before_output () =
       ("sim -n 1000 --switch-time=-0.01 --policy load:1", "negative switch overhead");
       ("sim -n 1000 --switch-time=-1", "negative switch overhead");
     ]
+
+(* every float-valued flag of `pasched sim`, and every number inside
+   its --size, --policy, --levels and --thermal specs, at NaN and at
+   both infinities: each run must refuse cleanly (exit 2, nothing on
+   stdout) or report only finite numbers.  Guards written [x <= 0.]
+   let NaN through, and a NaN rate or phase mean never advanced the
+   arrival clock, so those runs hung; [timeout] turns a hang into a
+   failure here. *)
+let test_sim_non_finite_flags () =
+  let flags v =
+    List.map
+      (fun (flag, kind) -> Printf.sprintf "--%s=%s%s" flag v kind)
+      [
+        ("alpha", ""); ("rate", ""); ("amplitude", ""); ("period", "");
+        ("rate-on", " --kind=mmpp"); ("rate-off", " --kind=mmpp");
+        ("mean-on", " --kind=mmpp"); ("mean-off", " --kind=mmpp");
+        ("step", " --kind=staircase"); ("switch-time", ""); ("switch-energy", "");
+      ]
+    @ List.map
+        (fun spec -> Printf.sprintf spec v)
+        [
+          "--size=fixed:%s"; "--size=uniform:%s,1"; "--size=uniform:0.5,%s";
+          "--size=pareto:%s,0.5"; "--size=pareto:2.2,%s"; "--policy=constant:%s";
+          "--policy=load:%s"; "--policy=avr:%s,10"; "--policy=avr:1,%s"; "--levels=%s,1";
+          "--levels=1,%s"; "--thermal=%s,0.1"; "--thermal=0.3,%s";
+        ]
+  in
+  let finite_numbers out =
+    String.split_on_char '\n' out
+    |> List.concat_map (String.split_on_char ' ')
+    |> List.concat_map (String.split_on_char ',')
+    |> List.for_all (fun tok ->
+           match float_of_string_opt tok with Some x -> Float.is_finite x | None -> true)
+  in
+  List.iter
+    (fun args ->
+      let code, out, err = run_cli ~timeout:10 ("sim -n 1000 " ^ args) in
+      Alcotest.(check bool)
+        (Printf.sprintf
+           "sim %s: exit 2 with empty stdout, or 0 with finite numbers (exit %d, stdout %S, \
+            stderr %S)"
+           args code out err)
+        true
+        ((code = 2 && out = "") || (code = 0 && finite_numbers out)))
+    (List.concat_map flags [ "nan"; "inf"; "-inf" ])
 
 (* an injected fault in the flow solver makes Guard answer through
    flow-spt: the command prints that solver's schedule under its own
@@ -497,6 +544,7 @@ let () =
           Alcotest.test_case "equal-work capability enforced" `Quick test_equal_work_rejected;
           Alcotest.test_case "bad jobs file rejected" `Quick test_bad_jobs_file_rejected;
           Alcotest.test_case "usage errors print nothing" `Quick test_usage_error_before_output;
+          Alcotest.test_case "sim rejects non-finite flags" `Quick test_sim_non_finite_flags;
           Alcotest.test_case "flow answers through its fallback" `Quick test_flow_fallback;
           Alcotest.test_case "flow solves huge budgets" `Quick test_flow_huge_budgets;
           Alcotest.test_case "flow schedules a tiny budget" `Quick test_flow_tiny_budget_schedule;

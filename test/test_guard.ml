@@ -253,8 +253,8 @@ let test_guard_off_transparent () =
         check_bool "diagnostics untouched" true (r0.diagnostics = r1.diagnostics))
     (List.filter (fun s -> Engine.name_of s <> "test-slow") (Engine.supporting problem inst3))
 
-(* the guard bench cases: a 48-job equal-work instance at budget 1.5 n,
-   once per objective — the supervised path must answer them cleanly *)
+(* a 48-job equal-work instance at budget 1.5 n, once per objective —
+   the supervised path must answer them cleanly *)
 let test_default_policy_clean () =
   let inst = Workload.equal_work ~seed:23 ~n:48 ~work:1.0 (Workload.Poisson 1.0) in
   let energy = 1.5 *. float_of_int (Instance.n inst) in

@@ -253,49 +253,6 @@ let test_solver_counters_populate () =
   Alcotest.(check bool) "incmerge.jobs_processed > 0" true (get "incmerge.jobs_processed" > 0);
   Alcotest.(check bool) "schedule.entries_built > 0" true (get "schedule.entries_built" > 0)
 
-let test_bench_measure_delta () =
-  with_obs_on @@ fun () ->
-  let r =
-    Obs_bench.measure ~name:"unit" (fun () ->
-        ignore (Incmerge.makespan Power_model.cube ~energy:12.0 Instance.figure1))
-  in
-  Alcotest.(check string) "section name recorded" "unit" r.Obs_bench.name;
-  Alcotest.(check bool) "wall time nonnegative" true (r.Obs_bench.wall_s >= 0.0);
-  Alcotest.(check bool) "counter deltas captured" true
-    (List.mem_assoc "incmerge.jobs_processed" r.Obs_bench.counters);
-  (* a second identical measurement reports deltas, not totals *)
-  let r2 =
-    Obs_bench.measure ~name:"unit2" (fun () ->
-        ignore (Incmerge.makespan Power_model.cube ~energy:12.0 Instance.figure1))
-  in
-  Alcotest.(check int) "deltas equal across identical runs"
-    (List.assoc "incmerge.jobs_processed" r.Obs_bench.counters)
-    (List.assoc "incmerge.jobs_processed" r2.Obs_bench.counters)
-
-(* the allocation meter is exact: for a block in the minor heap, for one
-   too large for it, and across minor collections that promote survivors
-   (on OCaml 5 Gc.quick_stat's counts move only at collections and can
-   lag by hundreds of words; Gc.minor_words and Gc.counters do not) *)
-let test_bench_measure_exact_words () =
-  let keep = ref [] in
-  List.iter
-    (fun (what, words, f) ->
-      let r = Obs_bench.measure ~name:"alloc" f in
-      Alcotest.(check (float 0.0)) (Printf.sprintf "%s: %d words" what words)
-        (float_of_int words *. float_of_int (Sys.word_size / 8) /. 1e6)
-        r.Obs_bench.allocs_mb)
-    [
-      ("a 100-element array", 101, fun () -> ignore (Sys.opaque_identity (Array.make 100 0)));
-      ("a 100,000-element array", 100_001, fun () -> ignore (Sys.opaque_identity (Array.make 100_000 0)));
-      ( "10^6 refs, every 1000th kept",
-        2_003_000,
-        fun () ->
-          for i = 1 to 1_000_000 do
-            let r = Sys.opaque_identity (ref i) in
-            if i mod 1000 = 0 then keep := r :: !keep
-          done );
-    ]
-
 let test_report_renders () =
   with_obs_on @@ fun () ->
   let c = Obs.counter "test.report_counter" in
@@ -539,8 +496,6 @@ let () =
       ( "instrumentation",
         [
           Alcotest.test_case "solver counters populate" `Quick test_solver_counters_populate;
-          Alcotest.test_case "bench measure deltas" `Quick test_bench_measure_delta;
-          Alcotest.test_case "bench measure exact words" `Quick test_bench_measure_exact_words;
           Alcotest.test_case "report renders" `Quick test_report_renders;
         ] );
       ( "cli",
