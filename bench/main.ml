@@ -196,8 +196,14 @@ let section_perf () =
       let inst = Workload.uniform_work ~seed:n ~n ~lo:0.5 ~hi:2.0 (Workload.Poisson 1.0) in
       let e = float_of_int n *. 1.5 in
       let t_im = time_best ~reps:5 (fun () -> Incmerge.makespan cube ~energy:e inst) in
+      (* one untimed call first: a single cold timing per size bent the
+         fitted slope below 2 *)
       let t_dp =
-        if n <= 512 then time_best ~reps:1 (fun () -> Dp_makespan.makespan cube ~energy:e inst)
+        if n <= 1024 then begin
+          let dp () = Dp_makespan.makespan cube ~energy:e inst in
+          ignore (Sys.opaque_identity (dp ()));
+          time_best ~reps:5 dp
+        end
         else Float.nan
       in
       let flow_inst = Workload.equal_work ~seed:n ~n ~work:1.0 (Workload.Poisson 1.0) in

@@ -19,6 +19,10 @@ let create jobs_list =
 
 (* ids 0 .. n-1 are distinct, and [Job.make] has validated each job *)
 let of_pairs pairs = sorted (Array.of_list (List.mapi (fun i (release, work) -> Job.make ~id:i ~release ~work) pairs))
+let of_arrays ~releases ~works =
+  if Array.length releases <> Array.length works then invalid_arg "Instance.of_arrays: length mismatch";
+  sorted (Array.init (Array.length releases) (fun i -> Job.make ~id:i ~release:releases.(i) ~work:works.(i)))
+
 let of_works works = of_pairs (List.map (fun w -> (0.0, w)) works)
 let figure1 = of_pairs [ (0.0, 5.0); (5.0, 2.0); (6.0, 1.0) ]
 let theorem8 = of_pairs [ (0.0, 1.0); (0.0, 1.0); (1.0, 1.0) ]

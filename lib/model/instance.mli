@@ -7,8 +7,9 @@
     {!jobs} exposes the array without re-checking.
 
     Instances are produced three ways: directly ({!create},
-    {!of_pairs}, {!of_works}), from the paper's worked examples
-    ({!figure1}, {!theorem8}), or synthetically via {!Workload}. *)
+    {!of_pairs}, {!of_arrays}, {!of_works}), from the paper's worked
+    examples ({!figure1}, {!theorem8}), or synthetically via
+    {!Workload}. *)
 
 type t
 (** Invariant: jobs sorted by {!Job.compare_by_release}, ids unique,
@@ -23,6 +24,12 @@ val of_pairs : (float * float) list -> t
 (** [of_pairs [(r0, w0); (r1, w1); ...]] builds jobs from
     [(release, work)] pairs; ids are assigned in input order (so pair
     [i] becomes job id [i], possibly reordered by release). *)
+
+val of_arrays : releases:float array -> works:float array -> t
+(** [of_arrays ~releases ~works] is {!of_pairs} of the zipped arrays,
+    built without a list: job [i] has id [i], and the jobs are
+    validated in that order.
+    @raise Invalid_argument when the lengths differ, or as {!Job.make}. *)
 
 val of_works : float list -> t
 (** [of_works ws] is jobs with the given works, all released at time 0

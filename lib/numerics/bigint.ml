@@ -302,8 +302,8 @@ let to_float x =
   let n = Array.length x.mag in
   if n = 0 then 0.0
   else begin
-    (* combine the top three limbs (90 bits > float mantissa) exactly,
-       then scale by the remaining limb count *)
+    (* combine the top three limbs (90 bits > float mantissa), each
+       addition rounding once, then scale by the remaining limb count *)
     let lo = Stdlib.max 0 (n - 3) in
     let acc = ref 0.0 in
     for i = n - 1 downto lo do

@@ -27,7 +27,13 @@ val to_string : t -> string
 (** Decimal rendering, e.g. ["-12345678901234567890"]. *)
 
 val to_float : t -> float
-(** Nearest float; large values lose precision but keep sign and scale. *)
+(** A float within a relative error of 2{^-51} of [x] (infinite when
+    that leaves the float range), but not always the nearest: exact
+    below 2{^53}, correctly rounded below 2{^60}, and above that the
+    top three 30-bit limbs are summed with two roundings and the lower
+    limbs dropped.  [to_float (2^83 + 2^30 + 1)] is [0x1p+83], where
+    the nearest float is [0x1.0000000000001p+83].  {!Rat.to_float}
+    relies on exactly this rounding. *)
 
 val numbits : t -> int
 (** Bit length of [|x|]: the least [k] with [|x| < 2^k]; [0] for zero. *)

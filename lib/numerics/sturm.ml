@@ -185,7 +185,12 @@ let isolate ch =
     roots
   end
 
+(* bisection halves the width, so a width of at most eps <= 0 is never
+   reached *)
+let check_eps eps = if Rat.sign eps <= 0 then invalid_arg "Sturm.refine: eps must be positive"
+
 let refine ch ~lo ~hi ~eps =
+  check_eps eps;
   let h = ch.(0) in
   let evals = ref 0 in
   let sign x =
@@ -211,9 +216,12 @@ let refine ch ~lo ~hi ~eps =
   r
 
 let isolate_roots p = if Qpoly.is_zero p then [] else isolate (chain p)
-let refine_root p ~lo ~hi ~eps = refine (chain p) ~lo ~hi ~eps
+let refine_root p ~lo ~hi ~eps =
+  check_eps eps;
+  refine (chain p) ~lo ~hi ~eps
 
 let root_floats ?(eps = 1e-12) p =
+  if not (eps > 0.0 && Float.is_finite eps) then invalid_arg "Sturm.root_floats: eps must be positive and finite";
   let eps = Rat.of_float_dyadic eps in
   if Qpoly.is_zero p then []
   else begin

@@ -38,14 +38,17 @@ val refine : chain -> lo:Rat.t -> hi:Rat.t -> eps:Rat.t -> Rat.t * Rat.t
 (** Bisect an isolating interval [(lo, hi]] (exactly one root, possibly
     at [hi]; [lo] may be another root) until its width is at most [eps],
     on the sign of the squarefree polynomial alone.  Returns [(mid, mid)]
-    when a midpoint is the root. *)
+    when a midpoint is the root.
+    @raise Invalid_argument when [eps <= 0]: no bisection reaches it. *)
 
 val isolate_roots : Qpoly.t -> (Rat.t * Rat.t) list
 (** [isolate (chain p)]; [[]] for the zero polynomial. *)
 
 val refine_root : Qpoly.t -> lo:Rat.t -> hi:Rat.t -> eps:Rat.t -> Rat.t * Rat.t
-(** [refine (chain p)]. *)
+(** [refine (chain p)].
+    @raise Invalid_argument when [eps <= 0], before building the chain. *)
 
 val root_floats : ?eps:float -> Qpoly.t -> float list
 (** All distinct real roots as floats, isolated exactly then refined to
-    [eps] (default [1e-12]). *)
+    [eps] (default [1e-12]).
+    @raise Invalid_argument when [eps] is not positive and finite. *)

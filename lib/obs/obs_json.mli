@@ -11,8 +11,13 @@
     copied as given.
 
     The parser accepts any RFC 8259 document, including [\uXXXX]
-    escapes and surrogate pairs (decoded to UTF-8).  It is meant for
-    round-trip testing and small artifacts, not for streaming. *)
+    escapes and surrogate pairs (decoded to UTF-8), and a few forms
+    beyond it: [1.], [.5] and [01] are numbers.  It is one {!cursor}
+    over the text: {!of_string} builds a tree with {!value}, and a
+    typed reader (the serve daemon's request decoder) walks the same
+    grammar with the same errors, reading numbers straight into float
+    arrays with {!float_into}.  Trees are still built for journal
+    replay, snapshots, replies read back and tests. *)
 
 type t =
   | Null
@@ -55,9 +60,72 @@ val float_to_string : float -> string
 
 val of_string : string -> (t, string) result
 (** [of_string s] parses one JSON document occupying all of [s]
-    (surrounding whitespace allowed).
-    @return [Error msg] — with a character position — on malformed
-    input or trailing garbage; never raises. *)
+    (surrounding whitespace allowed): [parse_with s value].
+    @return [Error "at N: msg"] — N the byte position — on malformed
+    input or trailing garbage; never raises.
+
+    A number without ['.'] or an exponent is an [Int] when
+    [int_of_string] reads it, and otherwise a [Float]; every [Float]
+    is the double [float_of_string] returns for its text, bit for bit.
+    Most are found without it: by Clinger's fast path (a mantissa below
+    2{^53} times or over an exact power of ten), then by Eisel–Lemire
+    (Lemire, "Number Parsing at a Gigabyte per Second", 2021) on a
+    mantissa of at most 19 significant digits, with [float_of_string]
+    as the fallback whenever the 128-bit product cannot prove the
+    rounding, the result is subnormal or out of range, or more digits
+    are significant.  Reading a number allocates nothing but the tree
+    node. *)
+
+(** {2 The cursor}
+
+    The reader behind {!of_string}, for callers that read one known
+    shape without building its tree.  Each function below reads what
+    {!value} would at the same place, with the same errors. *)
+
+type cursor
+(** A position in the text being parsed.  Not shared between domains. *)
+
+val parse_with : string -> (cursor -> 'a) -> ('a, string) result
+(** [parse_with s read] runs [read] on a cursor at the start of [s],
+    then requires nothing but whitespace after it.  A malformed text
+    is [Error "at N: msg"], as for {!of_string}; exceptions other than
+    the cursor's own pass through. *)
+
+val peek : cursor -> char
+(** Skips whitespace and returns the next byte, ['\000'] at the end of
+    the text.  Its value starts with ['{'] (object), ['['] (list),
+    ['"'] (string), ['t'], ['f'] or ['n'] (literals), or else is read
+    as a number. *)
+
+val value : cursor -> t
+(** Reads one value as a tree. *)
+
+val float_into : cursor -> float array -> int -> bool
+(** [float_into c dst i]: when the next value is read as a number,
+    reads it, stores its {!to_float} in [dst.(i)] and returns [true];
+    otherwise reads nothing and returns [false]. *)
+
+val list_open : cursor -> bool
+(** Reads the ['['] at the cursor (after whitespace) and returns
+    whether the list has elements; an empty list is read whole.  Read
+    each element, then call {!list_next}. *)
+
+val list_next : cursor -> bool
+(** After an element: [true] past a [','] (another element follows),
+    [false] past the closing [']']. *)
+
+val obj_open : cursor -> bool
+(** Reads the ['{'] at the cursor (after whitespace) and returns
+    whether the object has members; an empty object is read whole.
+    Read each member's key with {!obj_key}, then its value, then call
+    {!obj_next}. *)
+
+val obj_key : cursor -> string
+(** Reads a member's key and the [':'] after it. *)
+
+val obj_next : cursor -> bool
+(** After a member's value: [true] past a [','], [false] past the
+    closing ['}']. *)
 
 val member : string -> t -> t option
 (** [member key v] is the value of field [key] if [v] is an [Obj]

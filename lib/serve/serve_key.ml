@@ -1,21 +1,22 @@
-type row = { release : float; work : float; weight : float option; deadline : float option }
-
-(* [compare] on float options is fine here: decode has already
-   rejected non-finite values, and None sorts before Some *)
-let compare_row a b =
-  let c = Float.compare a.release b.release in
-  if c <> 0 then c
-  else
-    let c = Float.compare a.work b.work in
+(* stable, so rows that compare equal keep their request order; decode
+   has already rejected non-finite values *)
+let canonical_order ~releases ~works ?weights ?deadlines () =
+  let by a i j = match a with Some a -> Float.compare a.(i) a.(j) | None -> 0 in
+  let compare_rows i j =
+    let c = Float.compare releases.(i) releases.(j) in
     if c <> 0 then c
     else
-      let c = compare a.weight b.weight in
-      if c <> 0 then c else compare a.deadline b.deadline
-
-let canonical_jobs rows =
-  let sorted = Array.copy rows in
-  Array.stable_sort compare_row sorted;
-  sorted
+      let c = Float.compare works.(i) works.(j) in
+      if c <> 0 then c
+      else
+        let c = by weights i j in
+        if c <> 0 then c else by deadlines i j
+  in
+  let order = Array.init (Array.length releases) Fun.id in
+  (* requests mostly list their jobs in release order already *)
+  let rec sorted k = k >= Array.length order || (compare_rows (k - 1) k <= 0 && sorted (k + 1)) in
+  if not (sorted 1) then Array.stable_sort compare_rows order;
+  order
 
 external hexstring_of_float : float -> int -> char -> string = "caml_hexstring_of_float"
 
@@ -75,8 +76,11 @@ let add_opt buf = function
   | None -> Buffer.add_char buf '_'
   | Some x -> add_float buf x
 
-let canon ~solver ~points (p : Problem.t) pairs =
-  let buf = Buffer.create 256 in
+(* [add_job buf i] prints job i's release and work *)
+let canon_with ~solver ~points (p : Problem.t) n add_job =
+  (* about 48 bytes a job, two %h floats and their separators, so the
+     buffer rarely grows *)
+  let buf = Buffer.create (128 + (48 * n)) in
   let fld name f =
     Buffer.add_string buf name;
     Buffer.add_char buf '=';
@@ -110,18 +114,30 @@ let canon ~solver ~points (p : Problem.t) pairs =
           (List.sort_uniq Float.compare ls));
   fld "points" (fun () -> Buffer.add_string buf (string_of_int points));
   fld "jobs" (fun () ->
-      Array.iteri
-        (fun i (r, w) ->
-          add_float buf r;
-          Buffer.add_char buf ':';
-          add_float buf w;
-          Buffer.add_char buf ':';
-          add_opt buf (Option.map (fun a -> a.(i)) p.Problem.weights);
-          Buffer.add_char buf ':';
-          add_opt buf (Option.map (fun a -> a.(i)) p.Problem.deadlines);
-          Buffer.add_char buf ',')
-        pairs);
+      for i = 0 to n - 1 do
+        add_job buf i;
+        Buffer.add_char buf ':';
+        add_opt buf (Option.map (fun a -> a.(i)) p.Problem.weights);
+        Buffer.add_char buf ':';
+        add_opt buf (Option.map (fun a -> a.(i)) p.Problem.deadlines);
+        Buffer.add_char buf ','
+      done);
   Buffer.contents buf
+
+let canon ~solver ~points p pairs =
+  canon_with ~solver ~points p (Array.length pairs) (fun buf i ->
+      let r, w = pairs.(i) in
+      add_float buf r;
+      Buffer.add_char buf ':';
+      add_float buf w)
+
+(* a job's fields are boxed in its record: printing them boxes nothing *)
+let canon_jobs ~solver ~points p (jobs : Job.t array) =
+  canon_with ~solver ~points p (Array.length jobs) (fun buf i ->
+      let j = jobs.(i) in
+      add_float buf j.Job.release;
+      Buffer.add_char buf ':';
+      add_float buf j.Job.work)
 
 (* a plain loop keeps [h] unboxed: no allocation per byte *)
 let hash s =

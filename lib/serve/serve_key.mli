@@ -3,7 +3,7 @@
     Two requests describing the same mathematical problem must map to
     the same key even when they spell it differently: jobs listed in a
     different order, speed levels permuted, floats that print
-    differently but compare equal.  {!canonical_jobs} sorts the job
+    differently but compare equal.  {!canonical_order} sorts the job
     rows (release first — matching the order {!Instance.of_pairs}
     imposes, so the decoded instance, its job ids, and therefore the
     {e reply} are also identical across reorderings), carrying each
@@ -17,13 +17,17 @@
     the key: it bounds supervision, not the answer, so a cached result
     may satisfy a request that arrives with any deadline. *)
 
-type row = { release : float; work : float; weight : float option; deadline : float option }
-(** One job row as decoded from a request, before canonical
-    ordering. *)
-
-val canonical_jobs : row array -> row array
-(** A sorted copy: ascending by (release, work, weight, deadline).
-    Total on any finite inputs; does not mutate its argument. *)
+val canonical_order :
+  releases:float array ->
+  works:float array ->
+  ?weights:float array ->
+  ?deadlines:float array ->
+  unit ->
+  int array
+(** The permutation that sorts the job rows [(release, work, weight,
+    deadline)] ascending, stably: row [order.(k)] is the [k]-th in
+    canonical order.  The arrays are parallel; absent weights or
+    deadlines take no part.  Total on finite inputs. *)
 
 val canon : solver:string option -> points:int -> Problem.t -> (float * float) array -> string
 (** The canonical string of a request: solver choice, Pareto sample
@@ -31,6 +35,10 @@ val canon : solver:string option -> points:int -> Problem.t -> (float * float) a
     treats them as a set) and the canonically-ordered [(release, work)]
     pairs.  Weights and deadlines are read from the problem, where they
     are already in canonical job order. *)
+
+val canon_jobs : solver:string option -> points:int -> Problem.t -> Job.t array -> string
+(** {!canon} of the jobs' [(release, work)] pairs, in the order given:
+    the same string, without building the pairs. *)
 
 val hash : string -> int64
 (** 64-bit FNV-1a of the canonical string — the cache's bucket key.

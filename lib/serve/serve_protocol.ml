@@ -46,63 +46,224 @@ let as_string what = function
     | None -> bad "%s must be a string" what)
   | None -> None
 
-let float_list what = function
-  | Some j -> (
-    match Obs_json.to_list j with
-    | Some elems ->
-      Some
-        (List.map
-           (fun e ->
-             match Obs_json.to_float e with
-             | Some x -> finite what x
-             | None -> bad "%s must contain only numbers" what)
-           elems)
-    | None -> bad "%s must be a list" what)
-  | None -> None
+(* ---- the one-pass reader ----
 
-let parse_jobs = function
-  | None -> bad "missing \"jobs\""
-  | Some j -> (
-    match Obs_json.to_list j with
-    | None -> bad "\"jobs\" must be a list of [release, work] pairs"
-    | Some [] -> bad "\"jobs\" must be non-empty"
-    | Some elems ->
-      List.map
-        (fun e ->
-          match Obs_json.to_list e with
-          | Some [ r; w ] -> (
-            match (Obs_json.to_float r, Obs_json.to_float w) with
-            | Some r, Some w -> (finite "release" r, finite "work" w)
-            | _ -> bad "job entries must be [release, work] number pairs")
-          | _ -> bad "job entries must be [release, work] number pairs")
-        elems)
+   [decode] walks the request object once with [Obs_json]'s cursor.
+   The number lists go straight into float arrays and the scalars into
+   small trees, one slot a key; the first of two equal keys wins, as
+   [List.assoc_opt] does on a parsed object.  A value of the wrong
+   shape is still read, for its syntax, and its error is kept, so the
+   semantic checks run after the whole line has parsed, in the order
+   [parse_solve] gives them. *)
 
-let parse_solve doc =
-  let field k = Obs_json.member k doc in
+(* room for element n in a growable float column *)
+let push a n =
+  if n = Array.length !a then begin
+    let b = Array.make (2 * n) 0.0 in
+    Array.blit !a 0 b 0 n;
+    a := b
+  end
+
+(* a number list: the values read, or its first error: not a list,
+   else the first element that is not a number or not finite *)
+let read_floats c what =
+  if Obs_json.peek c <> '[' then begin
+    ignore (Obs_json.value c);
+    Error (Printf.sprintf "%s must be a list" what)
+  end
+  else begin
+    let xs = ref (Array.make 8 0.0) and n = ref 0 and err = ref None in
+    if Obs_json.list_open c then begin
+      let more = ref true in
+      while !more do
+        push xs !n;
+        (if Obs_json.float_into c !xs !n then begin
+           if Option.is_none !err && not (Float.is_finite !xs.(!n)) then
+             err := Some (Printf.sprintf "%s must be finite" what)
+         end
+         else begin
+           ignore (Obs_json.value c);
+           if Option.is_none !err then err := Some (Printf.sprintf "%s must contain only numbers" what)
+         end);
+        incr n;
+        more := Obs_json.list_next c
+      done
+    end;
+    match !err with Some e -> Error e | None -> Ok (Array.sub !xs 0 !n)
+  end
+
+let not_a_pair = Some "job entries must be [release, work] number pairs"
+
+(* job i's [release, work] into rs.(i) and ws.(i), or its error: the
+   shape first, then a non-finite work, then a non-finite release *)
+let read_job c rs ws i =
+  if Obs_json.peek c <> '[' then begin
+    ignore (Obs_json.value c);
+    not_a_pair
+  end
+  else if not (Obs_json.list_open c) then not_a_pair
+  else begin
+    let k = ref 0 and numbers = ref true and more = ref true in
+    while !more do
+      let read = (!k = 0 && Obs_json.float_into c rs i) || (!k = 1 && Obs_json.float_into c ws i) in
+      if not read then begin
+        ignore (Obs_json.value c);
+        numbers := false
+      end;
+      incr k;
+      more := Obs_json.list_next c
+    done;
+    if !k <> 2 || not !numbers then not_a_pair
+    else if not (Float.is_finite ws.(i)) then Some "work must be finite"
+    else if not (Float.is_finite rs.(i)) then Some "release must be finite"
+    else None
+  end
+
+let read_jobs c =
+  if Obs_json.peek c <> '[' then begin
+    ignore (Obs_json.value c);
+    Error "\"jobs\" must be a list of [release, work] pairs"
+  end
+  else begin
+    let rs = ref (Array.make 16 0.0) and ws = ref (Array.make 16 0.0) in
+    let n = ref 0 and err = ref None in
+    if Obs_json.list_open c then begin
+      let more = ref true in
+      while !more do
+        push rs !n;
+        push ws !n;
+        let e = read_job c !rs !ws !n in
+        if Option.is_none !err then err := e;
+        incr n;
+        more := Obs_json.list_next c
+      done
+    end;
+    match !err with
+    | Some e -> Error e
+    | None when !n = 0 -> Error "\"jobs\" must be non-empty"
+    | None -> Ok (Array.sub !rs 0 !n, Array.sub !ws 0 !n)
+  end
+
+(* the first value of each known key; the scalars as small trees *)
+type fields = {
+  mutable id : Obs_json.t option;
+  mutable op : Obs_json.t option;
+  mutable objective : Obs_json.t option;
+  mutable alpha : Obs_json.t option;
+  mutable procs : Obs_json.t option;
+  mutable budget : Obs_json.t option;
+  mutable target : Obs_json.t option;
+  mutable pareto : Obs_json.t option;
+  mutable solver : Obs_json.t option;
+  mutable points : Obs_json.t option;
+  mutable deadline_s : Obs_json.t option;
+  mutable speed_cap : Obs_json.t option;
+  mutable jobs : (float array * float array, string) result option;
+  mutable weights : (float array, string) result option;
+  mutable deadlines : (float array, string) result option;
+  mutable levels : (float array, string) result option;
+}
+
+(* a later duplicate is read for its syntax and dropped *)
+let first c read = function
+  | None -> Some (read c)
+  | Some _ as kept ->
+    ignore (Obs_json.value c);
+    kept
+
+(* [None] for a document that is not an object *)
+let read_request c =
+  if Obs_json.peek c <> '{' then begin
+    ignore (Obs_json.value c);
+    None
+  end
+  else begin
+    let f =
+      {
+        id = None;
+        op = None;
+        objective = None;
+        alpha = None;
+        procs = None;
+        budget = None;
+        target = None;
+        pareto = None;
+        solver = None;
+        points = None;
+        deadline_s = None;
+        speed_cap = None;
+        jobs = None;
+        weights = None;
+        deadlines = None;
+        levels = None;
+      }
+    in
+    let value = Obs_json.value in
+    if Obs_json.obj_open c then begin
+      let more = ref true in
+      while !more do
+        (match Obs_json.obj_key c with
+        | "id" -> f.id <- first c value f.id
+        | "op" -> f.op <- first c value f.op
+        | "objective" -> f.objective <- first c value f.objective
+        | "alpha" -> f.alpha <- first c value f.alpha
+        | "procs" -> f.procs <- first c value f.procs
+        | "budget" -> f.budget <- first c value f.budget
+        | "target" -> f.target <- first c value f.target
+        | "pareto" -> f.pareto <- first c value f.pareto
+        | "solver" -> f.solver <- first c value f.solver
+        | "points" -> f.points <- first c value f.points
+        | "deadline_s" -> f.deadline_s <- first c value f.deadline_s
+        | "speed_cap" -> f.speed_cap <- first c value f.speed_cap
+        | "jobs" -> f.jobs <- first c read_jobs f.jobs
+        | "weights" -> f.weights <- first c (fun c -> read_floats c "\"weights\"") f.weights
+        | "deadlines" -> f.deadlines <- first c (fun c -> read_floats c "\"deadlines\"") f.deadlines
+        | "levels" -> f.levels <- first c (fun c -> read_floats c "\"levels\"") f.levels
+        | _ -> ignore (Obs_json.value c));
+        more := Obs_json.obj_next c
+      done
+    end;
+    Some f
+  end
+
+let checked = function Some (Error e) -> bad "%s" e | Some (Ok x) -> Some x | None -> None
+
+(* a float column in [order]: the column itself when that is the
+   identity (decode's columns are fresh) *)
+let permute order a =
+  let rec identity k = k = Array.length order || (order.(k) = k && identity (k + 1)) in
+  if identity 0 then a
+  else begin
+    let b = Array.make (Array.length order) 0.0 in
+    Array.iteri (fun k i -> b.(k) <- a.(i)) order;
+    b
+  end
+
+let parse_solve f =
   let objective =
-    match as_string "\"objective\"" (field "objective") with
+    match as_string "\"objective\"" f.objective with
     | None -> bad "missing \"objective\""
     | Some s -> (
       match Problem.objective_of_string s with
       | Some o -> o
       | None -> bad "unknown objective %S (makespan|flow|maxflow|wflow|deadline)" s)
   in
-  let alpha = Option.value ~default:3.0 (as_float "\"alpha\"" (field "alpha")) in
-  let procs = Option.value ~default:1 (as_int "\"procs\"" (field "procs")) in
-  let pairs = Array.of_list (parse_jobs (field "jobs")) in
-  let n = Array.length pairs in
-  let per_job what = function
-    | None -> None
-    | Some l ->
-      if List.length l <> n then bad "%s must have one entry per job" what;
-      Some (Array.of_list l)
+  let alpha = Option.value ~default:3.0 (as_float "\"alpha\"" f.alpha) in
+  let procs = Option.value ~default:1 (as_int "\"procs\"" f.procs) in
+  let releases, works =
+    match checked f.jobs with Some jobs -> jobs | None -> bad "missing \"jobs\""
   in
-  let weights = per_job "\"weights\"" (float_list "\"weights\"" (field "weights")) in
-  let deadlines = per_job "\"deadlines\"" (float_list "\"deadlines\"" (field "deadlines")) in
+  let n = Array.length releases in
+  let per_job what a =
+    Option.iter (fun a -> if Array.length a <> n then bad "%s must have one entry per job" what) a;
+    a
+  in
+  let weights = per_job "\"weights\"" (checked f.weights) in
+  let deadlines = per_job "\"deadlines\"" (checked f.deadlines) in
   let mode =
-    let budget = as_float "\"budget\"" (field "budget") in
-    let target = as_float "\"target\"" (field "target") in
-    let pareto = as_bool "\"pareto\"" (field "pareto") in
+    let budget = as_float "\"budget\"" f.budget in
+    let target = as_float "\"target\"" f.target in
+    let pareto = as_bool "\"pareto\"" f.pareto in
     match (budget, target, pareto) with
     | Some _, Some _, _ -> bad "\"budget\" and \"target\" are mutually exclusive"
     | _, _, true ->
@@ -116,82 +277,62 @@ let parse_solve doc =
       else bad "one of \"budget\", \"target\" or \"pareto\": true is required"
   in
   let solver =
-    match as_string "\"solver\"" (field "solver") with
+    match as_string "\"solver\"" f.solver with
     | None | Some "auto" -> None
     | Some s -> Some s
   in
   let points =
-    match as_int "\"points\"" (field "points") with
+    match as_int "\"points\"" f.points with
     | None -> 0
     | Some p ->
       if p < 0 then bad "\"points\" must be >= 0";
       p
   in
   let deadline_s =
-    match as_float "\"deadline_s\"" (field "deadline_s") with
+    match as_float "\"deadline_s\"" f.deadline_s with
     | None -> None
     | Some d ->
       if d < 0.0 then bad "\"deadline_s\" must be >= 0";
       Some d
   in
-  let speed_cap = as_float "\"speed_cap\"" (field "speed_cap") in
-  let levels = float_list "\"levels\"" (field "levels") in
+  let speed_cap = as_float "\"speed_cap\"" f.speed_cap in
+  let levels = Option.map Array.to_list (checked f.levels) in
   (* canonical job order before the instance is built: reordered-but-
      equal requests must yield identical instances, ids and replies *)
-  let rows =
-    Array.mapi
-      (fun i (release, work) ->
-        {
-          Serve_key.release;
-          work;
-          weight = Option.map (fun a -> a.(i)) weights;
-          deadline = Option.map (fun a -> a.(i)) deadlines;
-        })
-      pairs
-  in
-  let rows = Serve_key.canonical_jobs rows in
-  let pairs = Array.map (fun r -> (r.Serve_key.release, r.Serve_key.work)) rows in
-  let weights = Option.map (fun _ -> Array.map (fun r -> Option.get r.Serve_key.weight) rows) weights in
-  let deadlines =
-    Option.map (fun _ -> Array.map (fun r -> Option.get r.Serve_key.deadline) rows) deadlines
-  in
+  let order = Serve_key.canonical_order ~releases ~works ?weights ?deadlines () in
+  let weights = Option.map (permute order) weights and deadlines = Option.map (permute order) deadlines in
   let problem =
     Problem.make ~procs ?speed_cap ?levels ?weights ?deadlines ~objective ~mode ~alpha ()
   in
-  let inst = Instance.of_pairs (Array.to_list pairs) in
-  let canon = Serve_key.canon ~solver ~points problem pairs in
+  let inst = Instance.of_arrays ~releases:(permute order releases) ~works:(permute order works) in
+  let canon = Serve_key.canon_jobs ~solver ~points problem (Instance.jobs inst) in
   { solver; problem; inst; points; deadline_s; canon; hash = Serve_key.hash canon }
 
 let decode line =
-  let id = ref Obs_json.Null in
-  match
-    match Obs_json.of_string line with
-    | Error msg -> Error (Guard_error.Invalid_input ("request is not valid JSON: " ^ msg))
-    | Ok (Obs_json.Obj _ as doc) -> (
-      (match Obs_json.member "id" doc with Some v -> id := v | None -> ());
-      try
-        let op =
-          match Obs_json.member "op" doc with
-          | None -> Solve (parse_solve doc)
-          | Some j -> (
-            match Obs_json.to_string_val j with
-            | Some "solve" -> Solve (parse_solve doc)
-            | Some "stats" -> Stats
-            | Some "health" -> Health
-            | Some "ping" -> Ping
-            | Some "shutdown" -> Shutdown
-            | Some s -> bad "unknown op %S (solve|stats|health|ping|shutdown)" s
-            | None -> bad "\"op\" must be a string")
-        in
-        Ok { id = !id; op }
-      with
-      | Bad msg -> Error (Guard_error.Invalid_input msg)
-      | Invalid_argument msg -> Error (Guard_error.Invalid_input msg)
-      | e -> Error (Guard_error.of_exn ~solver:"serve.decode" e))
-    | Ok _ -> Error (Guard_error.Invalid_input "request must be a JSON object")
-  with
-  | Ok r -> Ok r
-  | Error e -> Error (!id, e)
+  match Obs_json.parse_with line read_request with
+  | Error msg -> Error (Obs_json.Null, Guard_error.Invalid_input ("request is not valid JSON: " ^ msg))
+  | Ok None -> Error (Obs_json.Null, Guard_error.Invalid_input "request must be a JSON object")
+  | Ok (Some f) -> (
+    let id = Option.value ~default:Obs_json.Null f.id in
+    try
+      let op =
+        match f.op with
+        | None -> Solve (parse_solve f)
+        | Some j -> (
+          match Obs_json.to_string_val j with
+          | Some "solve" -> Solve (parse_solve f)
+          | Some "stats" -> Stats
+          | Some "health" -> Health
+          | Some "ping" -> Ping
+          | Some "shutdown" -> Shutdown
+          | Some s -> bad "unknown op %S (solve|stats|health|ping|shutdown)" s
+          | None -> bad "\"op\" must be a string")
+      in
+      Ok { id; op }
+    with
+    | Bad msg -> Error (id, Guard_error.Invalid_input msg)
+    | Invalid_argument msg -> Error (id, Guard_error.Invalid_input msg)
+    | e -> Error (id, Guard_error.of_exn ~solver:"serve.decode" e))
 
 let solve_request_json ~id sr =
   let open Obs_json in

@@ -52,13 +52,19 @@ type op = Solve of solve_request | Stats | Health | Ping | Shutdown
 type request = { id : Obs_json.t; op : op }
 
 val decode : string -> (request, Obs_json.t * Guard_error.t) result
-(** Parse and validate one request line.  Jobs are canonicalized
-    ({!Serve_key.canonical_jobs}) before the instance is built, so
-    reordered-but-equal requests decode to identical
+(** Parse and validate one request line, in one pass with
+    {!Obs_json}'s cursor and no tree: the number lists go straight into
+    float arrays, the other fields into small trees, and unknown keys
+    are read for their syntax and dropped; of two equal keys the first
+    wins.  The syntax and its errors are {!Obs_json.of_string}'s, and
+    every other error is raised only once the whole line has parsed, in
+    the order the fields are listed above.  Jobs are put in canonical
+    order ({!Serve_key.canonical_order}) before the instance is built,
+    so reordered-but-equal requests decode to identical
     [(problem, inst, canon, hash)].  On failure the returned id is the
-    request's ["id"] field when one could be parsed ([Null] otherwise),
-    and the error is always classified — malformed input maps to
-    [Invalid_input].  Never raises. *)
+    request's ["id"] field when the line parsed as an object ([Null]
+    otherwise), and the error is always classified — malformed input
+    maps to [Invalid_input].  Never raises. *)
 
 val solve_request_json : id:Obs_json.t -> solve_request -> Obs_json.t
 (** Re-encode a decoded request as a canonical request document (jobs

@@ -78,7 +78,14 @@ let test_bigint_shift () =
 let test_bigint_to_float () =
   checkf "to_float small" 12345.0 (Bigint.to_float (bi 12345));
   let big = Bigint.pow (bi 10) 30 in
-  check_bool "to_float big" true (Float.abs (Bigint.to_float big -. 1e30) /. 1e30 < 1e-12)
+  check_bool "to_float big" true (Float.abs (Bigint.to_float big -. 1e30) /. 1e30 < 1e-12);
+  (* two roundings, not the nearest float: 2^83 + 2^30 + 1 is more than
+     half an ulp (2^30 of 2^31) above 2^83, yet the third limb's 1 is
+     lost first.  Rat.to_float, and the Theorem 8 roots pinned in
+     test_flow, rely on this rounding *)
+  let x = Bigint.add (Bigint.shift_left Bigint.one 83) (Bigint.succ (Bigint.shift_left Bigint.one 30)) in
+  Alcotest.(check (float 0.0)) "2^83 + 2^30 + 1" 0x1p+83 (Bigint.to_float x);
+  check_bool "the nearest float is one ulp up" true (0x1.0000000000001p+83 -. 0x1p+83 = 0x1p+31)
 
 (* property: bigint arithmetic agrees with int64 on small operands *)
 let prop_bigint_matches_int =
@@ -427,6 +434,27 @@ let test_sturm_refine_edges () =
   check "x(3x-1), 1e-3" [ 0; -1; 3 ] milli ("341/1024", "171/512");
   check "x(3x-1), 1e-9" [ 0; -1; 3 ] nano ("357913941/1073741824", "178956971/536870912")
 
+(* bisection never reaches a width of eps <= 0: each entry point
+   refuses it before any work *)
+let test_sturm_eps_rejected () =
+  let p = p_of [ -2; 0; 1 ] in
+  let raises name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: no Invalid_argument" name
+  in
+  let lo = Rat.one and hi = Rat.of_int 2 in
+  List.iter
+    (fun eps ->
+      let e = Rat.to_string eps in
+      raises ("refine eps=" ^ e) (fun () -> Sturm.refine (Sturm.chain p) ~lo ~hi ~eps);
+      raises ("refine_root eps=" ^ e) (fun () -> Sturm.refine_root p ~lo ~hi ~eps))
+    [ Rat.zero; Rat.of_ints (-1) 1000 ];
+  List.iter
+    (fun eps -> raises (Printf.sprintf "root_floats eps=%g" eps) (fun () -> Sturm.root_floats ~eps p))
+    [ 0.0; -0.0; -1e-12; Float.nan; Float.infinity ];
+  check_int "a positive eps still refines" 2 (List.length (Sturm.root_floats ~eps:1e-9 p))
+
 (* ---------- Rootfind ---------- *)
 
 let test_bisect_sqrt2 () =
@@ -656,6 +684,7 @@ let () =
           Alcotest.test_case "isolate cubic" `Quick test_sturm_isolate_cubic;
           Alcotest.test_case "packed roots" `Quick test_sturm_wilkinson_ish;
           Alcotest.test_case "refinement edge cases" `Quick test_sturm_refine_edges;
+          Alcotest.test_case "non-positive eps rejected" `Quick test_sturm_eps_rejected;
           qt prop_sturm_counts_match_roots;
           qt prop_sturm_counts_match_rat_reference;
           qt prop_sturm_intervals_match_rat_reference;

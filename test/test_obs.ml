@@ -464,6 +464,90 @@ let test_cli_trace_integration () =
         Alcotest.(check bool) "trace contains nested spans" true
           (List.exists (fun d -> d > 0) depths))
 
+(* ---- the number step ---- *)
+
+external format_float : string -> float -> string = "caml_format_float"
+
+let bits_eq x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* the tree parser's number before the cursor, for a text it scanned *)
+let reference_number text =
+  if String.exists (function '.' | 'e' | 'E' -> true | _ -> false) text then
+    Obs_json.Float (float_of_string text)
+  else
+    match int_of_string_opt text with
+    | Some i -> Obs_json.Int i
+    | None -> Obs_json.Float (float_of_string text)
+
+let numbers_checked = ref 0
+
+(* [text] reads as [reference_number] does, bit for bit and with the
+   same Int/Float split, and [float_into] stores its float *)
+let check_number dst text =
+  incr numbers_checked;
+  let expected = reference_number text in
+  (match (Obs_json.of_string text, expected) with
+  | Ok (Obs_json.Int a), Obs_json.Int b when a = b -> ()
+  | Ok (Obs_json.Float a), Obs_json.Float b when bits_eq a b -> ()
+  | Ok v, _ -> Alcotest.failf "%S reads as %s, not %s" text (Obs_json.to_string v) (Obs_json.to_string expected)
+  | Error e, _ -> Alcotest.failf "%S: %s" text e);
+  match Obs_json.parse_with text (fun c -> Obs_json.float_into c dst 0) with
+  | Ok true when bits_eq dst.(0) (Option.get (Obs_json.to_float expected)) -> ()
+  | _ -> Alcotest.failf "float_into %S" text
+
+(* over a million numbers: the whole exponent range, subnormals and
+   extremes, the request ranges, integers around 2^53 and 2^62, long
+   mantissas and the quirk forms *)
+let test_number_sweep () =
+  let rng = Random.State.make [| 28 |] and dst = [| 0.0 |] in
+  let check = check_number dst in
+  let digits k =
+    String.init k (fun i -> Char.chr (if i = 0 then 49 + Random.State.int rng 9 else 48 + Random.State.int rng 10))
+  in
+  let render x = List.iter (fun f -> check (format_float f x)) [ "%.17g"; "%.15g"; "%.3e" ] in
+  List.iter render
+    [
+      Float.max_float; Float.min_float; Float.succ 0.0; Float.pred Float.min_float;
+      Float.pred Float.max_float; Float.epsilon; 1.0; 0.1; 0.0; -0.0;
+    ];
+  for _ = 1 to 200_000 do
+    let x = Int64.float_of_bits (Random.State.bits64 rng) in
+    if Float.is_finite x then render x
+  done;
+  for _ = 1 to 20_000 do
+    render (Int64.float_of_bits (Int64.logand (Random.State.bits64 rng) 0x800F_FFFF_FFFF_FFFFL))
+  done;
+  for _ = 1 to 100_000 do
+    let x = Random.State.float rng 1000.0 in
+    check (format_float "%.17g" x);
+    check (format_float "%.6g" x)
+  done;
+  for k = -1000 to 1000 do
+    List.iter
+      (fun base ->
+        let v = Int64.add base (Int64.of_int k) in
+        check (Int64.to_string v);
+        check (Int64.to_string (Int64.neg v)))
+      [ 0x20_0000_0000_0000L; 0x4000_0000_0000_0000L ]
+  done;
+  for _ = 1 to 60_000 do
+    let d = digits (20 + Random.State.int rng 21) in
+    let point = Random.State.int rng (String.length d + 1) in
+    let d = String.sub d 0 point ^ "." ^ String.sub d point (String.length d - point) in
+    check d;
+    check (d ^ "e" ^ string_of_int (Random.State.int rng 700 - 350));
+    check (String.sub d 0 (Int.min 20 (String.length d)) ^ String.make (Random.State.int rng 30) '0')
+  done;
+  List.iter check [ "1."; ".5"; "01"; "-0"; "1E5"; "-0.0"; "-.5"; "00.5e+3"; "1E-5"; "0e999999999999" ];
+  for _ = 1 to 40_000 do
+    let d = digits (1 + Random.State.int rng 19) in
+    check (d ^ ".");
+    check ("." ^ d);
+    check ("-0" ^ d);
+    check (d ^ "E" ^ string_of_int (Random.State.int rng 40))
+  done;
+  if !numbers_checked < 1_000_000 then Alcotest.failf "only %d numbers checked" !numbers_checked
+
 let () =
   Alcotest.run "obs"
     [
@@ -492,6 +576,7 @@ let () =
           Alcotest.test_case "float writer window" `Quick test_float_writer_window;
           Alcotest.test_case "float writer allocation" `Quick test_float_writer_allocation;
           Alcotest.test_case "raw text" `Quick test_json_raw;
+          Alcotest.test_case "number sweep" `Quick test_number_sweep;
         ] );
       ( "instrumentation",
         [
