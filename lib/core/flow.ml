@@ -1,15 +1,20 @@
 (* Equal-work total flow on one processor (the PUW Theorem 1
    structure).  For a fixed last speed s a forward merge pass builds the
-   unique Theorem 1-consistent configuration, pinned windows solved by a
-   warm-started inner Newton.  Theorem 8 of the paper shows the budget's
-   last speed has no closed form even for three jobs, so the laptop
-   problem is one safeguarded Newton on the energy equation over an
-   a-priori bracket ([solve_in_range]), its derivative priced by the
-   same pass as the energy; the server problem is a bracketed Brent
-   search on total flow over log s. *)
+   unique Theorem 1-consistent configuration.  A pinned window that does
+   not fit at s is left pending when it is formed: a merge test needs
+   only which side of a threshold its end speed lies on, and one
+   evaluation of its duration there answers that.  Only the windows
+   that survive the pass are root-found, by a warm-started inner
+   Newton.  Theorem 8 of the paper shows the budget's last speed has no
+   closed form even for three jobs, so the laptop problem is one
+   safeguarded Newton on the energy equation over an a-priori bracket
+   ([solve_in_range]), its derivative priced by the same pass as the
+   energy; the server problem is a bracketed Brent search on total flow
+   over log s. *)
 
 let c_runs = Obs.counter "flow.runs_formed"
 let c_run_merges = Obs.counter "flow.run_merges"
+let c_window_tests = Obs.counter "flow.window_tests"
 
 type run = { first : int; last : int; pinned : bool; end_speed : float }
 
@@ -27,18 +32,19 @@ let tol = 1e-12
 let empty_solution s =
   { last_speed = s; runs = []; speeds = [||]; completions = [||]; flow = 0.0; energy = 0.0 }
 
+(* written so that NaN fails every guard *)
 let validate ~alpha inst =
-  if alpha <= 1.0 then invalid_arg "Flow: need alpha > 1";
+  if not (alpha > 1.0 && Float.is_finite alpha) then invalid_arg "Flow: need finite alpha > 1";
   if not (Instance.is_equal_work inst) then
     invalid_arg "Flow: Theorem 1 structure requires equal-work jobs"
 
 (* Evaluation environment for one solver call: the instance's releases
-   (plus their prefix sums) and the cached power tables unpacked into
-   unboxed arrays, the scratch run stack, and the pinned-window warm
-   starts (see scratch.mli, Flow owns slots 16..23).  Root finders
-   evaluate the configuration several times per solve; with the
-   environment prepared once, an evaluation allocates only its
-   closures — nothing proportional to the instance.
+   and the cached power tables unpacked into unboxed arrays, the
+   scratch run stack, and the pinned-window warm starts (see
+   scratch.mli, Flow owns slots 16..23).  Root finders evaluate the
+   configuration several times per solve; with the environment
+   prepared once, an evaluation allocates only its closures — nothing
+   proportional to the instance.
 
    The evaluation path works throughout with alpha-th powers of
    speeds: a run's Theorem 1 job speeds are sigma_k = (e^a + j s^a)^(1/a)
@@ -53,9 +59,9 @@ let validate ~alpha inst =
    A pinned window's end speed moves smoothly with s, so each solve
    keeps the last root found for every window: [w_x.(f)] is the end
    speed of the pinned run starting at job f and ending at job
-   [w_last.(f)] (-1 when there is none yet), and the next evaluation
-   of the same window starts its Newton iteration there.  The table is
-   cleared by [make_env], so nothing crosses solver calls: results
+   [w_last.(f)] (-1 when there is none yet), and the next root find
+   for the same window starts its Newton iteration there.  The table
+   is cleared by [make_env], so nothing crosses solver calls: results
    depend on the call's arguments only, never on what the domain
    solved before.
 
@@ -69,15 +75,15 @@ type env = {
   n : int;
   w : float;  (* the common work *)
   rel : floatarray;  (* releases, rel.(0 .. n-1) *)
-  rel_sum : floatarray;  (* prefix sums: rel_sum.(i) = sum rel.(0 .. i-1) *)
   h : floatarray;  (* free-run durations: length-l free run takes (w/s) h.(l) *)
   hp : floatarray;  (* prefix sums of h, for O(1) free-run flow *)
   pw : floatarray;  (* pw.(l) = sum_{t=1..l} t^(1-1/a), for O(1) free-run energy *)
   r_first : int array;  (* run stack, r_*.(0 .. top-1) *)
   r_last : int array;
-  r_pinned : int array;  (* 0/1 *)
+  r_pinned : int array;  (* 0 free, 1 pinned, 2 pinned and pending (end speed not yet found) *)
   r_end : floatarray;  (* run end speeds e *)
   r_end_a : floatarray;  (* e ** alpha, the form every evaluation consumes *)
+  r_window : floatarray;  (* a pending run's window: next release minus its first *)
   w_last : int array;  (* pinned warm starts, indexed by a run's first job *)
   w_x : floatarray;
 }
@@ -88,12 +94,8 @@ let make_env ~alpha ~w inst =
   let n = Instance.n inst in
   let scr = Scratch.get () in
   let rel = Scratch.floats scr ~slot:17 n in
-  let rel_sum = Scratch.floats scr ~slot:19 (n + 1) in
-  Float.Array.unsafe_set rel_sum 0 0.0;
   for i = 0 to n - 1 do
-    let r = (Instance.job inst i).Job.release in
-    Float.Array.unsafe_set rel i r;
-    Float.Array.unsafe_set rel_sum (i + 1) (Float.Array.unsafe_get rel_sum i +. r)
+    Float.Array.unsafe_set rel i (Instance.job inst i).Job.release
   done;
   let h, hp, pw = Scratch.flow_tables scr ~alpha ~n in
   let w_last = Scratch.ints scr ~slot:19 n in
@@ -104,7 +106,6 @@ let make_env ~alpha ~w inst =
     n;
     w;
     rel;
-    rel_sum;
     h;
     hp;
     pw;
@@ -113,6 +114,7 @@ let make_env ~alpha ~w inst =
     r_pinned = Scratch.ints scr ~slot:18 n;
     r_end = Scratch.floats scr ~slot:16 n;
     r_end_a = Scratch.floats scr ~slot:18 n;
+    r_window = Scratch.floats scr ~slot:19 n;
     w_last;
     w_x = Scratch.floats scr ~slot:20 n;
   }
@@ -121,113 +123,169 @@ let make_env ~alpha ~w inst =
    [float ref], so evaluation loops allocate nothing per element *)
 type acc2 = { mutable s0 : float; mutable s1 : float }
 
+(* the run being built by [merge_pass]: its end speed, that speed's
+   alpha-th power and, while it is pending, its window *)
+type cur = { mutable e : float; mutable ea : float; mutable window : float }
+
 (* the Theorem 1-consistent run structure for a fixed last speed [s]:
    a forward pass with merging (analogous to IncMerge) into the
    scratch run stack; returns the stack height.  Each job starts its
    own run; a run whose relaxed completion passes the next release is
-   pinned to it (a nested root find); a pinned run whose end speed
-   exceeds the Theorem 1 upper bound merges with its successor. *)
+   pinned to it; a pinned run whose end speed exceeds the Theorem 1
+   upper bound merges with its successor.
+
+   A pinned window's duration sum_t w (X + t s^a)^(-1/a) strictly
+   decreases in X = e^a, so its end speed lies above a threshold
+   exactly when its duration there is below its window.  A window of
+   two or more jobs that does not fit at s is therefore pushed
+   pending, its end speed unknown: a merge test against it takes one
+   duration evaluation at the test's threshold, and most such windows
+   merge away at their next test.  The windows still pending when the
+   pass ends are root-found then, so every caller reads a stack of
+   solved runs. *)
 let merge_pass env s =
-  if s <= 0.0 || not (Float.is_finite s) then invalid_arg "Flow: last speed must be positive";
+  if not (s > 0.0 && Float.is_finite s) then invalid_arg "Flow: last speed must be positive";
   (* one deadline/injection poll per configuration evaluation, so a
      deadline trips at a solve's first evaluation *)
   Fault.tick ();
-  let { alpha; inv_a; n; w; rel; h; r_first; r_last; r_pinned; r_end; r_end_a; w_last; w_x; _ } =
-    env
-  in
+  let { alpha; inv_a; n; w; rel; h; r_first; r_last; r_pinned; r_end; r_end_a; r_window; _ } = env in
+  let { w_last; w_x; _ } = env in
   let sa = s ** alpha in
-  (* pinned end speed (and its alpha-th power): the x >= s at which
-     the run [first .. last] exactly fills its release window *)
-  let pinned_end ~first ~last ~window =
-    let len = last - first + 1 in
-    if window <= tol then (Float.infinity, Float.infinity)
-    else if len = 1 then begin
-      (* a single job's window equation w/x = window is closed-form *)
-      if w /. s <= window then (s, sa)
-      else begin
-        let x = w /. window in
-        (x, x ** alpha)
-      end
-    end
-    else begin
-      (* dur x = sum_t w (x^a + t s^a)^(-1/a) is decreasing in x, and
-         its derivative reuses every power of the value:
-         dur' = -(x^a / x) sum_t term_t / u_t.  One fused evaluation
-         costs what a plain one does, so safeguarded Newton beats
-         derivative-free bracketing decisively here. *)
-      let f_df x =
-        let xa = x ** alpha in
-        let a = { s0 = 0.0; s1 = 0.0 } in
-        for t = 0 to len - 1 do
-          let u = xa +. (float_of_int t *. sa) in
-          let term = w /. (u ** inv_a) in
-          a.s0 <- a.s0 +. term;
-          a.s1 <- a.s1 +. (term /. u)
-        done;
-        (a.s0 -. window, -.(xa /. x) *. a.s1)
-      in
-      (* at x = s the run is free, so dur s = (w/s) h.(len) is a
-         table lookup: the window fits at the last speed *)
-      if w /. s *. Float.Array.unsafe_get h len <= window then (s, sa)
-      else begin
-        (* dur x <= len w / x, so x0 = len w / window sits at or above
-           the root: a tight one-sided guess, with the doubled value as
-           the safeguard bracket's far end.  The window's root at the
-           previous evaluation is a far better start when it is still
-           above s: the outer search moves s less and less. *)
-        let x_up = Float.max (2.0 *. s) (float_of_int len *. w /. window) in
-        let x0 =
-          if w_last.(first) = last && Float.Array.unsafe_get w_x first > s then
-            Float.Array.unsafe_get w_x first
-          else x_up
-        in
-        let x = Rootfind.newton_bracketed ~f_df ~lo:s ~hi:(2.0 *. x_up) ~x0 () in
-        w_last.(first) <- last;
-        Float.Array.unsafe_set w_x first x;
-        (x, x ** alpha)
-      end
-    end
+  (* the duration of an [len]-job pinned window whose end speed has
+     alpha-th power [xa], into [dur.s0] *)
+  let dur = { s0 = 0.0; s1 = 0.0 } in
+  let duration xa len =
+    dur.s0 <- 0.0;
+    for t = 0 to len - 1 do
+      dur.s0 <- dur.s0 +. (w /. ((xa +. (float_of_int t *. sa)) ** inv_a))
+    done
   in
-  (* the run being built, in unboxed locals *)
+  (* end speed of the pinned window [first .. last] that does not fit
+     at s: the root x > s of dur x = window.  dur' reuses every power
+     of the value, dur' = -(x^a / x) sum_t term_t / u_t, so one fused
+     evaluation costs what a plain one does and safeguarded Newton
+     beats derivative-free bracketing decisively here. *)
+  let solve_window ~first ~last ~window =
+    let len = last - first + 1 in
+    let f_df x =
+      let xa = x ** alpha in
+      let a = { s0 = 0.0; s1 = 0.0 } in
+      for t = 0 to len - 1 do
+        let u = xa +. (float_of_int t *. sa) in
+        let term = w /. (u ** inv_a) in
+        a.s0 <- a.s0 +. term;
+        a.s1 <- a.s1 +. (term /. u)
+      done;
+      (a.s0 -. window, -.(xa /. x) *. a.s1)
+    in
+    (* dur x <= len w / x, so x0 = len w / window sits at or above the
+       root: a tight one-sided guess, with the doubled value as the
+       safeguard bracket's far end.  The window's root at the previous
+       root find is a far better start when it is still above s: the
+       outer search moves s less and less. *)
+    let x_up = Float.max (2.0 *. s) (float_of_int len *. w /. window) in
+    let x0 =
+      if w_last.(first) = last && Float.Array.unsafe_get w_x first > s then
+        Float.Array.unsafe_get w_x first
+      else x_up
+    in
+    let x = Rootfind.newton_bracketed ~f_df ~lo:s ~hi:(2.0 *. x_up) ~x0 () in
+    w_last.(first) <- last;
+    Float.Array.unsafe_set w_x first x;
+    x
+  in
+  (* root-find the pending run at stack position [ri] *)
+  let settle ri =
+    let x =
+      solve_window ~first:r_first.(ri) ~last:r_last.(ri)
+        ~window:(Float.Array.unsafe_get r_window ri)
+    in
+    r_pinned.(ri) <- 1;
+    Float.Array.unsafe_set r_end ri x;
+    Float.Array.unsafe_set r_end_a ri (x ** alpha)
+  in
+  (* the run being built, in unboxed locals; [cur_state] as [r_pinned] *)
   let cur_first = ref 0 and cur_last = ref 0 in
-  let cur_pinned = ref false in
-  let cur = { s0 = s; s1 = sa } (* end speed, end speed ** alpha *) in
+  let cur_state = ref 0 in
+  let cur = { e = s; ea = sa; window = 0.0 } in
   let make_run first last =
     cur_first := first;
     cur_last := last;
-    if last = n - 1 then begin
-      cur_pinned := false;
-      cur.s0 <- s;
-      cur.s1 <- sa
-    end
-    else begin
+    cur_state := 0;
+    cur.e <- s;
+    cur.ea <- sa;
+    if last < n - 1 then begin
       let len = last - first + 1 in
       let window = Float.Array.unsafe_get rel (last + 1) -. Float.Array.unsafe_get rel first in
-      if w /. s *. Float.Array.unsafe_get h len < window -. tol then begin
-        cur_pinned := false;
-        cur.s0 <- s;
-        cur.s1 <- sa
-      end
-      else begin
-        cur_pinned := true;
-        let e, ea = pinned_end ~first ~last ~window in
-        cur.s0 <- e;
-        cur.s1 <- ea
+      (* at x = s the run is free, so its duration (w/s) h.(len) is a
+         table lookup *)
+      let free_dur = w /. s *. Float.Array.unsafe_get h len in
+      if not (free_dur < window -. tol) then begin
+        cur_state := 1;
+        if window <= tol then begin
+          cur.e <- Float.infinity;
+          cur.ea <- Float.infinity
+        end
+        else if free_dur <= window then () (* the window fits at the last speed *)
+        else if len = 1 then begin
+          (* a single job's window equation w/x = window is closed-form *)
+          let x = w /. window in
+          cur.e <- x;
+          cur.ea <- x ** alpha
+        end
+        else begin
+          cur_state := 2;
+          cur.window <- window
+        end
       end
     end
   in
-  let top = ref 0 and merges = ref 0 in
+  let top = ref 0 and merges = ref 0 and tests = ref 0 in
   for i = 0 to n - 1 do
     make_run i i;
     let merging = ref true in
     while !merging do
-      if !top > 0 && r_pinned.(!top - 1) = 1 then begin
-        (* alpha-th power of the current run's first-job speed under
-           its own end speed; infinities propagate as the comparison
-           needs (an infinite predecessor always merges, an infinite
-           current run never forces one) *)
-        let first_a = cur.s1 +. (float_of_int (!cur_last - !cur_first) *. sa) in
-        if Float.Array.unsafe_get r_end_a (!top - 1) > first_a +. sa +. (1e-9 *. sa) then begin
+      let p = !top - 1 in
+      if p >= 0 && r_pinned.(p) <> 0 then begin
+        (* the test: e_P^a > e^a + (len + 1e-9) s^a for the stack top
+           P and the current run of [len] jobs, e^a + (len - 1) s^a
+           being the alpha-th power of the current run's first-job
+           speed.  Infinities propagate as the comparison needs (an
+           infinite predecessor always merges, an infinite current run
+           never forces one).  Of two pending runs the stack top is
+           solved: it may face several more tests, and the current run
+           is about to be rebuilt if it merges. *)
+        if r_pinned.(p) = 2 && !cur_state = 2 then settle p;
+        let len = !cur_last - !cur_first + 1 in
+        let merge =
+          if r_pinned.(p) = 2 then begin
+            (* P's end speed lies above the right-hand side iff its
+               duration there exceeds its window *)
+            incr tests;
+            duration
+              (cur.ea +. (float_of_int (len - 1) *. sa) +. sa +. (1e-9 *. sa))
+              (r_last.(p) - r_first.(p) + 1);
+            dur.s0 > Float.Array.unsafe_get r_window p
+          end
+          else if !cur_state = 2 then begin
+            (* the current run's end speed lies below the threshold iff
+               its duration there is below its window; it lies above
+               s, so a threshold at or below s^a never merges *)
+            let xa =
+              Float.Array.unsafe_get r_end_a p -. ((float_of_int len *. sa) +. (1e-9 *. sa))
+            in
+            xa > sa
+            && begin
+                 incr tests;
+                 duration xa len;
+                 dur.s0 < cur.window
+               end
+          end
+          else
+            Float.Array.unsafe_get r_end_a p
+            > cur.ea +. (float_of_int (len - 1) *. sa) +. sa +. (1e-9 *. sa)
+        in
+        if merge then begin
           incr merges;
           decr top;
           make_run r_first.(!top) !cur_last
@@ -238,12 +296,17 @@ let merge_pass env s =
     done;
     r_first.(!top) <- !cur_first;
     r_last.(!top) <- !cur_last;
-    r_pinned.(!top) <- (if !cur_pinned then 1 else 0);
-    Float.Array.unsafe_set r_end !top cur.s0;
-    Float.Array.unsafe_set r_end_a !top cur.s1;
+    r_pinned.(!top) <- !cur_state;
+    Float.Array.unsafe_set r_end !top cur.e;
+    Float.Array.unsafe_set r_end_a !top cur.ea;
+    Float.Array.unsafe_set r_window !top cur.window;
     incr top
   done;
+  for ri = 0 to !top - 1 do
+    if r_pinned.(ri) = 2 then settle ri
+  done;
   Obs.add c_run_merges !merges;
+  Obs.add c_window_tests !tests;
   Obs.add c_runs !top;
   !top
 
@@ -316,61 +379,74 @@ let eval_energy env s =
   (c.e, (alpha -. 1.0) /. s *. (c.e_free +. (sa *. c.d_pin)))
 
 (* total flow at [s], likewise array-free — the evaluation path of
-   [solve_flow_target] *)
+   [solve_flow_target].  Each job's flow is its completion measured from
+   its run's first release, less its own release measured from there:
+   the run's first job contributes its duration exactly, at any scale
+   of the releases. *)
 let eval_flow env s =
   let top = merge_pass env s in
-  let { alpha; inv_a; w; rel; rel_sum; h; hp; r_first; r_last; r_pinned; r_end_a; _ } = env in
+  let { alpha; inv_a; w; rel; h; hp; r_first; r_last; r_pinned; r_end_a; _ } = env in
   let sa = s ** alpha in
   let w_over_s = w /. s in
-  let a = { s0 = 0.0; s1 = 0.0 } (* total flow, running completion *) in
+  let a = { s0 = 0.0; s1 = 0.0 } (* total flow, time since the run's first release *) in
   for ri = 0 to top - 1 do
     let first = r_first.(ri) and last = r_last.(ri) in
+    let r0 = Float.Array.unsafe_get rel first in
     if r_pinned.(ri) = 1 then begin
       let ea = Float.Array.unsafe_get r_end_a ri in
-      a.s1 <- Float.Array.unsafe_get rel first;
+      a.s1 <- 0.0;
       for k = first to last do
         let u = ea +. (float_of_int (last - k) *. sa) in
         a.s1 <- a.s1 +. (w /. (u ** inv_a));
-        a.s0 <- a.s0 +. (a.s1 -. Float.Array.unsafe_get rel k)
+        a.s0 <- a.s0 +. (a.s1 -. (Float.Array.unsafe_get rel k -. r0))
       done
     end
     else begin
-      (* free run: completions rel_first + (w/s)(h(len) - h(last-k)),
-         summed in closed form over the run *)
+      (* free run: job k completes (w/s)(h(len) - h(last-k)) after the
+         run's first release, summed in closed form over the run *)
       let len = last - first + 1 in
       a.s0 <-
         a.s0
-        +. (float_of_int len *. Float.Array.unsafe_get rel first)
         +. (w_over_s
            *. ((float_of_int len *. Float.Array.unsafe_get h len)
-              -. Float.Array.unsafe_get hp (len - 1)))
-        -. (Float.Array.unsafe_get rel_sum (last + 1) -. Float.Array.unsafe_get rel_sum first)
+              -. Float.Array.unsafe_get hp (len - 1)));
+      for k = first + 1 to last do
+        a.s0 <- a.s0 -. (Float.Array.unsafe_get rel k -. r0)
+      done
     end
   done;
   a.s0
 
 (* the full solution at [s]: per-job speeds/completions and the boxed
-   run list are materialized exactly once per solver call, at the root *)
+   run list are materialized exactly once per solver call, at the root.
+   Completions are absolute; flow is summed as in [eval_flow], from
+   each run's first release, so it keeps its digits when durations are
+   tiny beside the releases. *)
 let solve_full env s =
   let top = merge_pass env s in
   let { alpha; inv_a; n; w; rel; r_first; r_last; r_pinned; r_end; r_end_a; _ } = env in
   let sa = s ** alpha in
   let speeds = Array.make n 0.0 in
   let completions = Array.make n 0.0 in
+  let t = { s0 = 0.0; s1 = 0.0 } (* completion, time since the run's first release *) in
+  let flow = ref 0.0 and energy = ref 0.0 in
   for ri = 0 to top - 1 do
     let first = r_first.(ri) and last = r_last.(ri) in
     let xa = Float.Array.unsafe_get r_end_a ri in
-    let t = { s0 = Float.Array.unsafe_get rel first; s1 = 0.0 } in
+    let r0 = Float.Array.unsafe_get rel first in
+    t.s0 <- r0;
+    t.s1 <- 0.0;
     for k = first to last do
       let sigma = (xa +. (float_of_int (last - k) *. sa)) ** inv_a in
       speeds.(k) <- sigma;
-      t.s0 <- t.s0 +. (w /. sigma);
-      completions.(k) <- t.s0
+      let d = w /. sigma in
+      t.s0 <- t.s0 +. d;
+      completions.(k) <- t.s0;
+      t.s1 <- t.s1 +. d;
+      flow := !flow +. (t.s1 -. (Float.Array.unsafe_get rel k -. r0))
     done
   done;
-  let flow = ref 0.0 and energy = ref 0.0 in
   for k = 0 to n - 1 do
-    flow := !flow +. (completions.(k) -. Float.Array.get rel k);
     energy := !energy +. (w *. (speeds.(k) ** (alpha -. 1.0)))
   done;
   let runs =
@@ -388,7 +464,7 @@ let common_work inst = (Instance.job inst 0).Job.work
 
 let solve_for_last_speed ~alpha inst s =
   validate ~alpha inst;
-  if s <= 0.0 || not (Float.is_finite s) then invalid_arg "Flow: last speed must be positive";
+  if not (s > 0.0 && Float.is_finite s) then invalid_arg "Flow: last speed must be positive";
   if Instance.n inst = 0 then empty_solution s
   else solve_full (make_env ~alpha ~w:(common_work inst) inst) s
 
@@ -415,10 +491,11 @@ let solve_in_range ~eps ~warm ~alpha ~energy ~w ~s0 inst =
 let solve_budget ?(eps = 1e-12) ?warm ~alpha ~energy inst =
   Obs.span "flow.solve_budget" @@ fun () ->
   Fault.enter "flow.solve_budget";
-  if energy <= 0.0 then invalid_arg "Flow.solve_budget: energy must be positive";
+  if not (energy > 0.0 && Float.is_finite energy) then
+    invalid_arg "Flow.solve_budget: energy must be positive and finite";
+  validate ~alpha inst;
   if Instance.n inst = 0 then empty_solution 0.0
   else begin
-    validate ~alpha inst;
     let n = float_of_int (Instance.n inst) and w = common_work inst in
     let s0 = (energy /. (n *. w)) ** (1.0 /. (alpha -. 1.0)) in
     let sa0 = s0 ** alpha in
@@ -470,10 +547,11 @@ let solve_budget ?(eps = 1e-12) ?warm ~alpha ~energy inst =
 
 let solve_flow_target ?(eps = 1e-12) ~alpha ~flow inst =
   Obs.span "flow.solve_flow_target" @@ fun () ->
-  if flow <= 0.0 then invalid_arg "Flow.solve_flow_target: flow target must be positive";
+  if not (flow > 0.0 && Float.is_finite flow) then
+    invalid_arg "Flow.solve_flow_target: flow target must be positive and finite";
+  validate ~alpha inst;
   if Instance.n inst = 0 then empty_solution 0.0
   else begin
-    validate ~alpha inst;
     let env = make_env ~alpha ~w:(common_work inst) inst in
     (* flow(s) is decreasing: large s -> tiny flows.  The search runs on
        x = log s, so Brent's step test, absolute below 1, is relative
@@ -495,8 +573,7 @@ let solve_flow_target ?(eps = 1e-12) ~alpha ~flow inst =
     done;
     let x = Rootfind.brent ~f:g ~lo:!lo ~hi:!hi ~flo:!glo ~fhi:!ghi ~eps ~max_iter:300 () in
     let sol = solve_full env (Float.exp x) in
-    (* eval_flow's closed form can cancel at extreme scales: check the
-       materialized flow rather than trust the root *)
+    (* check the materialized flow rather than trust the root *)
     if not (Float.abs (sol.flow -. flow) <= 1e-9 *. flow) then
       invalid_arg
         (Printf.sprintf "Flow.solve_flow_target: the solution's flow %.17g misses the target %.17g"

@@ -14,7 +14,11 @@
     (analogous to IncMerge): each job starts its own run; a run whose
     relaxed completion passes the next release is pinned to it; a pinned
     run whose end speed exceeds the Theorem 1 upper bound merges with
-    its successor.  Energy is strictly increasing in [s], so the laptop
+    its successor.  A pinned window's duration decreases in its end
+    speed, so a merge test against a window not yet solved is one
+    duration evaluation at the test's threshold, and only the windows
+    that survive the pass are root-found.  Energy is strictly
+    increasing in [s], so the laptop
     problem is a one-dimensional root find — this realizes the
     "arbitrarily good approximation" of [PUW04], and Theorem 8 shows the
     remaining gap to exactness is essential.
@@ -36,13 +40,18 @@ type solution = {
   speeds : float array;  (** per job, release order *)
   completions : float array;
   flow : float;
+      (** total flow, each job's summed as its completion measured from
+          its run's first release less its own release measured from
+          there: exact to rounding even where the durations are tiny
+          beside the releases *)
   energy : float;
 }
 
 val solve_for_last_speed : alpha:float -> Instance.t -> float -> solution
 (** The unique Theorem 1-consistent schedule with the given last-job
     speed.  @raise Invalid_argument unless the instance has equal work,
-    [alpha > 1] and the speed is positive. *)
+    [alpha] is finite and above 1, and the speed is positive and
+    finite (NaN fails both). *)
 
 val solve_budget :
   ?eps:float -> ?warm:float -> alpha:float -> energy:float -> Instance.t -> solution
@@ -66,19 +75,20 @@ val solve_budget :
     the instance is solved with work and speeds scaled by a power of
     two, which leaves durations, completions and flow unchanged and
     scales energy by a known factor, and the result is mapped back.
-    @raise Invalid_argument when the budget is not positive, under
-    the conditions of {!solve_for_last_speed}, or when the optimal
-    schedule's work or speeds leave the normal float range (the
-    message names the budget). *)
+    @raise Invalid_argument when the budget is not positive and
+    finite (NaN included), when [alpha] is not finite and above 1 or
+    the instance not equal-work (as for {!solve_for_last_speed}), or
+    when the optimal schedule's work or speeds leave the normal float
+    range (the message names the budget). *)
 
 val solve_flow_target : ?eps:float -> alpha:float -> flow:float -> Instance.t -> solution
 (** Server problem: least energy whose optimal flow meets the target.
     A bracketed Brent search on [log s], so its step test ([eps],
     default 1e-12) is relative to the last speed at every scale.
-    @raise Invalid_argument when the target is not positive, or when
-    the solution found misses the target flow by more than [1e-9]
-    relative (the flow evaluation loses precision at extreme budgets,
-    e.g. [alpha = 3] around [E = 1e100]). *)
+    @raise Invalid_argument when the target is not positive and
+    finite (NaN included), under the [alpha] and equal-work conditions
+    of {!solve_for_last_speed}, or when the solution found misses the
+    target flow by more than [1e-9] relative. *)
 
 val schedule : Instance.t -> solution -> Schedule.t
 (** The solution as a schedule on processor 0: each run's first job

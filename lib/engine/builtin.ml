@@ -8,17 +8,13 @@ let budget (p : Problem.t) =
 let target (p : Problem.t) =
   match p.Problem.mode with Target v -> v | _ -> invalid_arg "Builtin: target mode expected"
 
-let sched_result ~solver ~problem ~value ?(diagnostics = []) schedule =
-  let model = Problem.model problem in
-  {
-    Solve_result.solver;
-    problem;
-    schedule = Some schedule;
-    value;
-    energy = Schedule.energy model schedule;
-    pareto = None;
-    diagnostics;
-  }
+(* [?energy]: the solver's own figure, when it has one; otherwise the
+   schedule's energy is summed here *)
+let sched_result ~solver ~problem ~value ?energy ?(diagnostics = []) schedule =
+  let energy =
+    match energy with Some e -> e | None -> Schedule.energy (Problem.model problem) schedule
+  in
+  { Solve_result.solver; problem; schedule = Some schedule; value; energy; pareto = None; diagnostics }
 
 let bare_result ~solver ~problem ~value ~energy ?(diagnostics = []) () =
   { Solve_result.solver; problem; schedule = None; value; energy; pareto = None; diagnostics }
@@ -218,14 +214,9 @@ module Flow_solver = struct
 
   let solve problem inst =
     let sol = Flow.solve_budget ~alpha:problem.Problem.alpha ~energy:(budget problem) inst in
-    let s = Flow.schedule inst sol in
-    {
-      (sched_result ~solver:name ~problem ~value:sol.Flow.flow
-         ~diagnostics:[ ("last_speed", sol.Flow.last_speed) ]
-         s)
-      with
-      Solve_result.energy = sol.Flow.energy;
-    }
+    sched_result ~solver:name ~problem ~value:sol.Flow.flow ~energy:sol.Flow.energy
+      ~diagnostics:[ ("last_speed", sol.Flow.last_speed) ]
+      (Flow.schedule inst sol)
 end
 
 module Flow_spt_solver = struct
@@ -239,10 +230,7 @@ module Flow_spt_solver = struct
     let sol, s =
       Flow_spt.solve_instance ~alpha:problem.Problem.alpha ~energy:(budget problem) inst
     in
-    {
-      (sched_result ~solver:name ~problem ~value:sol.Flow_spt.flow s) with
-      Solve_result.energy = sol.Flow_spt.energy;
-    }
+    sched_result ~solver:name ~problem ~value:sol.Flow_spt.flow ~energy:sol.Flow_spt.energy s
 end
 
 module Multi_flow_solver = struct
@@ -255,14 +243,9 @@ module Multi_flow_solver = struct
   let solve problem inst =
     let m = problem.Problem.procs in
     let sol = Multi_flow.solve_budget ~alpha:problem.Problem.alpha ~m ~energy:(budget problem) inst in
-    let s = Multi_flow.schedule ~m inst sol in
-    {
-      (sched_result ~solver:name ~problem ~value:sol.Multi_flow.flow
-         ~diagnostics:[ ("last_speed", sol.Multi_flow.last_speed) ]
-         s)
-      with
-      Solve_result.energy = sol.Multi_flow.energy;
-    }
+    sched_result ~solver:name ~problem ~value:sol.Multi_flow.flow ~energy:sol.Multi_flow.energy
+      ~diagnostics:[ ("last_speed", sol.Multi_flow.last_speed) ]
+      (Multi_flow.schedule ~m inst sol)
 end
 
 module Max_flow_solver = struct
@@ -315,12 +298,8 @@ module Weighted_flow_solver = struct
             let start = sol.Weighted_flow.completions.(pos) -. (work /. speed) in
             { Schedule.job = Instance.job inst id; proc = 0; start; speed })
       in
-      {
-        (sched_result ~solver:name ~problem ~value:sol.Weighted_flow.weighted_flow
-           (Schedule.of_entries entries))
-        with
-        Solve_result.energy = sol.Weighted_flow.energy;
-      }
+      sched_result ~solver:name ~problem ~value:sol.Weighted_flow.weighted_flow
+        ~energy:sol.Weighted_flow.energy (Schedule.of_entries entries)
     end
 end
 

@@ -1,23 +1,24 @@
 let makespan sched =
   List.fold_left (fun acc e -> Float.max acc (Schedule.completion e)) 0.0 (Schedule.entries sched)
 
-let total_flow sched =
-  List.fold_left
-    (fun acc e -> acc +. (Schedule.completion e -. e.Schedule.job.Job.release))
-    0.0 (Schedule.entries sched)
+(* wait plus duration, not completion minus release: a job that starts
+   at its release contributes its duration exactly, however small it is
+   beside the release *)
+let job_flow e =
+  let j = e.Schedule.job in
+  e.Schedule.start -. j.Job.release +. (j.Job.work /. e.Schedule.speed)
+
+let total_flow sched = List.fold_left (fun acc e -> acc +. job_flow e) 0.0 (Schedule.entries sched)
 
 let max_flow sched =
-  List.fold_left
-    (fun acc e -> Float.max acc (Schedule.completion e -. e.Schedule.job.Job.release))
-    0.0 (Schedule.entries sched)
+  List.fold_left (fun acc e -> Float.max acc (job_flow e)) 0.0 (Schedule.entries sched)
 
 let total_completion sched =
   List.fold_left (fun acc e -> acc +. Schedule.completion e) 0.0 (Schedule.entries sched)
 
 let weighted_flow ~weights sched =
   List.fold_left
-    (fun acc e ->
-      acc +. (weights e.Schedule.job.Job.id *. (Schedule.completion e -. e.Schedule.job.Job.release)))
+    (fun acc e -> acc +. (weights e.Schedule.job.Job.id *. job_flow e))
     0.0 (Schedule.entries sched)
 
 type metric = (float * float) array -> float

@@ -14,13 +14,19 @@ val makespan : Schedule.t -> float
 (** Largest completion time over all entries; 0 for an empty
     schedule.  Minimized by [Incmerge] under an energy budget. *)
 
+val job_flow : Schedule.entry -> float
+(** One job's flow, completion − release, computed as its wait
+    (start − release) plus its duration (work / speed): a job that
+    starts at its release contributes its duration exactly, however
+    small that is beside the release. *)
+
 val total_flow : Schedule.t -> float
-(** Sum over jobs of completion − release.  Minimized by [Flow] for
-    equal-work jobs. *)
+(** Sum over jobs of {!job_flow}.  Minimized by [Flow] for equal-work
+    jobs. *)
 
 val max_flow : Schedule.t -> float
-(** Largest single-job flow (completion − release); 0 for an empty
-    schedule.  Minimized by [Max_flow]. *)
+(** Largest {!job_flow}; 0 for an empty schedule.  Minimized by
+    [Max_flow]. *)
 
 val total_completion : Schedule.t -> float
 (** Sum of completion times — equals {!total_flow} plus the sum of

@@ -38,7 +38,7 @@ let entries_tsv sched =
       let c = Schedule.completion e in
       Buffer.add_string buf
         (Printf.sprintf "%d\t%d\t%g\t%g\t%g\t%g\t%g\t%g\n" j.Job.id e.Schedule.proc j.Job.release
-           j.Job.work e.Schedule.start e.Schedule.speed c (c -. j.Job.release)))
+           j.Job.work e.Schedule.start e.Schedule.speed c (Metrics.job_flow e)))
     (Schedule.entries sched);
   Buffer.contents buf
 

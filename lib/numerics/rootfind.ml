@@ -167,11 +167,12 @@ let newton_bracketed ~f_df ~lo ~hi ?x0 ?(eps = default_eps) ?(max_iter = 200) ()
   while (not !finished) && !iter < max_iter do
     Fault.tick ();
     let fx, dx = f_df st.x in
-    if fx = 0.0 then finished := true
+    let x' = st.x -. (fx /. dx) in
+    (* a Newton step that rounds away leaves x the root to the last bit;
+       x is about to end the bracket, which would bisect away from it *)
+    if fx = 0.0 || x' = st.x then finished := true
     else begin
       if fx > 0.0 then st.blo <- st.x else st.bhi <- st.x;
-      let step = fx /. dx in
-      let x' = st.x -. step in
       let x' =
         if Float.is_finite x' && x' > st.blo && x' < st.bhi then x'
         else 0.5 *. (st.blo +. st.bhi)

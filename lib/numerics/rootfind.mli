@@ -72,7 +72,9 @@ val newton_bracketed :
     the same loop that computes the value.  Every iterate tightens the
     bracket; a Newton step that leaves it, or a flat/non-finite
     derivative, falls back to bisection, so the method is never worse
-    than bisection while typically converging quadratically.
+    than bisection while typically converging quadratically.  An
+    iterate whose Newton step rounds to nothing (as at [x0] already
+    the root) is returned as it is.
 
     @param x0 initial iterate (clamped into [(lo, hi)]; default the
     bracket midpoint).

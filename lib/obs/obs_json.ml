@@ -266,10 +266,12 @@ let to_string ?(pretty = false) v =
    readers alike.  [scratch] holds the 128-bit products of the number
    step and [num] the float view of the number just read, and
    [int_value] its value when it is an [Int], so that reading a number
-   allocates nothing *)
+   allocates nothing.  [depth] counts the lists and objects open at
+   [pos]. *)
 type cursor = {
   text : string;
   mutable pos : int;
+  mutable depth : int;
   mutable int_value : int;
   scratch : int array;
   num : float array;
@@ -704,12 +706,28 @@ let scan_number c dst i =
 
 (* ---- values ---- *)
 
+(* [value] recurses once per level of nesting, so a line of brackets
+   alone could exhaust the stack: lists and objects nest at most this
+   deep (a request nests 3 levels, a journal line about 6) *)
+let max_depth = 1000
+
+(* reads the bracket [ch] that opens a list or an object *)
+let descend c ch =
+  if c.depth >= max_depth && at c ch then error c "nesting too deep";
+  expect c ch;
+  c.depth <- c.depth + 1
+
+(* reads the bracket that closes one *)
+let ascend c =
+  c.pos <- c.pos + 1;
+  c.depth <- c.depth - 1
+
 let list_open c =
   skip_ws c;
-  expect c '[';
+  descend c '[';
   skip_ws c;
   if at c ']' then begin
-    c.pos <- c.pos + 1;
+    ascend c;
     false
   end
   else true
@@ -721,17 +739,17 @@ let list_next c =
     true
   end
   else if at c ']' then begin
-    c.pos <- c.pos + 1;
+    ascend c;
     false
   end
   else error c "expected ',' or ']'"
 
 let obj_open c =
   skip_ws c;
-  expect c '{';
+  descend c '{';
   skip_ws c;
   if at c '}' then begin
-    c.pos <- c.pos + 1;
+    ascend c;
     false
   end
   else true
@@ -750,7 +768,7 @@ let obj_next c =
     true
   end
   else if at c '}' then begin
-    c.pos <- c.pos + 1;
+    ascend c;
     false
   end
   else error c "expected ',' or '}'"
@@ -784,7 +802,9 @@ let float_into c dst i =
       true)
 
 let parse_with s read =
-  let c = { text = s; pos = 0; int_value = 0; scratch = Array.make 8 0; num = [| 0.0 |] } in
+  let c =
+    { text = s; pos = 0; depth = 0; int_value = 0; scratch = Array.make 8 0; num = [| 0.0 |] }
+  in
   match read c with
   | v ->
     skip_ws c;

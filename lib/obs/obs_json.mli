@@ -62,7 +62,9 @@ val of_string : string -> (t, string) result
 (** [of_string s] parses one JSON document occupying all of [s]
     (surrounding whitespace allowed): [parse_with s value].
     @return [Error "at N: msg"] — N the byte position — on malformed
-    input or trailing garbage; never raises.
+    input or trailing garbage; never raises.  Lists and objects nest at
+    most 1,000 deep: the bracket that would open level 1,001 is
+    [Error "at N: nesting too deep"], so no text can exhaust the stack.
 
     A number without ['.'] or an exponent is an [Int] when
     [int_of_string] reads it, and otherwise a [Float]; every [Float]

@@ -64,7 +64,9 @@ val decode : string -> (request, Obs_json.t * Guard_error.t) result
     [(problem, inst, canon, hash)].  On failure the returned id is the
     request's ["id"] field when the line parsed as an object ([Null]
     otherwise), and the error is always classified — malformed input
-    maps to [Invalid_input].  Never raises. *)
+    maps to [Invalid_input].  Never raises: a line nested deeper than
+    {!Obs_json.of_string}'s 1,000 levels is malformed too ("request is
+    not valid JSON: at N: nesting too deep"), read in bounded stack. *)
 
 val solve_request_json : id:Obs_json.t -> solve_request -> Obs_json.t
 (** Re-encode a decoded request as a canonical request document (jobs

@@ -126,9 +126,9 @@ let test_huge_budgets_rescaled () =
     [ 1e250; 1e300; 1e308 ]
 
 (* The server problem on budget-solve round trips at extreme scales:
-   the search runs on log s, so a tiny budget's flow is met exactly;
-   where the flow evaluation itself cancels (alpha = 3, E = 1e100) the
-   solver raises rather than answer a wrong flow. *)
+   the search runs on log s, so a tiny budget's flow is met exactly,
+   and flow is summed from each run's first release, so a huge
+   budget's durations keep their digits beside the releases. *)
 let flow_target_round_trip ~alpha ~energy =
   let inst = Instance.of_pairs [ (0.0, 1.0); (0.5, 1.0); (1.0, 1.0) ] in
   let sol = Flow.solve_budget ~alpha ~energy inst in
@@ -139,11 +139,97 @@ let test_flow_target_tiny_budget () =
   check_rel "flow meets the target" ~tol:1e-9 sol.Flow.flow back.Flow.flow;
   check_rel "energy is the budget" ~tol:1e-9 1e-6 back.Flow.energy
 
-let test_flow_target_raises_off_target () =
-  check_bool "alpha = 3, E = 1e100 raises" true
-    (match flow_target_round_trip ~alpha:3.0 ~energy:1e100 with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
+let test_flow_target_huge_budget () =
+  let sol, back = flow_target_round_trip ~alpha:3.0 ~energy:1e100 in
+  check_rel "flow meets the target" ~tol:1e-9 sol.Flow.flow back.Flow.flow;
+  check_rel "energy is the budget" ~tol:1e-9 1e100 back.Flow.energy
+
+(* When every job completes before the next release, each job is its
+   own run at the last speed, and Theorem 1 makes that speed
+   sigma = (E/W)^(1/(alpha-1)) for total work W: the flow is W/sigma.
+   The durations are tiny beside the releases here, down to about
+   1e-85 against 1e6, so a flow summed as completion - release would
+   lose every digit. *)
+let test_separated_regime () =
+  let instances =
+    [
+      Instance.of_pairs [ (0.0, 1.0); (0.5, 1.0); (1.0, 1.0) ];
+      Instance.of_pairs [ (1000.0, 1.0); (1001.1, 1.0); (1002.3, 1.0) ];
+      Instance.of_pairs [ (0.0, 2.0); (1.0, 2.0); (1e3, 2.0); (999_999.0, 2.0); (1e6, 2.0) ];
+    ]
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun alpha ->
+      List.iter
+        (fun inst ->
+          let n = Instance.n inst and w = (Instance.job inst 0).Job.work in
+          let big_w = float_of_int n *. w in
+          let min_gap =
+            List.fold_left Float.min Float.infinity
+              (List.init (n - 1) (fun k ->
+                   (Instance.job inst (k + 1)).Job.release -. (Instance.job inst k).Job.release))
+          in
+          List.iter
+            (fun energy ->
+              let sigma = (energy /. big_w) ** (1.0 /. (alpha -. 1.0)) in
+              (* the regime: every job done before the next release,
+                 with sigma itself a float (at alpha = 1.5 it overflows
+                 past about E = 1e154) *)
+              if sigma < 1e300 && w /. sigma < min_gap then begin
+                incr checked;
+                let sol = Flow.solve_budget ~alpha ~energy inst in
+                let what =
+                  Printf.sprintf "alpha=%g n=%d E=%g" alpha (Instance.n inst) energy
+                in
+                check_int (what ^ " one run per job") (Instance.n inst) (List.length sol.Flow.runs);
+                check_rel (what ^ " flow") ~tol:1e-12 (big_w /. sigma) sol.Flow.flow;
+                check_rel (what ^ " schedule flow") ~tol:1e-12 (big_w /. sigma)
+                  (Metrics.total_flow (Flow.schedule inst sol))
+              end)
+            [ 1e2; 1e10; 1e50; 1e100; 1e150; 1e200; 1e250; 1e300 ])
+        instances)
+    [ 1.5; 2.0; 3.0; 4.5 ];
+  check_int "cases in the regime" 86 !checked
+
+(* the three unit jobs at 0, 0.5 and 1 under alpha = 3 at E = 1e100:
+   each job alone, at sigma = (1e100/3)^(1/2), for a flow of
+   3/sigma = 5.1961524e-50 (a flow of completion - release read
+   1.7320508e-50: two jobs' flows rounded to 0) *)
+let test_huge_budget_flow_pinned () =
+  let inst = Instance.of_pairs [ (0.0, 1.0); (0.5, 1.0); (1.0, 1.0) ] in
+  let sol = Flow.solve_budget ~alpha:3.0 ~energy:1e100 inst in
+  Alcotest.(check string) "solution flow" "5.1961524e-50" (Printf.sprintf "%.8g" sol.Flow.flow);
+  let sched = Flow.schedule inst sol in
+  Alcotest.(check string) "schedule flow" "5.1961524e-50"
+    (Printf.sprintf "%.8g" (Metrics.total_flow sched));
+  Alcotest.(check string) "largest job flow" "1.7320508e-50"
+    (Printf.sprintf "%.8g" (Metrics.max_flow sched))
+
+(* NaN, infinities and -0 fail every guard of the three entry points,
+   with the guard's own message *)
+let test_guards_refuse_non_finite () =
+  let inst = Instance.of_pairs [ (0.0, 1.0); (0.5, 1.0); (1.0, 1.0) ] in
+  let refused what f =
+    match f () with
+    | (_ : Flow.solution) -> Alcotest.failf "%s: no Invalid_argument" what
+    | exception Invalid_argument m ->
+      check_bool (Printf.sprintf "%s: guard message (%s)" what m) false
+        (String.ends_with ~suffix:"float range" m)
+  in
+  List.iter
+    (fun x ->
+      let at name = Printf.sprintf "%s %h" name x in
+      refused (at "solve_for_last_speed ~alpha") (fun () ->
+          Flow.solve_for_last_speed ~alpha:x inst 1.0);
+      refused (at "solve_for_last_speed s") (fun () -> Flow.solve_for_last_speed ~alpha:3.0 inst x);
+      refused (at "solve_budget ~alpha") (fun () -> Flow.solve_budget ~alpha:x ~energy:10.0 inst);
+      refused (at "solve_budget ~energy") (fun () -> Flow.solve_budget ~alpha:3.0 ~energy:x inst);
+      refused (at "solve_flow_target ~alpha") (fun () ->
+          Flow.solve_flow_target ~alpha:x ~flow:2.0 inst);
+      refused (at "solve_flow_target ~flow") (fun () ->
+          Flow.solve_flow_target ~alpha:3.0 ~flow:x inst))
+    [ Float.nan; Float.infinity; Float.neg_infinity; -0.0 ]
 
 (* ---------- the theorem-8 instance across its three configurations ---------- *)
 
@@ -447,7 +533,11 @@ let () =
           Alcotest.test_case "tiny budget, 64 Poisson jobs" `Quick test_tiny_budget_poisson64;
           Alcotest.test_case "huge budgets rescaled" `Quick test_huge_budgets_rescaled;
           Alcotest.test_case "flow target, tiny budget" `Quick test_flow_target_tiny_budget;
-          Alcotest.test_case "flow target raises off target" `Quick test_flow_target_raises_off_target;
+          Alcotest.test_case "flow target, huge budget" `Quick test_flow_target_huge_budget;
+          Alcotest.test_case "separated regime flow is W/sigma" `Quick test_separated_regime;
+          Alcotest.test_case "huge budget flow pinned" `Quick test_huge_budget_flow_pinned;
+          Alcotest.test_case "guards refuse NaN, infinities and -0" `Quick
+            test_guards_refuse_non_finite;
         ] );
       ( "theorem8-instance",
         [

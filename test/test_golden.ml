@@ -25,8 +25,9 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* run the CLI, returning (exit code, stdout, stderr); under [timeout]
-   a run still going after that many seconds exits 124 *)
-let run_cli ?timeout args =
+   a run still going after that many seconds exits 124; [env] is
+   prefixed to the command as VAR=value settings *)
+let run_cli ?timeout ?(env = "") args =
   let out = Filename.temp_file "pasched_golden" ".out" in
   let err = Filename.temp_file "pasched_golden" ".err" in
   Fun.protect
@@ -35,7 +36,7 @@ let run_cli ?timeout args =
       try Sys.remove err with Sys_error _ -> ())
     (fun () ->
       let cmd =
-        Printf.sprintf "%s%s %s > %s 2> %s"
+        Printf.sprintf "%s%s%s %s > %s 2> %s" env
           (match timeout with Some s -> Printf.sprintf "timeout %d " s | None -> "")
           (Filename.quote exe) args (Filename.quote out) (Filename.quote err)
       in
@@ -317,6 +318,28 @@ let test_flow_huge_budgets () =
         (Float.abs (energy -. budget) <= 1e-9 *. budget))
     [ "1e250"; "1e300"; "1e308" ]
 
+(* three unit jobs, each alone at sigma = (1e100/3)^(1/2): the served
+   value, every job's flow and the summary are W/sigma and w/sigma, not
+   completion - release (which read 1.7320508e-50, two jobs at 0) *)
+let test_flow_value_at_1e100 () =
+  let args = "solve --objective flow --alpha 3 --jobs 0:1,0.5:1,1:1 --energy 1e100" in
+  let code, out, err = run_cli args in
+  Alcotest.(check int) (Printf.sprintf "%s exits 0 (stderr: %s)" args err) 0 code;
+  Alcotest.(check (list string))
+    (args ^ ": value, job flows and summary")
+    [
+      "# flow flow/1-proc/budget 1e+100: flow = 5.1961524e-50, energy = 1e+100";
+      "1.73205e-50";
+      "1.73205e-50";
+      "1.73205e-50";
+      "jobs=3 procs=1 makespan=1 flow=5.19615e-50 energy=1e+100";
+    ]
+    (match lines out with
+    | header :: _ :: _ :: j0 :: j1 :: j2 :: summary :: _ ->
+      let flow_col l = List.nth (String.split_on_char '\t' l) 7 in
+      [ header; flow_col j0; flow_col j1; flow_col j2; summary ]
+    | _ -> Alcotest.failf "unexpected output:\n%s" out)
+
 (* completions near 1e250: each start is the release or the previous
    completion, not completion - work/speed, which rounds a release away *)
 let test_flow_tiny_budget_schedule () =
@@ -415,6 +438,27 @@ let test_serve_stdin () =
       (field "pong" ping = Some (Obs_json.Bool true))
   | _ -> Alcotest.fail "unreachable: reply count checked above"
 
+(* a line opening 10^6 lists is refused at the nesting bound, in a
+   stack of 100k words, and the daemon answers the next line *)
+let test_serve_deep_nesting () =
+  let input = Filename.temp_file "pasched_serve" ".ndjson" in
+  Fun.protect ~finally:(fun () -> try Sys.remove input with Sys_error _ -> ()) @@ fun () ->
+  let oc = open_out_bin input in
+  output_string oc {|{"id":|};
+  output_string oc (String.make 1_000_000 '[');
+  output_string oc "\n{\"id\":2,\"op\":\"ping\"}\n";
+  close_out oc;
+  let code, out, err =
+    run_cli ~timeout:60 ~env:"OCAMLRUNPARAM=l=100k " ("serve --jobs 1 < " ^ Filename.quote input)
+  in
+  Alcotest.(check int) (Printf.sprintf "serve exits 0 (stderr: %s)" err) 0 code;
+  match List.filter (fun l -> l <> "") (lines out) with
+  | [ deep; ping ] ->
+    Alcotest.(check string) "the deep line's reply"
+      {|{"id":null,"status":"error","class":"invalid-input","message":"invalid input: request is not valid JSON: at 1005: nesting too deep"}|}
+      deep;
+    Alcotest.(check string) "the ping's reply" {|{"id":2,"status":"ok","pong":true}|} ping
+  | replies -> Alcotest.failf "two replies expected, got %d" (List.length replies)
 (* ---------------------------------------------------------------- *)
 (* Serve wire bytes.  The captures were written by the daemon before
    ok payloads were pre-encoded (all but the speed_cap and levels pairs
@@ -547,6 +591,7 @@ let () =
           Alcotest.test_case "sim rejects non-finite flags" `Quick test_sim_non_finite_flags;
           Alcotest.test_case "flow answers through its fallback" `Quick test_flow_fallback;
           Alcotest.test_case "flow solves huge budgets" `Quick test_flow_huge_budgets;
+          Alcotest.test_case "flow value holds at 1e100" `Quick test_flow_value_at_1e100;
           Alcotest.test_case "flow schedules a tiny budget" `Quick test_flow_tiny_budget_schedule;
           Alcotest.test_case "unrepresentable flow budget exits 2" `Quick
             test_flow_unrepresentable_budget;
@@ -562,6 +607,8 @@ let () =
       ( "serve",
         [
           Alcotest.test_case "stdin transport" `Quick test_serve_stdin;
+          Alcotest.test_case "deep nesting refused, daemon answers on" `Quick
+            test_serve_deep_nesting;
           Alcotest.test_case "reply MD5 of 4000 emitted requests" `Quick test_serve_reply_md5;
           Alcotest.test_case "reply bytes per reply shape" `Quick test_serve_reply_golden;
           Alcotest.test_case "store fixture replay" `Quick test_serve_store_fixture;

@@ -180,19 +180,21 @@ let words_per_solve run =
   run ();
   (Gc.minor_words () -. before) /. float_of_int kernel_budgets
 
-(* Measured at 7,137.82 (warm) and 8,450.17 (cold) words per solve,
+(* Measured at 2,544.52 (warm) and 2,985.41 (cold) words per solve,
    the same on every pass: the exact meter (unlike Gc.quick_stat,
    whose minor words advance a minor heap at a time on OCaml 5) lets
-   the bounds sit 3% above.  A fresh float array per pinned-window
-   root find, sized by the window, adds 332 words warm and 390 cold
-   (4.7%); per-evaluation run stacks cost thousands more. *)
+   the bounds sit 3% above.  A pinned window's root find boxes its
+   closure, its state and each iteration's (value, derivative) pair,
+   so root-finding every window as it is formed (5,553.84 and
+   6,574.36) fails both bounds; per-evaluation run stacks cost
+   thousands more. *)
 let test_warm_alloc_bound () =
   (* prime the arena and the cached tables so growth lands nowhere *)
   run_warm ();
   let warm = words_per_solve run_warm in
   let cold = words_per_solve run_cold in
-  check_bool (Printf.sprintf "warm %.2f words/solve <= 7350" warm) true (warm <= 7350.0);
-  check_bool (Printf.sprintf "cold %.2f words/solve <= 8700" cold) true (cold <= 8700.0)
+  check_bool (Printf.sprintf "warm %.2f words/solve <= 2620" warm) true (warm <= 2620.0);
+  check_bool (Printf.sprintf "cold %.2f words/solve <= 3075" cold) true (cold <= 3075.0)
 
 (* every budget of the workload, warm-chained exactly as [run_warm]:
    50 + 477.5 i / 191 is 50 + 2.5 i in floats too *)
@@ -238,7 +240,13 @@ let test_frontier_words () =
 (* ---------- work counters of the kernel workload ---------- *)
 
 let work_counters =
-  [ "rootfind.calls"; "rootfind.newton_iters"; "flow.run_merges"; "rootfind.brent_iters" ]
+  [
+    "rootfind.calls";
+    "rootfind.newton_iters";
+    "flow.run_merges";
+    "flow.window_tests";
+    "rootfind.brent_iters";
+  ]
 
 let counted run =
   let was_on = Obs.enabled () in
@@ -250,12 +258,16 @@ let counted run =
   Obs.set_enabled was_on;
   got
 
-(* Exact totals over the 192 solves (per solve: cold 75.4 root finds,
-   314.2 Newton iterations, 153.2 merges; warm-chained 64.0, 258.0,
-   127.7).  Counts are deterministic for a given build, so a change
-   that moves them changes the algorithm: the outer search (one
-   Newton, no Brent) or the pinned windows' warm starts.  Re-pin them
-   only with a reason. *)
+(* Exact totals over the 192 solves (per solve: cold 24.1 root finds,
+   97.2 Newton iterations, 152.9 merges, 100.3 window tests;
+   warm-chained 20.6, 76.6, 127.7, 85.4).  Counts are deterministic
+   for a given build, so a change that moves them changes the
+   algorithm: the outer search (one Newton, no Brent), the pinned
+   windows' warm starts, or which windows are root-found.  The merges
+   equal those of a pass that root-finds every pinned window as it is
+   formed (75.4 root finds and 314.1 Newton iterations per cold
+   solve): the pending windows change the work, not the runs.  Re-pin
+   them only with a reason. *)
 let test_work_pinned () =
   List.iter
     (fun (path, run, want) ->
@@ -267,8 +279,8 @@ let test_work_pinned () =
         work_counters
         (List.combine (counted run) want))
     [
-      ("cold", run_cold, [ 14482; 60322; 29414; 0 ]);
-      ("warm-chained", run_warm, [ 12285; 49539; 24511; 0 ]);
+      ("cold", run_cold, [ 4620; 18661; 29366; 19264; 0 ]);
+      ("warm-chained", run_warm, [ 3955; 14705; 24511; 16398; 0 ]);
     ]
 
 let () =

@@ -216,6 +216,38 @@ let test_json_parse_errors () =
       | Error _ -> ())
     bad
 
+(* lists and objects nest at most 1,000 deep, whatever mix of them;
+   the bracket that would open level 1,001 is the error's position *)
+let test_json_nesting_bound () =
+  let nested ~depth ~obj =
+    let b = Buffer.create (8 * depth) in
+    for _ = 1 to depth do
+      Buffer.add_string b (if obj then {|{"k":|} else "[")
+    done;
+    Buffer.add_string b "0";
+    for _ = 1 to depth do
+      Buffer.add_char b (if obj then '}' else ']')
+    done;
+    Buffer.contents b
+  in
+  List.iter
+    (fun obj ->
+      let kind = if obj then "objects" else "lists" in
+      (match Obs_json.of_string (nested ~depth:1000 ~obj) with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "1000 nested %s: %s" kind m);
+      Alcotest.(check (result reject string))
+        (Printf.sprintf "1001 nested %s" kind)
+        (Error (Printf.sprintf "at %d: nesting too deep" (if obj then 5000 else 1000)))
+        (Obs_json.of_string (nested ~depth:1001 ~obj)))
+    [ false; true ];
+  (* depth is counted back down as brackets close: 2,000 sibling lists
+     each 999 deep parse *)
+  let sibling = String.make 999 '[' ^ String.make 999 ']' in
+  match Obs_json.of_string ("[" ^ String.concat "," (List.init 2000 (fun _ -> sibling)) ^ "]") with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "siblings: %s" m
+
 let test_json_unicode_escapes () =
   match Obs_json.of_string {|"aé😀b"|} with
   | Error msg -> Alcotest.fail ("unicode parse failed: " ^ msg)
@@ -570,6 +602,7 @@ let () =
         [
           Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
+          Alcotest.test_case "nesting bound" `Quick test_json_nesting_bound;
           Alcotest.test_case "unicode escapes" `Quick test_json_unicode_escapes;
           Alcotest.test_case "float writer edges" `Quick test_float_writer_edges;
           Alcotest.test_case "float writer random" `Quick test_float_writer_random;
