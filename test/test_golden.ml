@@ -607,10 +607,10 @@ let () =
       ( "serve",
         [
           Alcotest.test_case "stdin transport" `Quick test_serve_stdin;
-          Alcotest.test_case "deep nesting refused, daemon answers on" `Quick
-            test_serve_deep_nesting;
           Alcotest.test_case "reply MD5 of 4000 emitted requests" `Quick test_serve_reply_md5;
           Alcotest.test_case "reply bytes per reply shape" `Quick test_serve_reply_golden;
           Alcotest.test_case "store fixture replay" `Quick test_serve_store_fixture;
+          Alcotest.test_case "deep nesting refused, daemon answers on" `Quick
+            test_serve_deep_nesting;
         ] );
     ]
