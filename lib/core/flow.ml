@@ -462,11 +462,46 @@ let solve_full env s =
 
 let common_work inst = (Instance.job inst 0).Job.work
 
+(* Solving the instance with work and speeds scaled by 2^k leaves
+   durations, completions and flow unchanged and scales energy by
+   2^(k a): [scale_back] maps such a solution back.  2^(k a) = 2^q 2^r
+   with q integral and r in [0, 1). *)
+let scale_back ~alpha ~k sol =
+  let ka = float_of_int k *. alpha in
+  let q = Float.floor ka in
+  let r = ka -. q in
+  let back x = Float.ldexp x (-k) in
+  {
+    sol with
+    last_speed = back sol.last_speed;
+    runs = List.map (fun run -> { run with end_speed = back run.end_speed }) sol.runs;
+    speeds = Array.map back sol.speeds;
+    energy = Float.ldexp (sol.energy *. (2.0 ** -.r)) (-int_of_float q);
+  }
+
+let normal x = x >= Float.min_float && x <= Float.max_float
+
 let solve_for_last_speed ~alpha inst s =
   validate ~alpha inst;
   if not (s > 0.0 && Float.is_finite s) then invalid_arg "Flow: last speed must be positive";
   if Instance.n inst = 0 then empty_solution s
-  else solve_full (make_env ~alpha ~w:(common_work inst) inst) s
+  else begin
+    let w = common_work inst in
+    let sa = s ** alpha in
+    if sa >= 0x1p-128 && sa <= 0x1p128 then solve_full (make_env ~alpha ~w inst) s
+    else begin
+      (* s^a is out of range: solve at speed s 2^k near 1 and work
+         w 2^k, then scale back *)
+      let k = -int_of_float (Float.round (Float.log2 s)) in
+      let w' = Float.ldexp w k in
+      if not (normal w') then
+        invalid_arg (Printf.sprintf "Flow.solve_for_last_speed: work %g at speed %g leaves the float range" w s);
+      let sol = scale_back ~alpha ~k (solve_full (make_env ~alpha ~w:w' inst) (Float.ldexp s k)) in
+      if not (Float.is_finite sol.energy) then
+        invalid_arg (Printf.sprintf "Flow.solve_for_last_speed: the energy at speed %g overflows" s);
+      sol
+    end
+  end
 
 (* Every job runs at least at the last speed s, so
    energy(s) >= n w s^(a-1), and s0 = (E / (n w))^(1/(a-1)) lies at or
@@ -514,7 +549,6 @@ let solve_budget ?(eps = 1e-12) ?warm ~alpha ~energy inst =
       let l2s0 = (Float.log2 energy -. Float.log2 n -. Float.log2 w) /. (alpha -. 1.0) in
       (* past |log2 s0| = 4096 no work keeps w 2^k a float *)
       let k = -int_of_float (Float.round (Float.min 4096.0 (Float.max (-4096.0) l2s0))) in
-      let normal x = x >= Float.min_float && x <= Float.max_float in
       let w' = Float.ldexp w k in
       (* 2^(k a) = 2^q 2^r, q integral and r in [0, 1) *)
       let ka = float_of_int k *. alpha in
@@ -524,17 +558,7 @@ let solve_budget ?(eps = 1e-12) ?warm ~alpha ~energy inst =
       if not (normal w' && normal energy') then unrepresentable ();
       let s0' = (energy' /. (n *. w')) ** (1.0 /. (alpha -. 1.0)) in
       let warm = Option.map (fun s -> Float.ldexp s k) warm in
-      let sol = solve_in_range ~eps ~warm ~alpha ~energy:energy' ~w:w' ~s0:s0' inst in
-      let back x = Float.ldexp x (-k) in
-      let sol =
-        {
-          sol with
-          last_speed = back sol.last_speed;
-          runs = List.map (fun run -> { run with end_speed = back run.end_speed }) sol.runs;
-          speeds = Array.map back sol.speeds;
-          energy = Float.ldexp (sol.energy *. (2.0 ** -.r)) (-int_of_float q);
-        }
-      in
+      let sol = scale_back ~alpha ~k (solve_in_range ~eps ~warm ~alpha ~energy:energy' ~w:w' ~s0:s0' inst) in
       if
         not
           (Array.for_all normal sol.speeds

@@ -49,9 +49,13 @@ type solution = {
 
 val solve_for_last_speed : alpha:float -> Instance.t -> float -> solution
 (** The unique Theorem 1-consistent schedule with the given last-job
-    speed.  @raise Invalid_argument unless the instance has equal work,
+    speed.  Where [s^alpha] leaves the float range it is solved at a
+    power-of-two rescaling, as {!solve_budget} does, so the result is
+    never NaN.
+    @raise Invalid_argument unless the instance has equal work,
     [alpha] is finite and above 1, and the speed is positive and
-    finite (NaN fails both). *)
+    finite (NaN fails both); or when the schedule's energy overflows
+    (three unit jobs at [alpha = 3] and [s = 1e200] need [3e400]). *)
 
 val solve_budget :
   ?eps:float -> ?warm:float -> alpha:float -> energy:float -> Instance.t -> solution

@@ -45,5 +45,9 @@ val accepts : t -> Problem.t -> Instance.t -> (unit, string) result
     carrying [levels] only by solvers that require {!Needs_levels}: any
     other solver would ignore the constraint. *)
 
+val admits : t -> Problem.t -> Instance.t -> bool
+(** [accepts cap p inst = Ok ()], decided by the same check without
+    building a message: what routing asks of every registered solver. *)
+
 val to_string : t -> string
 (** Compact one-line rendering used by [pasched solve --list-solvers]. *)

@@ -23,7 +23,7 @@ let names () = List.map name_of !registry
 let find name = List.find_opt (fun s -> name_of s = name) !registry
 
 let supporting problem inst =
-  let ok = List.filter (fun s -> Capability.accepts (capability_of s) problem inst = Ok ()) !registry in
+  let ok = List.filter (fun s -> Capability.admits (capability_of s) problem inst) !registry in
   let exact, approx = List.partition (fun s -> (capability_of s).Capability.exact) ok in
   exact @ approx
 

@@ -4,20 +4,45 @@ type stats = {
   skipped_corrupt : int;
   compactions : int;
   lag : int;
+  errors : int;
 }
+
+type entry = string * (string * Obs_json.t) list
+
+(* A file written through a buffer of its own rather than an
+   out_channel: an append does no I/O, a failed or short write leaves
+   exactly its unwritten tail buffered for the next attempt, and a
+   crash ({!drop}) loses exactly the buffered bytes. *)
+type sink = { mutable fd : Unix.file_descr; mutable buf : Bytes.t; mutable len : int; mutable closed : bool }
+
+(* an in-flight checkpoint: its tmp file and the snapshot lines not yet
+   written to it *)
+type ckpt = { tmp : sink; mutable rest : entry list }
+
+type phase =
+  | Idle
+  | Slices of ckpt  (* snapshot lines left to write *)
+  | Sync of ckpt  (* every line written: the tmp's fsync is next *)
+  | Install of ckpt  (* durable: rename, directory fsync and unlink next *)
 
 type t = {
   checkpoint : string;
   journal : string;
+  old : string;  (* the rotated journal a compaction is folding *)
   fsync : bool;
   compact_every : int;
-  oc : out_channel;
+  out : sink;  (* the journal *)
+  mutable has_old : bool;  (* [old] is on disk *)
+  mutable on_old : bool;  (* [out] still writes [old]: reopening [journal] failed *)
+  mutable phase : phase;
+  mutable folding : int;  (* the lag held in [old] *)
+  mutable trigger_at : int;  (* the lag at which the next compaction starts *)
   mutable appends : int;
   mutable replayed : int;
   mutable skipped_corrupt : int;
   mutable compactions : int;
   mutable lag : int;
-  mutable dirty : bool;
+  mutable errors : int;
 }
 
 let c_appends = Obs.counter "serve.journal.appends"
@@ -26,6 +51,8 @@ let c_skipped = Obs.counter "serve.journal.skipped_corrupt"
 let c_compactions = Obs.counter "serve.journal.compactions"
 let c_flushes = Obs.counter "serve.journal.flushes"
 let c_fsyncs = Obs.counter "serve.journal.fsyncs"
+let c_checkpoint_lines = Obs.counter "serve.journal.checkpoint_lines"
+let c_errors = Obs.counter "serve.journal.errors"
 
 (* ---------------- CRC-32 (IEEE 802.3) ---------------- *)
 
@@ -138,6 +165,49 @@ let decode_line line =
           | Some canon, Some (Obs_json.Obj payload) -> Some (canon, payload)
           | _ -> None)
 
+(* ---------------- buffered sinks ---------------- *)
+
+let sink fd = { fd; buf = Bytes.create 65536; len = 0; closed = false }
+
+let add_line s line =
+  let n = String.length line in
+  if s.len + n + 1 > Bytes.length s.buf then begin
+    let b = Bytes.create (Int.max (2 * Bytes.length s.buf) (s.len + n + 1)) in
+    Bytes.blit s.buf 0 b 0 s.len;
+    s.buf <- b
+  end;
+  Bytes.blit_string line 0 s.buf s.len n;
+  Bytes.unsafe_set s.buf (s.len + n) '\n';
+  s.len <- s.len + n + 1
+
+(* Write every buffered byte, entering [site] before each write(2).  A
+   write may take fewer bytes than it is given (the fault hooks model
+   that by shortening one at [site]); a failed write raises with the
+   unwritten tail still buffered. *)
+let write_out site s =
+  let pos = ref 0 in
+  match
+    while !pos < s.len do
+      Fault.enter site;
+      let want = s.len - !pos in
+      let want = Int.max 1 (Int.min want (int_of_float (Fault.observe_float site (float_of_int want)))) in
+      match Unix.single_write s.fd s.buf !pos want with
+      | k -> pos := !pos + k
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    done
+  with
+  | () -> s.len <- 0
+  | exception e ->
+    Bytes.blit s.buf !pos s.buf 0 (s.len - !pos);
+    s.len <- s.len - !pos;
+    raise e
+
+let close_sink s =
+  if not s.closed then begin
+    s.closed <- true;
+    try Unix.close s.fd with Unix.Unix_error _ -> ()
+  end
+
 (* ---------------- durable checkpoint writer ---------------- *)
 
 (* tmp + fsync(file) + rename + fsync(dir): without the first fsync a
@@ -153,48 +223,108 @@ let fsync fd =
 
 let fsync_dir path =
   Obs.incr c_fsyncs;
-  match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 with
+  match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
   | exception Unix.Unix_error _ -> ()
   | dfd ->
     (try Unix.fsync dfd with Unix.Unix_error _ -> ());
     (try Unix.close dfd with Unix.Unix_error _ -> ())
 
-let write_checkpoint ~path ~entries =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  (try
-     List.iter
-       (fun (canon, payload) ->
-         output_string oc (encode_line ~canon payload);
-         output_char oc '\n')
-       entries;
-     flush oc;
-     fsync (Unix.descr_of_out_channel oc);
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     raise e);
-  Sys.rename tmp path;
+(* the checkpoint is written in slices of this many lines: the default
+   --max-batch, so a stepwise compaction's slice costs about what one
+   batch's appends do *)
+let slice_lines = 32
+
+let open_ckpt path entries =
+  Fault.enter "serve_journal.snapshot";
+  let fd = Unix.openfile (path ^ ".tmp") [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o644 in
+  { tmp = sink fd; rest = entries }
+
+(* the next [slice_lines] snapshot lines onto the tmp *)
+let write_slice c =
+  let rec fill k = function
+    | (canon, payload) :: rest when k < slice_lines ->
+      add_line c.tmp (encode_line ~canon payload);
+      fill (k + 1) rest
+    | rest -> (k, rest)
+  in
+  let k, rest = fill 0 c.rest in
+  write_out "serve_journal.slice" c.tmp;
+  c.rest <- rest;
+  Obs.add c_checkpoint_lines k
+
+let sync_ckpt c =
+  Fault.enter "serve_journal.tmp_fsync";
+  fsync c.tmp.fd;
+  close_sink c.tmp
+
+let install_ckpt path =
+  Fault.enter "serve_journal.rename";
+  Sys.rename (path ^ ".tmp") path;
+  Fault.enter "serve_journal.dir_fsync";
   fsync_dir path
 
+let abandon_ckpt path c =
+  close_sink c.tmp;
+  try Sys.remove (path ^ ".tmp") with Sys_error _ -> ()
+
+let write_checkpoint ~path ~entries =
+  let c = open_ckpt path entries in
+  (try
+     while c.rest <> [] do
+       write_slice c
+     done;
+     sync_ckpt c
+   with e ->
+     abandon_ckpt path c;
+     raise e);
+  install_ckpt path
+
 (* ---------------- the store ---------------- *)
+
+let open_journal ?(trunc = false) path =
+  Unix.openfile path
+    ([ Unix.O_RDWR; Unix.O_APPEND; Unix.O_CREAT; Unix.O_CLOEXEC ] @ if trunc then [ Unix.O_TRUNC ] else [])
+    0o644
+
+(* a crash mid-write can leave the journal ending inside a line *)
+let ends_mid_line fd =
+  match Unix.lseek fd (-1) Unix.SEEK_END with
+  | exception Unix.Unix_error (Unix.EINVAL, _, _) -> false
+  | _ ->
+    let b = Bytes.create 1 in
+    Unix.read fd b 0 1 = 1 && Bytes.get b 0 <> '\n'
 
 let open_ ?(fsync = false) ?(compact_every = 1024) ~path () =
   if compact_every < 0 then invalid_arg "Serve_journal.open_: compact_every must be >= 0";
   let journal = path ^ ".journal" in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 journal in
+  let out =
+    try
+      let fd = open_journal journal in
+      let out = sink fd in
+      (* the next append starts a line of its own, so a torn tail stays
+         one corrupt line instead of swallowing the append *)
+      if ends_mid_line fd then add_line out "";
+      out
+    with Unix.Unix_error (e, _, _) -> raise (Sys_error (journal ^ ": " ^ Unix.error_message e))
+  in
   {
     checkpoint = path;
     journal;
+    old = journal ^ ".old";
     fsync;
     compact_every;
-    oc;
+    out;
+    has_old = Sys.file_exists (journal ^ ".old");
+    on_old = false;
+    phase = Idle;
+    folding = 0;
+    trigger_at = compact_every;
     appends = 0;
     replayed = 0;
     skipped_corrupt = 0;
     compactions = 0;
     lag = 0;
-    dirty = false;
+    errors = 0;
   }
 
 let replay_file t file f =
@@ -219,39 +349,143 @@ let replay_file t file f =
 
 let replay t f =
   replay_file t t.checkpoint f;
-  (* journal entries land after their checkpoint state and count toward
-     the lag the next compaction will fold in *)
+  (* a rotated journal and the journal land after their checkpoint
+     state, in that order, and count toward the lag the next compaction
+     will fold in *)
   let before = t.replayed in
+  replay_file t t.old f;
   replay_file t t.journal f;
   t.lag <- t.lag + (t.replayed - before)
 
+let error t =
+  t.errors <- t.errors + 1;
+  Obs.incr c_errors
+
 let append t ~canon payload =
-  output_string t.oc (encode_line ~canon payload);
-  output_char t.oc '\n';
-  t.appends <- t.appends + 1;
-  t.lag <- t.lag + 1;
-  t.dirty <- true;
-  Obs.incr c_appends
+  match Fault.enter "serve_journal.append" with
+  | exception (Sys_error _ | Unix.Unix_error _) -> error t
+  | () ->
+    add_line t.out (encode_line ~canon payload);
+    t.appends <- t.appends + 1;
+    t.lag <- t.lag + 1;
+    Obs.incr c_appends
+
+(* a journal that keeps failing does not buffer without bound: past
+   this the buffered lines are dropped (they stay cached, and the next
+   compaction's snapshot holds them), and a newline takes their place
+   so that a line the failed write tore stays a line of its own *)
+let max_buffered = 1 lsl 20
 
 let flush t =
-  if t.dirty then begin
-    flush t.oc;
-    if t.fsync then fsync (Unix.descr_of_out_channel t.oc);
-    t.dirty <- false;
-    Obs.incr c_flushes
-  end
+  if t.out.len > 0 && not t.out.closed then
+    match
+      write_out "serve_journal.flush" t.out;
+      if t.fsync then begin
+        Fault.enter "serve_journal.flush_fsync";
+        fsync t.out.fd
+      end
+    with
+    | () -> Obs.incr c_flushes
+    | exception (Sys_error _ | Unix.Unix_error _) ->
+      error t;
+      if t.out.len > max_buffered then begin
+        t.out.len <- 0;
+        add_line t.out ""
+      end
 
-let needs_compact t = t.compact_every > 0 && t.lag >= t.compact_every
+let needs_compact t = t.compact_every > 0 && t.lag >= t.trigger_at
 
-let compact t ~entries =
-  flush t;
-  write_checkpoint ~path:t.checkpoint ~entries;
-  (* the journal's entries are now folded into the checkpoint: truncate
-     in place (same inode the append channel holds) *)
-  Unix.ftruncate (Unix.descr_of_out_channel t.oc) 0;
-  t.lag <- 0;
+let compacted t =
+  t.phase <- Idle;
+  t.trigger_at <- t.compact_every;
   t.compactions <- t.compactions + 1;
   Obs.incr c_compactions
+
+(* an in-flight compaction gives way: its tmp goes, and a rotated
+   journal stays on disk for replay and for the next compaction *)
+let abandon t =
+  match t.phase with
+  | Idle -> ()
+  | Slices c | Sync c | Install c ->
+    t.phase <- Idle;
+    abandon_ckpt t.checkpoint c
+
+let compact t ~entries =
+  if t.out.closed then raise (Sys_error (t.journal ^ ": the store is closed"));
+  abandon t;
+  flush t;
+  write_checkpoint ~path:t.checkpoint ~entries;
+  if t.has_old then begin
+    Fault.enter "serve_journal.unlink";
+    Sys.remove t.old;
+    t.has_old <- false
+  end;
+  (* the journal's entries are now folded into the checkpoint: truncate
+     in place (the inode [out] holds), or open it afresh when a failed
+     rotation left [out] on the rotated journal *)
+  Fault.enter "serve_journal.truncate";
+  if t.on_old then begin
+    let fd = open_journal ~trunc:true t.journal in
+    close_sink t.out;
+    t.out.fd <- fd;
+    t.out.closed <- false;
+    t.on_old <- false
+  end
+  else Unix.ftruncate t.out.fd 0;
+  t.out.len <- 0;
+  t.lag <- 0;
+  compacted t
+
+(* step 1: the journal becomes [old] and a fresh one takes appends, and
+   the snapshot's tmp opens *)
+let rotate t snapshot =
+  Fault.enter "serve_journal.rotate";
+  Sys.rename t.journal t.old;
+  t.has_old <- true;
+  t.on_old <- true;
+  t.folding <- t.lag;
+  Fault.enter "serve_journal.reopen";
+  let fd = open_journal t.journal in
+  close_sink t.out;
+  t.out.fd <- fd;
+  t.out.closed <- false;
+  t.on_old <- false;
+  if t.fsync then begin
+    Fault.enter "serve_journal.rotate_fsync";
+    fsync_dir t.journal
+  end;
+  let c = open_ckpt t.checkpoint snapshot in
+  t.phase <- (if snapshot = [] then Sync c else Slices c)
+
+(* step 4: the checkpoint takes the tmp's name and [old] goes *)
+let install t =
+  install_ckpt t.checkpoint;
+  Fault.enter "serve_journal.unlink";
+  Sys.remove t.old;
+  t.has_old <- false;
+  t.lag <- t.lag - t.folding;
+  compacted t
+
+let step t ~entries =
+  match
+    match t.phase with
+    | Idle ->
+      if needs_compact t && not t.out.closed then
+        if t.has_old then compact t ~entries:(entries ())
+        else if t.out.len = 0 then rotate t (entries ())
+    | Slices c ->
+      write_slice c;
+      if c.rest = [] then t.phase <- Sync c
+    | Sync c ->
+      sync_ckpt c;
+      t.phase <- Install c
+    | Install _ -> install t
+  with
+  | () -> ()
+  | exception (Sys_error _ | Unix.Unix_error _) ->
+    error t;
+    abandon t;
+    t.trigger_at <- t.lag + t.compact_every
 
 let stats t : stats =
   {
@@ -260,8 +494,14 @@ let stats t : stats =
     skipped_corrupt = t.skipped_corrupt;
     compactions = t.compactions;
     lag = t.lag;
+    errors = t.errors;
   }
 
 let close t =
   flush t;
-  close_out_noerr t.oc
+  abandon t;
+  close_sink t.out
+
+let drop t =
+  (match t.phase with Idle -> () | Slices c | Sync c | Install c -> close_sink c.tmp);
+  close_sink t.out

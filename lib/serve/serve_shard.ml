@@ -131,15 +131,17 @@ let journal_stats (t : t) = Option.map Serve_journal.stats t.journal
 let stopping (t : t) = t.stop
 
 let abort (t : t) =
-  (match t.journal with None -> () | Some j -> Serve_journal.close j);
+  (match t.journal with None -> () | Some j -> Serve_journal.drop j);
   Array.iter (fun (sh : shard) -> Par.Pool.shutdown sh.pool) t.shards
 
 (* fold every live entry into the checkpoint before closing *)
 let shutdown (t : t) =
   (match t.journal with
   | None -> ()
-  | Some j -> ( try Serve_journal.compact j ~entries:(entries t) with Sys_error _ -> ()));
-  abort t
+  | Some j ->
+    (try Serve_journal.compact j ~entries:(entries t) with Sys_error _ | Unix.Unix_error _ -> ());
+    Serve_journal.close j);
+  Array.iter (fun (sh : shard) -> Par.Pool.shutdown sh.pool) t.shards
 
 let stats_payload t =
   let s = stats t in
@@ -192,13 +194,16 @@ let health_payload t =
     | None -> Null
     | Some js ->
       Obj
-        [
+        ([
           ("appends", Int js.Serve_journal.appends);
           ("replayed", Int js.Serve_journal.replayed);
           ("skipped_corrupt", Int js.Serve_journal.skipped_corrupt);
           ("compactions", Int js.Serve_journal.compactions);
           ("lag", Int js.Serve_journal.lag);
         ]
+        (* shown once there is one, so a healthy store's reply keeps
+           its bytes *)
+        @ if js.Serve_journal.errors > 0 then [ ("errors", Int js.Serve_journal.errors) ] else [])
   in
   let s = stats t in
   [
@@ -279,14 +284,15 @@ let handle_batch (t : t) lines =
   Obs.set g_inflight 0.0;
   (* write-ahead durability boundary: one flush per served batch puts
      every insert in the OS page cache (SIGKILL-safe; power-loss-safe
-     too under --fsync), and lag-triggered compaction keeps replay
-     bounded *)
+     too under --fsync), and one bounded step of lag-triggered
+     compaction keeps replay bounded without a whole checkpoint rewrite
+     in any batch.  Neither raises on an I/O failure: the journal
+     counts it and the batch is answered *)
   (match t.journal with
   | None -> ()
   | Some j ->
-    (try Serve_journal.flush j with Sys_error _ -> ());
-    if Serve_journal.needs_compact j then
-      try Serve_journal.compact j ~entries:(entries t) with Sys_error _ -> ());
+    Serve_journal.flush j;
+    Serve_journal.step j ~entries:(fun () -> entries t));
   (* ops answer after the batch's solves, so an in-batch "stats" (or
      "health") observes them *)
   Array.iteri

@@ -21,10 +21,11 @@
     (flushed once per batch; fsynced under [fsync]), {!create} replays
     checkpoint ∪ journal — re-routed by the {e current} shard count, so
     a store written at one [--shards] value warms any other — and
-    lag-triggered compaction (plus {!shutdown}) folds the journal into
-    an atomically rewritten checkpoint.  A SIGKILL loses at most the
-    in-flight batch; torn or corrupt lines are skipped on replay, never
-    fatal.
+    lag-triggered compaction, one bounded {!Serve_journal.step} per
+    batch (whole at {!shutdown}), folds the journal into an atomically
+    rewritten checkpoint.  A SIGKILL loses at most the in-flight batch;
+    torn or corrupt lines are skipped on replay, never fatal, and a
+    journal I/O error is counted, never raised into a batch.
 
     One {!Serve_batch} supervision state (circuit breakers) is shared
     across shards — the router drives every shard from one loop, so a
@@ -81,8 +82,9 @@ val route : hash:int64 -> shards:int -> int
 
 val handle_batch : t -> string list -> string list
 (** One reply line per request line, in order: decode, route, admit or
-    shed, per-shard batch dispatch, journal flush, ops answered after
-    solves.  Never raises on request content. *)
+    shed, per-shard batch dispatch, journal flush and one compaction
+    step, ops answered after solves.  Never raises on request content
+    or on a journal I/O error. *)
 
 val handle_line : t -> string -> string
 (** [handle_batch] of a singleton. *)

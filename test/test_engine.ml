@@ -369,6 +369,185 @@ let test_solve_span () =
       (arg "problem");
     Alcotest.(check (option string)) "span arg n" (Some "3") (arg "n")
 
+(* [Capability.accepts] before it was written in direct style, kept
+   verbatim as the reference for every refusal text *)
+let reference_accepts (cap : Capability.t) (p : Problem.t) inst =
+  let open Capability in
+  let ( let* ) = Result.bind in
+  let mode_kind = function
+    | Problem.Budget _ -> Budget_mode
+    | Problem.Target _ -> Target_mode
+    | Problem.Pareto -> Pareto_mode
+    | Problem.Feasible -> Feasible_mode
+  in
+  let mode_kind_to_string = function
+    | Budget_mode -> "budget"
+    | Target_mode -> "target"
+    | Pareto_mode -> "pareto"
+    | Feasible_mode -> "feasible"
+  in
+  let admits cap (p : Problem.t) =
+    let* () =
+      if cap.objective = p.Problem.objective then Ok ()
+      else
+        Error
+          (Printf.sprintf "optimizes %s, not %s"
+             (Problem.objective_to_string cap.objective)
+             (Problem.objective_to_string p.Problem.objective))
+    in
+    let* () =
+      match cap.settings with
+      | Any_procs -> Ok ()
+      | Uni_only when p.Problem.procs = 1 -> Ok ()
+      | Uni_only -> Error (Printf.sprintf "uniprocessor only, problem has %d processors" p.Problem.procs)
+      | Multi_only when p.Problem.procs >= 2 -> Ok ()
+      | Multi_only -> Error "multiprocessor only, problem is uniprocessor"
+    in
+    let* () =
+      if List.mem (mode_kind p.Problem.mode) cap.modes then Ok ()
+      else
+        Error
+          (Printf.sprintf "mode %s unsupported (handles: %s)"
+             (mode_kind_to_string (mode_kind p.Problem.mode))
+             (String.concat ", " (List.map mode_kind_to_string cap.modes)))
+    in
+    let* () =
+      if p.Problem.speed_cap <> None && not (List.mem Needs_speed_cap cap.requires) then
+        Error "does not honour a speed cap"
+      else Ok ()
+    in
+    let* () =
+      if p.Problem.levels <> None && not (List.mem Needs_levels cap.requires) then
+        Error "does not honour discrete speed levels"
+      else Ok ()
+    in
+    let need what = function
+      | Some _ -> Ok ()
+      | None -> Error (Printf.sprintf "problem must carry %s" what)
+    in
+    List.fold_left
+      (fun acc r ->
+        let* () = acc in
+        match r with
+        | Needs_speed_cap -> need "a speed cap" p.Problem.speed_cap
+        | Needs_levels -> need "discrete speed levels" p.Problem.levels
+        | Needs_weights -> need "per-job weights" p.Problem.weights
+        | Needs_deadlines -> need "per-job deadlines" p.Problem.deadlines
+        | Equal_work | Common_release | Max_jobs _ -> Ok ())
+      (Ok ()) cap.requires
+  in
+  let* () = admits cap p in
+  let sized what = function
+    | Some a when Array.length a <> Instance.n inst ->
+      Error
+        (Printf.sprintf "%s array has %d entries for %d jobs" what (Array.length a) (Instance.n inst))
+    | _ -> Ok ()
+  in
+  List.fold_left
+    (fun acc r ->
+      let* () = acc in
+      match r with
+      | Equal_work ->
+        if Instance.is_equal_work inst then Ok () else Error "requires equal-work jobs"
+      | Common_release ->
+        if Instance.is_empty inst || (Instance.has_common_release inst && Instance.first_release inst = 0.0)
+        then Ok ()
+        else Error "requires all jobs released at time 0"
+      | Max_jobs k ->
+        if Instance.n inst <= k then Ok ()
+        else Error (Printf.sprintf "instance too large: %d jobs, solver handles <= %d" (Instance.n inst) k)
+      | Needs_weights -> sized "weights" p.Problem.weights
+      | Needs_deadlines -> sized "deadlines" p.Problem.deadlines
+      | Needs_speed_cap | Needs_levels -> Ok ())
+    (Ok ()) cap.requires
+
+(* every registered capability against every objective, processor
+   count, mode, optional parameter (absent, sized, missized) and
+   instance shape: [accepts] gives the reference's verdict and text,
+   and [admits] agrees with it *)
+let test_accepts_reference () =
+  let instances =
+    [
+      Instance.of_pairs [];
+      Instance.of_pairs [ (0.0, 1.0); (0.0, 1.0); (0.0, 1.0) ];
+      Instance.of_pairs [ (0.0, 1.0); (0.5, 1.0); (1.0, 1.0) ];
+      Instance.of_pairs [ (1.0, 1.0); (1.0, 1.0) ];
+      Instance.figure1;
+      Workload.uniform_work ~seed:5 ~n:40 ~lo:0.5 ~hi:2.0 (Workload.Poisson 1.0);
+    ]
+  in
+  let params n = [ None; Some (Array.make n 1.0); Some (Array.make (n + 1) 1.0) ] in
+  let cases = ref 0 in
+  List.iter
+    (fun inst ->
+      let n = Instance.n inst in
+      List.iter
+        (fun objective ->
+          List.iter
+            (fun procs ->
+              List.iter
+                (fun mode ->
+                  List.iter
+                    (fun speed_cap ->
+                      List.iter
+                        (fun levels ->
+                          List.iter
+                            (fun weights ->
+                              List.iter
+                                (fun deadlines ->
+                                  let p =
+                                    Problem.make ~procs ?speed_cap ?levels ?weights ?deadlines ~objective
+                                      ~mode ~alpha ()
+                                  in
+                                  List.iter
+                                    (fun s ->
+                                      let cap = Engine.capability_of s in
+                                      let want = reference_accepts cap p inst in
+                                      incr cases;
+                                      if Capability.accepts cap p inst <> want then
+                                        Alcotest.failf "%s on %s (n=%d): accepts differs from the reference"
+                                          (Engine.name_of s) (Problem.to_string p) n;
+                                      if Capability.admits cap p inst <> (want = Ok ()) then
+                                        Alcotest.failf "%s on %s (n=%d): admits differs from accepts"
+                                          (Engine.name_of s) (Problem.to_string p) n)
+                                    (Engine.all ()))
+                                (params n))
+                            (params n))
+                        [ None; Some [ 1.0; 2.0 ] ])
+                    [ None; Some 2.0 ])
+                [ Problem.Budget 12.0; Problem.Target 3.0; Problem.Pareto; Problem.Feasible ])
+            [ 1; 2; 3 ])
+        Problem.all_objectives)
+    instances;
+  Alcotest.(check bool) (Printf.sprintf "%d cases compared" !cases) true (!cases > 100_000)
+
+(* routing asks every registered solver and formats no refusal: a
+   5-job makespan request and a 64-job flow request each allocate at
+   most 200 words in [supporting] (104 and 70 measured on OCaml 5.1.1;
+   formatting every refusal took 1,426 words on the makespan request) *)
+let test_supporting_words () =
+  let minor_words f =
+    ignore (Sys.opaque_identity (f ()));
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
+  let empty = minor_words (fun () -> ()) in
+  List.iter
+    (fun (what, problem, inst) ->
+      let names = List.map Engine.name_of (Engine.supporting problem inst) in
+      Alcotest.(check bool) (what ^ ": some solver supports it") true (names <> []);
+      let w = int_of_float (minor_words (fun () -> Engine.supporting problem inst) -. empty) in
+      Alcotest.(check bool) (Printf.sprintf "%s: supporting allocates %d words <= 200" what w) true (w <= 200))
+    [
+      ( "5-job makespan",
+        Problem.make ~objective:Problem.Makespan ~mode:(Problem.Budget 9.0) ~alpha (),
+        Instance.of_pairs [ (0.0, 1.2); (0.3, 0.6); (0.9, 2.0); (1.4, 0.7); (2.2, 1.1) ] );
+      ( "64-job flow",
+        Problem.make ~objective:Problem.Total_flow ~mode:(Problem.Budget 200.0) ~alpha (),
+        Workload.equal_work ~seed:3 ~n:64 ~work:1.0 (Workload.Poisson 1.0) );
+    ]
+
 let test_differential_pairs () =
   let pairs = Engine.differential_pairs () in
   Alcotest.(check bool)
@@ -408,6 +587,7 @@ let () =
             test_missing_param_enforced;
           Alcotest.test_case "a speed cap or levels only for solvers that declare them" `Quick
             test_unhonoured_constraint_refused;
+          Alcotest.test_case "refusal texts equal the reference's" `Quick test_accepts_reference;
         ] );
       ( "problem",
         [ Alcotest.test_case "Problem.make boundary validation" `Quick test_problem_validation ] );
@@ -417,5 +597,6 @@ let () =
           Alcotest.test_case "lookup, supporting, solve_auto" `Quick test_lookup;
           Alcotest.test_case "solve_with span built only when Obs is on" `Quick test_solve_span;
           Alcotest.test_case "differential pairs derived" `Quick test_differential_pairs;
+          Alcotest.test_case "supporting formats no refusal" `Quick test_supporting_words;
         ] );
     ]

@@ -231,6 +231,43 @@ let test_guards_refuse_non_finite () =
           Flow.solve_flow_target ~alpha:3.0 ~flow:x inst))
     [ Float.nan; Float.infinity; Float.neg_infinity; -0.0 ]
 
+(* s = 10^k for k = 0..300: s^alpha overflows from k = 103 at alpha
+   = 3, yet no speed, energy or flow is NaN; once the three unit jobs
+   run apart, each at s, the energy is 3 s^(alpha-1) and the flow 3/s.
+   Only an energy past the float range is refused *)
+let test_last_speed_rescaled () =
+  let inst = Instance.of_pairs [ (0.0, 1.0); (0.5, 1.0); (1.0, 1.0) ] in
+  let close what want got =
+    if not (Float.abs (got -. want) <= 1e-12 *. Float.abs want) then
+      Alcotest.failf "%s: %.17g, want %.17g" what got want
+  in
+  List.iter
+    (fun alpha ->
+      for k = 0 to 300 do
+        let s = float_of_string (Printf.sprintf "1e%d" k) in
+        let at = Printf.sprintf "alpha %g, s 1e%d" alpha k in
+        let energy = 3.0 *. (s ** (alpha -. 1.0)) in
+        match Flow.solve_for_last_speed ~alpha inst s with
+        | exception Invalid_argument m ->
+          if Float.is_finite energy then Alcotest.failf "%s: refused (%s)" at m
+        | sol ->
+          if not (Float.is_finite energy) then Alcotest.failf "%s: an overflowing energy was not refused" at;
+          let finite = Float.is_finite in
+          if
+            not
+              (Array.for_all finite sol.Flow.speeds
+              && Array.for_all finite sol.Flow.completions
+              && finite sol.Flow.energy && finite sol.Flow.flow)
+          then Alcotest.failf "%s: a NaN or infinite field" at;
+          if List.length sol.Flow.runs = 3 then begin
+            Array.iteri (fun i v -> close (Printf.sprintf "%s: speed %d" at i) s v) sol.Flow.speeds;
+            close (at ^ ": energy") energy sol.Flow.energy;
+            close (at ^ ": flow") (3.0 /. s) sol.Flow.flow
+          end
+          else if k > 0 then Alcotest.failf "%s: %d runs" at (List.length sol.Flow.runs)
+      done)
+    [ 1.5; 2.0; 3.0; 4.5 ]
+
 (* ---------- the theorem-8 instance across its three configurations ---------- *)
 
 let test_thm8_all_busy_at_9 () =
@@ -538,6 +575,7 @@ let () =
           Alcotest.test_case "huge budget flow pinned" `Quick test_huge_budget_flow_pinned;
           Alcotest.test_case "guards refuse NaN, infinities and -0" `Quick
             test_guards_refuse_non_finite;
+          Alcotest.test_case "last speed rescaled past s^alpha overflow" `Quick test_last_speed_rescaled;
         ] );
       ( "theorem8-instance",
         [

@@ -840,6 +840,17 @@ let test_journal_layering () =
   | ("shared", p) :: _ -> check_bool "journal entry replays last and wins" true (p = jpayload 2)
   | _ -> Alcotest.fail "journal entry did not replay last")
 
+let count_lines path =
+  match read_file path with
+  | s -> List.length (List.filter (( <> ) "") (String.split_on_char '\n' s))
+  | exception Sys_error _ -> -1
+
+(* Stepwise: a compaction of 2 live entries takes ⌈2/32⌉ + 3 = 4
+   steps.  The trigger rotates the journal and opens the tmp, one slice
+   writes both lines, then the tmp's fsync, then the rename, the
+   directory fsync and the unlink; appends meanwhile land in the new
+   journal, and the lag they make survives the fold.  [compact] does
+   it all at once: one flush, two fsyncs, a truncated journal. *)
 let test_journal_compaction () =
   with_store @@ fun path ->
   let j = Serve_journal.open_ ~compact_every:3 ~path () in
@@ -848,24 +859,98 @@ let test_journal_compaction () =
   check_bool "below the lag threshold" false (Serve_journal.needs_compact j);
   Serve_journal.append j ~canon:"c" (jpayload 3);
   check_bool "lag threshold reached" true (Serve_journal.needs_compact j);
-  let d =
-    counter_deltas (fun () ->
-        Serve_journal.compact j ~entries:[ ("a", jpayload 1); ("c", jpayload 3) ])
+  Serve_journal.flush j;
+  let entries = [ ("a", jpayload 1); ("c", jpayload 3) ] in
+  let step () = counter_deltas (fun () -> Serve_journal.step j ~entries:(fun () -> entries)) in
+  let files () =
+    List.map (fun ext -> count_lines (path ^ ext)) [ ""; ".journal.old"; ".journal"; ".tmp" ]
   in
-  check_int "compaction flushes the pending appends once" 1 (d "serve.journal.flushes");
-  check_int "compaction fsyncs the checkpoint file and its directory" 2
-    (d "serve.journal.fsyncs");
+  let d = step () in
+  check_bool "trigger: journal rotated, tmp opened, no checkpoint yet" true (files () = [ -1; 3; 0; 0 ]);
+  check_int "trigger: no fsync" 0 (d "serve.journal.fsyncs");
+  Serve_journal.append j ~canon:"d" (jpayload 4);
+  Serve_journal.flush j;
+  let d = step () in
+  check_bool "slice: both lines in the tmp, the append in the new journal" true
+    (files () = [ -1; 3; 1; 2 ]);
+  check_int "slice: two checkpoint lines" 2 (d "serve.journal.checkpoint_lines");
+  check_int "slice: no fsync" 0 (d "serve.journal.fsyncs");
+  let d = step () in
+  check_int "sync: the tmp's fsync" 1 (d "serve.journal.fsyncs");
+  let d = step () in
+  check_bool "install: checkpoint in place, rotated journal gone" true (files () = [ 2; -1; 1; -1 ]);
+  check_int "install: the directory's fsync" 1 (d "serve.journal.fsyncs");
+  check_int "install: compaction counted" 1 (d "serve.journal.compactions");
   let st = Serve_journal.stats j in
   check_int "compaction counted" 1 st.Serve_journal.compactions;
-  check_int "lag folded away" 0 st.Serve_journal.lag;
-  (* appends after a compaction land in the truncated journal *)
-  Serve_journal.append j ~canon:"d" (jpayload 4);
+  check_int "the append made during the compaction is the lag left" 1 st.Serve_journal.lag;
+  let d = step () in
+  check_int "idle below the threshold" 0 (d "serve.journal.fsyncs" + d "serve.journal.compactions");
   Serve_journal.close j;
   let seen, st2 = replay_counts path in
-  check_int "checkpoint entries plus post-compaction append" 3 (List.length seen);
-  check_int "nothing corrupt after truncate-and-append" 0 st2.Serve_journal.skipped_corrupt;
-  check_bool "replay order is checkpoint then journal" true
-    (List.map fst seen = [ "a"; "c"; "d" ])
+  check_int "nothing corrupt" 0 st2.Serve_journal.skipped_corrupt;
+  check_bool "replay order is checkpoint then journal" true (List.map fst seen = [ "a"; "c"; "d" ]);
+  (* the whole path *)
+  let j = Serve_journal.open_ ~compact_every:3 ~path () in
+  Serve_journal.replay j (fun ~canon:_ _ -> ());
+  Serve_journal.append j ~canon:"e" (jpayload 5);
+  let d =
+    counter_deltas (fun () -> Serve_journal.compact j ~entries:[ ("c", jpayload 3); ("e", jpayload 5) ])
+  in
+  check_int "compact flushes the pending append once" 1 (d "serve.journal.flushes");
+  check_int "compact fsyncs the checkpoint file and its directory" 2 (d "serve.journal.fsyncs");
+  check_int "compact writes every line" 2 (d "serve.journal.checkpoint_lines");
+  check_int "lag folded away" 0 (Serve_journal.stats j).Serve_journal.lag;
+  Serve_journal.close j;
+  check_bool "compact truncates the journal" true (files () = [ 2; -1; 0; -1 ])
+
+(* A 256-entry cache compacted every 256 appends, fed 40 batches of 32
+   fresh requests, goes through three stepwise compactions.  Each takes
+   ⌈256/32⌉ + 3 = 11 batches counting its trigger, writes no more than
+   32 checkpoint lines in a batch and fsyncs twice (three times under
+   --fsync, beside the one fsync of every batch's flush); without
+   --fsync no batch fsyncs more than once, and the store never holds
+   more than 2L + K + 2b(⌈L/32⌉ + 3) = 1472 lines. *)
+let test_compaction_pins () =
+  List.iter
+    (fun fsync ->
+      with_store @@ fun path ->
+      let t = Serve_shard.create ~jobs:1 ~cache_capacity:256 ~compact_every:256 ~fsync ~cache_file:path () in
+      Fun.protect ~finally:(fun () -> Serve_shard.abort t) @@ fun () ->
+      let mode = if fsync then "--fsync" else "default" in
+      let trigger = ref (-1) and fsyncs = ref 0 and completed = ref 0 and most = ref 0 in
+      for b = 0 to 39 do
+        let lines =
+          List.init 32 (fun k ->
+              req ~id:k ~budget:(10.0 +. (0.0625 *. float_of_int ((32 * b) + k))) jobs3)
+        in
+        let d = counter_deltas (fun () -> ignore (Serve_shard.handle_batch t lines)) in
+        let on_disk =
+          List.fold_left
+            (fun acc ext -> acc + Int.max 0 (count_lines (path ^ ext)))
+            0 [ ""; ".journal.old"; ".journal"; ".tmp" ]
+        in
+        most := Int.max !most on_disk;
+        if on_disk > 1472 then Alcotest.failf "%s: batch %d leaves %d lines on disk" mode b on_disk;
+        if d "serve.journal.checkpoint_lines" > 32 then
+          Alcotest.failf "%s: batch %d writes %d checkpoint lines" mode b (d "serve.journal.checkpoint_lines");
+        if (not fsync) && d "serve.journal.fsyncs" > 1 then
+          Alcotest.failf "%s: batch %d fsyncs %d times" mode b (d "serve.journal.fsyncs");
+        if !trigger < 0 && Sys.file_exists (path ^ ".journal.old") then begin
+          trigger := b;
+          fsyncs := 0
+        end;
+        if !trigger >= 0 then fsyncs := !fsyncs + d "serve.journal.fsyncs" - if fsync then 1 else 0;
+        if d "serve.journal.compactions" = 1 then begin
+          check_int (Printf.sprintf "%s: compaction %d takes 11 batches" mode !completed) 11 (b - !trigger + 1);
+          check_int (Printf.sprintf "%s: compaction %d fsyncs" mode !completed) (if fsync then 3 else 2) !fsyncs;
+          incr completed;
+          trigger := -1
+        end
+      done;
+      check_int (mode ^ ": three compactions") 3 !completed;
+      check_bool (Printf.sprintf "%s: the store reached %d lines" mode !most) true (!most > 1000))
+    [ false; true ]
 
 (* appends wait in the channel until the batch's flush: nothing
    reaches the file before it, one flush pushes them all, and only a
@@ -992,6 +1077,351 @@ let test_journal_replay_sweep () =
           (String.concat "" (List.map (fun l -> l ^ "\n") (before @ [ line ] @ after)))
       done)
     lines
+
+(* ---------------- compaction: a crash or an I/O fault at every step ---------------- *)
+
+exception Crash
+
+(* The sweep's store: cache 8, compaction every 8 appends, batches of
+   4 lines.  A batch holds 4 fresh makespan requests, or 1 and 3 pings,
+   in the pattern 4 4 1 1 1, so that entries of a compaction's snapshot
+   outlive its 3 later batches in the cache and reach disk only through
+   the rotated journal and the new checkpoint.  Stepwise, compactions
+   trigger at batches 1, 6 and 11 and complete at 4, 9 and 14, and
+   shutdown compacts whole; the whole path compacts at batches 1, 6 and
+   11 too. *)
+let sweep_batches = 15
+
+let sweep_solves b = if b mod 5 < 2 then 4 else 1
+
+(* solves before batch [b] *)
+let sweep_before b = List.fold_left ( + ) 0 (List.init b sweep_solves)
+
+let sweep_lines =
+  lazy
+    (Array.init sweep_batches (fun b ->
+         List.init 4 (fun k ->
+             if k < sweep_solves b then
+               req ~id:(4 * b + k) ~budget:(10.0 +. (0.125 *. float_of_int (sweep_before b + k))) jobs3
+             else Printf.sprintf {|{"id":%d,"op":"ping"}|} (4 * b + k))))
+
+(* each solve's canonical key in insertion order, the journal line its
+   insert writes, and every batch's replies, from a fault-free run *)
+let sweep_reference =
+  lazy
+    (let lines = Lazy.force sweep_lines in
+     let srs =
+       Array.of_list
+         (List.concat (List.init sweep_batches (fun b -> List.filteri (fun k _ -> k < sweep_solves b) lines.(b))))
+       |> Array.map decode_solve
+     in
+     let journal = Hashtbl.create 64 in
+     let pool = Par.Pool.create ~jobs:1 () in
+     Fun.protect
+       ~finally:(fun () -> Par.Pool.shutdown pool)
+       (fun () ->
+         ignore
+           (Serve_batch.run ~pool ~cache:(Serve_cache.create ~capacity:1024) ~policy:Guard.default
+              ~on_insert:(fun ~canon p -> Hashtbl.replace journal canon (Serve_journal.encode_line ~canon p))
+              srs));
+     let replies = with_shards @@ fun t -> List.init sweep_batches (fun b -> Serve_shard.handle_batch t lines.(b)) in
+     (Array.map (fun (sr : Serve_protocol.solve_request) -> sr.Serve_protocol.canon) srs, journal, replies))
+
+type fault =
+  | Crash_at
+  | Short_crash  (** the write is cut short, then the process dies *)
+  | Fail of Unix.error
+  | Short_fail  (** the write is cut short, then fails with ENOSPC *)
+
+let fault_name = function
+  | Crash_at -> "crash"
+  | Short_crash -> "short write, crash"
+  | Fail e -> Unix.error_message e
+  | Short_fail -> "short write, ENOSPC"
+
+let writes site = site = "serve_journal.flush" || site = "serve_journal.slice"
+
+(* hooks that log every journal site visit as (batch, site) and fault
+   visit [at] (1-based; 0 faults none) *)
+let sweep_hooks ~at ~fault ~batch ~visits =
+  let journal site = String.starts_with ~prefix:"serve_journal." site in
+  let n = ref 0 and cut = ref false in
+  {
+    Fault.null with
+    Fault.on_enter =
+      (fun site ->
+        if journal site then begin
+          incr n;
+          visits := (!batch, site) :: !visits;
+          if !cut then begin
+            cut := false;
+            match fault with
+            | Short_crash -> raise Crash
+            | _ -> raise (Unix.Unix_error (Unix.ENOSPC, "write", site))
+          end;
+          if !n = at then
+            match fault with
+            | Crash_at -> raise Crash
+            | Fail e -> raise (Unix.Unix_error (e, "sweep", site))
+            | Short_crash | Short_fail -> cut := true
+        end);
+    Fault.on_float = (fun site v -> if !cut && journal site then Float.round (v /. 2.0) else v);
+  }
+
+let sweep_store () =
+  let path = Filename.temp_file "pasched_sweep" ".cache" in
+  Sys.remove path;
+  path
+
+let sweep_files = [ ""; ".journal.old"; ".journal" ]
+let sweep_cleanup path = List.iter (fun ext -> rm_f (path ^ ext)) (".tmp" :: sweep_files)
+
+(* Drive the store through every batch, calling [after_batch b] after
+   batch [b], then shut it down; a [Crash] drops it where it stands.
+   Returns the batch the crash hit ([sweep_batches] for shutdown), each
+   batch's replies, and the journal's error count *)
+let sweep_drive ?(after_batch = ignore) ~whole ~fsync ~path ~hooks ~batch () =
+  let lines = Lazy.force sweep_lines in
+  if whole then begin
+    (* the perfbench replica's path: compact whole whenever the lag
+       says so *)
+    let j = Serve_journal.open_ ~fsync ~compact_every:8 ~path () in
+    let cache = Serve_cache.create ~capacity:8 in
+    let pool = Par.Pool.create ~jobs:1 () in
+    Fun.protect ~finally:(fun () -> Par.Pool.shutdown pool) @@ fun () ->
+    match
+      Fault.with_hooks hooks (fun () ->
+          for b = 0 to sweep_batches - 1 do
+            batch := b;
+            ignore
+              (Serve_batch.run ~pool ~cache ~policy:Guard.default
+                 ~on_insert:(fun ~canon p -> Serve_journal.append j ~canon p)
+                 (Array.of_list (List.map decode_solve (List.filteri (fun k _ -> k < sweep_solves b) lines.(b)))));
+            Serve_journal.flush j;
+            if Serve_journal.needs_compact j then Serve_journal.compact j ~entries:(Serve_cache.to_list cache)
+          done;
+          batch := sweep_batches;
+          Serve_journal.compact j ~entries:(Serve_cache.to_list cache);
+          Serve_journal.close j)
+    with
+    | () -> (None, [], (Serve_journal.stats j).Serve_journal.errors)
+    | exception Crash ->
+      Serve_journal.drop j;
+      (Some !batch, [], 0)
+  end
+  else begin
+    let t = Serve_shard.create ~jobs:1 ~cache_capacity:8 ~compact_every:8 ~fsync ~cache_file:path () in
+    let replies = ref [] in
+    match
+      Fault.with_hooks hooks (fun () ->
+          for b = 0 to sweep_batches - 1 do
+            batch := b;
+            replies := Serve_shard.handle_batch t lines.(b) :: !replies;
+            after_batch b
+          done;
+          batch := sweep_batches;
+          Serve_shard.shutdown t)
+    with
+    | () ->
+      let errors = match Serve_shard.journal_stats t with Some js -> js.Serve_journal.errors | None -> 0 in
+      (None, List.rev !replies, errors)
+    | exception Crash ->
+      Serve_shard.abort t;
+      (Some !batch, List.rev !replies, 0)
+  end
+
+(* lines on disk that do not decode: what a torn write leaves *)
+let torn_lines path =
+  List.fold_left
+    (fun acc ext ->
+      match read_file (path ^ ext) with
+      | exception Sys_error _ -> acc
+      | s ->
+        acc
+        + List.length
+            (List.filter (fun l -> l <> "" && Serve_journal.decode_line l = None) (String.split_on_char '\n' s)))
+    0 sweep_files
+
+(* Reopen and replay: never raises, counts exactly the torn lines,
+   recovers only the first [inserted] solves' entries with their bytes,
+   and every entry in [required] (solve indices) *)
+let sweep_recover ~what ~path ~inserted ~required =
+  let canons, journal, _ = Lazy.force sweep_reference in
+  let torn = torn_lines path in
+  let j = Serve_journal.open_ ~path () in
+  let cache = Serve_cache.create ~capacity:8 in
+  (match
+     Serve_journal.replay j (fun ~canon p ->
+         let rec index i = if i >= inserted then -1 else if canons.(i) = canon then i else index (i + 1) in
+         if index 0 < 0 then Alcotest.failf "%s: recovered an entry never inserted" what;
+         if Hashtbl.find journal canon <> Serve_journal.encode_line ~canon p then
+           Alcotest.failf "%s: an entry recovered with other bytes" what;
+         Serve_cache.insert cache ~hash:(Serve_key.hash canon) ~canon p)
+   with
+  | () -> ()
+  | exception e -> Alcotest.failf "%s: replay raised %s" what (Printexc.to_string e));
+  let st = Serve_journal.stats j in
+  if st.Serve_journal.skipped_corrupt <> torn then
+    Alcotest.failf "%s: skipped %d lines, %d torn" what st.Serve_journal.skipped_corrupt torn;
+  let live = List.map fst (Serve_cache.to_list cache) in
+  List.iter
+    (fun i -> if not (List.mem canons.(i) live) then Alcotest.failf "%s: live flushed entry %d lost" what i)
+    required;
+  (j, torn)
+
+(* the fault-free run's journal site visits *)
+let sweep_visits ~whole ~fsync =
+  let path = sweep_store () in
+  Fun.protect ~finally:(fun () -> sweep_cleanup path) @@ fun () ->
+  let visits = ref [] and batch = ref 0 in
+  ignore (sweep_drive ~whole ~fsync ~path ~hooks:(sweep_hooks ~at:0 ~fault:Crash_at ~batch ~visits) ~batch ());
+  Array.of_list (List.rev !visits)
+
+(* the sites visited after the checkpoint's rename and before the
+   rotated journal's unlink or the journal's truncate: a crash there
+   replays pre-snapshot lines over the new checkpoint *)
+let after_rename site =
+  List.mem site [ "serve_journal.dir_fsync"; "serve_journal.unlink"; "serve_journal.truncate" ]
+
+(* How many solves the cache took by visit [at] (at [site] in batch
+   [b]), and which of them have no line in the file: a crash loses the
+   batch's appends until its write is done, and an error the append
+   it hit, or a batch whose write failed *)
+let reached ~visits ~at ~crash b site =
+  let appended = ref 0 in
+  Array.iteri (fun i (b', s) -> if i < at && b' = b && s = "serve_journal.append" then incr appended) visits;
+  let before = sweep_before (Int.min b sweep_batches) in
+  if b >= sweep_batches then (before, [])
+  else
+    let all = before + sweep_solves b in
+    if site = "serve_journal.append" then
+      if crash then (before + !appended, List.init !appended (( + ) before))
+      else (all, [ before + !appended - 1 ])
+    else if site = "serve_journal.flush" then (all, List.init (sweep_solves b) (( + ) before))
+    else (all, [])
+
+let crash_case ~whole ~fsync ~visits ~fault at =
+  let cb, site = visits.(at - 1) in
+  let what =
+    Printf.sprintf "%s%s, %s at visit %d (%s, batch %d)"
+      (if whole then "compact" else "stepwise")
+      (if fsync then " --fsync" else "")
+      (fault_name fault) at site cb
+  in
+  let path = sweep_store () in
+  Fun.protect ~finally:(fun () -> sweep_cleanup path) @@ fun () ->
+  let batch = ref 0 and log = ref [] in
+  match sweep_drive ~whole ~fsync ~path ~hooks:(sweep_hooks ~at ~fault ~batch ~visits:log) ~batch () with
+  | None, _, _ -> Alcotest.failf "%s: no crash" what
+  | Some b, _, _ ->
+    if b <> cb then Alcotest.failf "%s: crashed in batch %d" what b;
+    (* the cache holds the last 8 solves taken; those whose line was
+       written must come back *)
+    let taken, unwritten = reached ~visits ~at ~crash:true cb site in
+    let required =
+      if after_rename site then []
+      else List.filter (fun i -> i >= taken - 8 && not (List.mem i unwritten)) (List.init taken Fun.id)
+    in
+    let j, torn = sweep_recover ~what ~path ~inserted:taken ~required in
+    if fault = Crash_at then begin
+      Serve_journal.close j;
+      if torn > 0 then Alcotest.failf "%s: %d torn lines" what torn
+    end
+    else begin
+      if torn > 1 then Alcotest.failf "%s: %d torn lines" what torn;
+      (* the next append after a torn tail lands on a line of its own *)
+      let canons, journal, _ = Lazy.force sweep_reference in
+      (match Serve_journal.decode_line (Hashtbl.find journal canons.(0)) with
+      | Some (canon, p) -> Serve_journal.append j ~canon p
+      | None -> Alcotest.fail "reference line does not decode");
+      Serve_journal.close j;
+      let j2, torn2 = sweep_recover ~what:(what ^ ", then one append") ~path ~inserted:(Int.max 1 taken) ~required:[ 0 ] in
+      Serve_journal.close j2;
+      if torn2 <> torn then Alcotest.failf "%s: the append after the crash tore a line" what
+    end
+
+(* An I/O error anywhere: every batch is answered as without it and the
+   error is counted.  A copy of the store taken after the faulted batch
+   (what a crash there would leave) recovers every live entry whose
+   line reached the file, outside the rename-to-unlink window; the
+   store itself, once shutdown compacts it, recovers them all *)
+let error_case ~fsync ~visits ~fault at =
+  let canons, _, want = Lazy.force sweep_reference in
+  let cb, site = visits.(at - 1) in
+  let what =
+    Printf.sprintf "stepwise%s, %s at visit %d (%s, batch %d)"
+      (if fsync then " --fsync" else "")
+      (fault_name fault) at site cb
+  in
+  let path = sweep_store () and copy = sweep_store () in
+  Fun.protect ~finally:(fun () -> sweep_cleanup path; sweep_cleanup copy) @@ fun () ->
+  let batch = ref 0 and log = ref [] in
+  (* a failed write is retried by the next batch's flush: the copy
+     waits for it *)
+  let copy_after = if site = "serve_journal.flush" then cb + 1 else cb in
+  let after_batch b =
+    if b = copy_after then
+      List.iter
+        (fun ext -> match read_file (path ^ ext) with s -> write_file (copy ^ ext) s | exception Sys_error _ -> ())
+        sweep_files
+  in
+  match
+    sweep_drive ~after_batch ~whole:false ~fsync ~path ~hooks:(sweep_hooks ~at ~fault ~batch ~visits:log) ~batch ()
+  with
+  | Some _, _, _ -> Alcotest.failf "%s: crashed" what
+  | None, got, errors ->
+    List.iteri (fun b (w, g) -> if w <> g then Alcotest.failf "%s: batch %d answered otherwise" what b) (List.combine want got);
+    let n = Array.length canons in
+    (* shutdown swallows its own failures uncounted *)
+    if cb < sweep_batches && errors < 1 then Alcotest.failf "%s: no error counted" what;
+    if copy_after < sweep_batches then begin
+      let taken, unwritten =
+        if copy_after > cb then (sweep_before (Int.min (copy_after + 1) sweep_batches), [])
+        else reached ~visits ~at ~crash:false cb site
+      in
+      let required =
+        if after_rename site then []
+        else List.filter (fun i -> i >= taken - 8 && not (List.mem i unwritten)) (List.init taken Fun.id)
+      in
+      let j, torn = sweep_recover ~what:(what ^ ", crash copy") ~path:copy ~inserted:taken ~required in
+      Serve_journal.close j;
+      if torn > 0 then Alcotest.failf "%s: %d torn lines" what torn
+    end;
+    let required = if cb < sweep_batches then List.init 8 (fun k -> n - 8 + k) else [] in
+    let j, torn = sweep_recover ~what ~path ~inserted:n ~required in
+    Serve_journal.close j;
+    if torn > 0 then Alcotest.failf "%s: %d torn lines" what torn
+
+(* A crash at every visit of every site, on both paths and in both
+   modes.  Over the first compaction's cycle (batches 0 to 4: idle,
+   trigger, slice, sync, install) and at the first visit of every site
+   past it (shutdown's), a short write then a crash at every write,
+   and on the stepwise path ENOSPC, EIO and (where it writes) a short
+   write. *)
+let test_compaction_crash_sweep () =
+  let runs = ref 0 in
+  List.iter
+    (fun (whole, fsync) ->
+      let visits = sweep_visits ~whole ~fsync in
+      let seen = Hashtbl.create 16 in
+      Array.iteri
+        (fun i (b, site) ->
+          let faulted = b <= 4 || not (Hashtbl.mem seen site) in
+          Hashtbl.replace seen site ();
+          List.iter
+            (fun fault ->
+              incr runs;
+              crash_case ~whole ~fsync ~visits ~fault (i + 1))
+            (Crash_at :: (if faulted && writes site then [ Short_crash ] else []));
+          if faulted && not whole then
+            List.iter
+              (fun fault ->
+                incr runs;
+                error_case ~fsync ~visits ~fault (i + 1))
+              (Fail Unix.ENOSPC :: Fail Unix.EIO :: (if writes site then [ Short_fail ] else [])))
+        visits)
+    [ (false, false); (false, true); (true, false); (true, true) ];
+  check_bool (Printf.sprintf "%d runs" !runs) true (!runs > 0)
 
 (* ---------------- circuit breaker (unit) ---------------- *)
 
@@ -1237,7 +1667,23 @@ let test_health_op () =
   | Some ds -> check_int "per-shard inflight row per shard" 2 (List.length ds)
   | None -> Alcotest.fail "health carries no inflight list");
   check_bool "breakers listed (default config on)" true
-    (Obs_json.member "breakers" h <> None)
+    (Obs_json.member "breakers" h <> None);
+  let journal_errors h = Option.bind (Obs_json.member "journal" h) (Obs_json.member "errors") in
+  check_bool "a healthy journal shows no errors member" true (journal_errors h = None);
+  (* one failed flush: the batch is answered, and health counts it *)
+  let failing =
+    {
+      Fault.null with
+      Fault.on_enter =
+        (fun site ->
+          if site = "serve_journal.flush" then raise (Unix.Unix_error (Unix.EIO, "write", site)));
+    }
+  in
+  check_bool "answered through a failed flush" true
+    (status_of (Fault.with_hooks failing (fun () -> Serve_shard.handle_line t (req ~budget:11.0 jobs3)))
+    = Some "ok");
+  check_bool "health counts the journal error" true
+    (journal_errors (health_of t) = Some (Obs_json.Int 1))
 
 (* ---------------- crash recovery (SIGKILL simulated by abort) ---------------- *)
 
@@ -1294,6 +1740,8 @@ let test_shutdown_then_journal_replays () =
   check_bool "checkpoint written on shutdown" true (Sys.file_exists path);
   check_int "journal truncated by the shutdown compaction" 0
     (String.length (read_file (path ^ ".journal")));
+  check_bool "no rotated journal or tmp left" false
+    (Sys.file_exists (path ^ ".journal.old") || Sys.file_exists (path ^ ".tmp"));
   let t = Serve_shard.create ~jobs:1 ~shards:1 ~cache_capacity:32 ~cache_file:path () in
   Fun.protect ~finally:(fun () -> Serve_shard.shutdown t) @@ fun () ->
   match Serve_shard.journal_stats t with
@@ -1576,6 +2024,8 @@ let () =
           Alcotest.test_case "append-buffered" `Quick test_journal_append_buffered;
           Alcotest.test_case "replay-linear" `Quick test_journal_replay_linear;
           Alcotest.test_case "replay-sweep" `Quick test_journal_replay_sweep;
+          Alcotest.test_case "compaction-pins" `Quick test_compaction_pins;
+          Alcotest.test_case "compaction-crash-sweep" `Quick test_compaction_crash_sweep;
         ] );
       ( "breaker",
         [
